@@ -452,11 +452,15 @@ class DelayScheduling(AllocationPolicy):
                     if next_deadline is None or deadline < next_deadline:
                         next_deadline = deadline
                     continue
-                waited = now - seen
-                if waited < wait:
+                # Defer iff the deadline the wake-up tick uses still lies
+                # ahead.  ``now - seen < wait`` can hold when ``seen +
+                # wait`` rounds down to ``now``; deferring then would leave
+                # a zero wake-up hint, which the engine ignores.
+                deadline = seen + wait
+                if now < deadline:
+                    waited = now - seen
                     if waited > self.max_deferred_wait:
                         self.max_deferred_wait = waited
-                    deadline = seen + wait
                     if next_deadline is None or deadline < next_deadline:
                         next_deadline = deadline
                     continue

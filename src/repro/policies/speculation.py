@@ -3,10 +3,8 @@
 :class:`SpeculationEstimator` estimates a running copy's remaining time
 (``t_rem``) and the duration of a fresh copy (``t_new``) purely from
 observable signals (progress scores and the durations of already finished
-copies), never from the simulator's hidden workloads.  It historically
-lived in ``repro.schedulers.base``; it now sits beside the redundancy
-policies that consume it (Mantri and LATE speculation), and the old import
-path re-exports it.
+copies), never from the simulator's hidden workloads.  It sits beside the
+redundancy policies that consume it (Mantri and LATE speculation).
 """
 
 from __future__ import annotations

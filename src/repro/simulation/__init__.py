@@ -33,12 +33,6 @@ from repro.simulation.results_store import (
     run_spec_fingerprint,
 )
 from repro.simulation.scheduler_api import LaunchRequest, Scheduler, SchedulerView
-from repro.simulation.sharding import (
-    ShardedRun,
-    ShardingUnsupported,
-    plan_shards,
-    run_sharded,
-)
 
 __all__ = [
     "SimulationEngine",
@@ -63,8 +57,4 @@ __all__ = [
     "ResultsStore",
     "UncacheableSpecError",
     "run_spec_fingerprint",
-    "ShardedRun",
-    "ShardingUnsupported",
-    "plan_shards",
-    "run_sharded",
 ]

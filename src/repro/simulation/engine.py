@@ -372,15 +372,17 @@ class SimulationEngine:
         arrival_priority = int(EventType.JOB_ARRIVAL)
         finish_priority = int(EventType.COPY_FINISH)
 
-        # The same-timestamp batch drain of :meth:`EventHeap.pop_time_batch`,
-        # fused with event handling: each entry is handled as it is popped
-        # instead of being buffered into a batch list first.  This is
-        # behaviourally identical -- handlers never push same-timestamp
-        # events (all workloads and scenario draws are strictly positive),
-        # stale finishes are rejected both in the heap and in the handler,
-        # and within every (time, priority) class the relative sequence
-        # order of pushes is preserved -- but it drops one list allocation
-        # and two method calls per simulation step.  Entries are raw
+        # The same-timestamp batch drain (see repro.simulation.events):
+        # pop the earliest live entry, handle it, then pop and handle every
+        # further live entry at the same timestamp before the one decision
+        # point of the batch.  Each entry is handled as it is popped, never
+        # buffered: handlers never push same-timestamp events (all
+        # workloads and scenario draws are strictly positive), and within
+        # every (time, priority) class the relative sequence order of
+        # pushes is preserved, so the batch is exactly the set of live
+        # entries at that time in (priority, sequence) order.  Stale finish
+        # entries (killed or re-estimated copies) are dropped at the head
+        # and never handled.  Entries are raw
         # ``(time, priority, sequence, payload, version)`` tuples: the two
         # dominant kinds carry their payload directly (one TaskCopy per
         # finish, one Job per arrival) and dispatch straight to their
@@ -388,9 +390,8 @@ class SimulationEngine:
         # events, ticks) carries an :class:`Event` payload handled by
         # :meth:`_handle_event`.
         while True:
-            # Inlined EventHeap.pop_entry: pop the earliest live entry,
-            # dropping stale finish entries (killed or re-estimated copies)
-            # at the head.
+            # Pop the earliest live entry, dropping stale finish entries
+            # (killed or re-estimated copies) at the head.
             entry = None
             while entries:
                 head = entries[0]
@@ -421,10 +422,9 @@ class SimulationEngine:
                     handle_arrival(entry[3])
                 else:
                     handle(entry[3])
-                # Inlined EventHeap.pop_entry_at: drain the rest of this
-                # timestamp's batch (stale finish heads dropped in place;
-                # stale entries later than ``now`` are left for the outer
-                # pop to reach).
+                # Drain the rest of this timestamp's batch (stale finish
+                # heads dropped in place; stale entries later than ``now``
+                # are left for the outer pop to reach).
                 entry = None
                 while entries:
                     head = entries[0]
@@ -618,7 +618,8 @@ class SimulationEngine:
         job = Job.from_spec(spec)
         if self._retain_jobs:
             self._jobs.append(job)
-        # Inlined EventHeap.push_arrival (one call per job of the stream).
+        # The job itself is the entry payload: no Event allocation (this
+        # runs once per job of the stream).
         heappush(
             self._events._entries,
             (arrival_time, _ARRIVAL_PRIORITY, next(self._sequence), job, 0),

@@ -25,11 +25,9 @@ All events at one timestamp form a single *batch*: the engine drains them
 all -- in ``(priority, sequence)`` order -- before consulting the
 scheduler, so :class:`~repro.simulation.scheduler_api.ComposedScheduler`
 sees exactly one decision point per unique simulated time no matter how
-many events coincide there.  :meth:`EventHeap.pop_entry` /
-:meth:`EventHeap.pop_entry_at` are the fused allocation-free form of that
-drain used by the engine loop; :meth:`EventHeap.pop_time_batch` is the
-same contract materialised as an explicit ``(time, [entries])`` batch for
-invariant tests and non-hot callers.
+many events coincide there.  The drain is inlined in the engine loop
+(:meth:`~repro.simulation.engine.SimulationEngine._run`), which pops and
+handles each entry directly from :attr:`EventHeap._entries`.
 
 Decrease-key semantics
 ----------------------
@@ -39,11 +37,11 @@ valid finish entry of a copy is exactly the one whose version matches.
 Under dynamic scenarios the engine re-estimates a running copy's finish
 time whenever its machine's effective speed changes; the re-estimate is an
 O(log n) decrease-key (or increase-key) implemented the standard ``heapq``
-way: push a fresh entry with the bumped version and let the superseded one
-be dropped lazily at pop time (:meth:`EventHeap.pop_entry` /
-:meth:`EventHeap.pop_entry_at`), exactly like the finish event of a killed
-clone.  Stale entries therefore never reach the engine, never form an
-event batch on their own, and never cause a scheduler consultation.
+way: push a fresh entry with the bumped version and let the engine's
+drain drop the superseded one when it reaches the head, exactly like the
+finish event of a killed clone.  Stale entries therefore never reach an
+event handler, never form an event batch on their own, and never cause a
+scheduler consultation.
 """
 
 from __future__ import annotations
@@ -203,9 +201,10 @@ class EventHeap:
 
     Entries are plain tuples so heap comparisons run at C speed, with the
     per-job payloads stored directly in the tuple (no :class:`Event`
-    allocation on the hot path); stale copy-finish entries (killed copies,
-    superseded finish estimates) are dropped lazily at the head -- see the
-    module docstring for why this is an O(log n) decrease-key.
+    allocation on the hot path); the engine pops ``_entries`` itself and
+    drops stale copy-finish entries (killed copies, superseded finish
+    estimates) lazily at the head -- see the module docstring for why this
+    is an O(log n) decrease-key.
     """
 
     __slots__ = ("_entries",)
@@ -228,14 +227,6 @@ class EventHeap:
             (event.time, event.priority, event.sequence, event, event.version),
         )
 
-    def push_arrival(self, job: Job, time: float, sequence: int) -> None:
-        """Queue the arrival of ``job``.
-
-        The job itself is the entry payload -- no :class:`Event` is
-        allocated (this runs once per job of the whole trace/stream).
-        """
-        heapq.heappush(self._entries, (time, _JOB_ARRIVAL, sequence, job, 0))
-
     def push_finish(self, copy: TaskCopy, time: float, sequence: int) -> None:
         """Queue the (only currently valid) finish event of ``copy``.
 
@@ -250,89 +241,3 @@ class EventHeap:
         heapq.heappush(
             self._entries, (time, _COPY_FINISH, sequence, copy, version)
         )
-
-    @staticmethod
-    def _is_stale(entry: HeapEntry) -> bool:
-        """A finish entry for a copy that was killed or re-estimated since."""
-        if entry[1] != _COPY_FINISH:
-            return False
-        copy = entry[3]
-        return (
-            copy.finish_time is not None
-            or copy.killed_at is not None
-            or entry[4] != copy.finish_version
-        )
-
-    def _drop_stale(self) -> None:
-        """Remove stale entries from the head so the head entry is live."""
-        entries = self._entries
-        while entries and self._is_stale(entries[0]):
-            heapq.heappop(entries)
-
-    def pop_entry(self) -> Optional[HeapEntry]:
-        """Pop and return the earliest live entry (``None`` when drained)."""
-        # Staleness test inlined (see _is_stale): this loop runs once per
-        # simulation step and the extra call frames are measurable.
-        entries = self._entries
-        pop = heapq.heappop
-        while entries:
-            head = entries[0]
-            if head[1] == _COPY_FINISH:
-                copy = head[3]
-                if (
-                    copy.finish_time is not None
-                    or copy.killed_at is not None
-                    or head[4] != copy.finish_version
-                ):
-                    pop(entries)
-                    continue
-            return pop(entries)
-        return None
-
-    def pop_entry_at(self, time: float) -> Optional[HeapEntry]:
-        """Pop the earliest live entry if it fires exactly at ``time``.
-
-        One combined drop-stale/peek/pop call for the engine's fused
-        same-timestamp batch drain.  Stale entries later than ``time`` are
-        left in place -- :meth:`pop_entry` drops them when reached.
-        """
-        entries = self._entries
-        pop = heapq.heappop
-        while entries:
-            first = entries[0]
-            if first[0] != time:
-                return None
-            if first[1] == _COPY_FINISH:
-                copy = first[3]
-                if (
-                    copy.finish_time is not None
-                    or copy.killed_at is not None
-                    or first[4] != copy.finish_version
-                ):
-                    pop(entries)
-                    continue
-            return pop(entries)
-        return None
-
-    def pop_time_batch(self) -> Optional[Tuple[float, List[HeapEntry]]]:
-        """Pop *every* live entry at the earliest live timestamp.
-
-        Returns ``(time, entries)`` with the entries in their global
-        ``(priority, sequence)`` order, or ``None`` when the heap is
-        drained.  This is the same-timestamp batch contract in explicit
-        form: the engine's hot loop fuses the drain with event handling
-        (one :meth:`pop_entry` then :meth:`pop_entry_at` until exhausted,
-        which yields entries in exactly this order without building the
-        list); invariant tests use this method as the reference shape.
-        """
-        first = self.pop_entry()
-        if first is None:
-            return None
-        time = first[0]
-        batch = [first]
-        push = batch.append
-        entry = self.pop_entry_at(time)
-        while entry is not None:
-            push(entry)
-            entry = self.pop_entry_at(time)
-        return time, batch

@@ -149,7 +149,7 @@ class SimulationResult:
     def __getstate__(self) -> Dict[str, object]:
         """Row-packed pickle form: records as plain tuples, caches dropped.
 
-        Pool workers ship whole shard results across the process boundary;
+        Pool workers ship whole run results across the process boundary;
         pickling the per-record ``__slots__`` objects individually costs
         several times the packed-row form (one state dict per record), and
         the metric caches are derived data the receiver can rebuild.

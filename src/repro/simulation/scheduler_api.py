@@ -386,6 +386,13 @@ class ComposedScheduler(Scheduler):
         """Return the copies to launch at this decision point (see base class)."""
         free = view.num_free_machines
         if free <= 0:
+            if self._allocation_ticks:
+                # The allocation's deadline hint is a delay from the last
+                # time it was consulted, so it is stale now.  No deferred
+                # task can launch before a machine frees up, and that event
+                # is itself a decision point: drop the hint until then.
+                self.allocation.tick_interval = None
+                self.tick_interval = self._combined_tick()
             return []
         if self._static_greedy:
             planned = self.allocation._static_walk(

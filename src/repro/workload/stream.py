@@ -52,7 +52,6 @@ __all__ = [
     "StreamSpec",
     "TraceStream",
     "stream_uniform_jobs",
-    "stream_uniform_window",
     "stream_poisson_jobs",
     "stream_heavy_tail_jobs",
     "stream_dag_chain_jobs",
@@ -204,58 +203,6 @@ def stream_uniform_jobs(
     # construction path (this factory feeds the million-job benchmarks).
     fast_spec = _fast_legacy_spec
     job_id = 0
-    for size in _chunk_sizes(num_jobs, chunk_size):
-        for _ in range(size):
-            yield fast_spec(
-                job_id,
-                job_id * inter_arrival,
-                weight,
-                tasks_per_job,
-                reduce_tasks_per_job,
-                duration,
-                duration,
-            )
-            job_id += 1
-
-
-def stream_uniform_window(
-    num_jobs: int,
-    *,
-    start: int = 0,
-    tasks_per_job: int = 10,
-    reduce_tasks_per_job: int = 2,
-    mean_duration: float = 10.0,
-    inter_arrival: float = 0.0,
-    weight: float = 1.0,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[JobSpec]:
-    """A contiguous job-id window ``[start, start + num_jobs)`` of
-    :func:`stream_uniform_jobs`.
-
-    Yields exactly the specs the full uniform stream would yield for those
-    job ids -- same ids, same absolute arrival times (``job_id *
-    inter_arrival``, the identical float expression), same shared
-    :class:`~repro.workload.distributions.Deterministic` duration -- so a
-    window is a byte-exact slice of the parent stream.  This is the shard
-    trace of :mod:`repro.simulation.sharding`: each shard simulates one
-    window independently and the windows' specs concatenate back into the
-    parent stream's spec sequence.
-    """
-    if num_jobs <= 0:
-        raise ValueError(f"num_jobs must be positive, got {num_jobs}")
-    if start < 0:
-        raise ValueError(f"start must be non-negative, got {start}")
-    if tasks_per_job <= 0:
-        raise ValueError(f"tasks_per_job must be positive, got {tasks_per_job}")
-    if reduce_tasks_per_job < 0:
-        raise ValueError("reduce_tasks_per_job must be non-negative")
-    if inter_arrival < 0:
-        raise ValueError(f"inter_arrival must be >= 0, got {inter_arrival}")
-    if weight <= 0:
-        raise ValueError(f"weight must be positive, got {weight}")
-    duration = Deterministic(mean_duration)
-    fast_spec = _fast_legacy_spec
-    job_id = start
     for size in _chunk_sizes(num_jobs, chunk_size):
         for _ in range(size):
             yield fast_spec(

@@ -12,8 +12,8 @@ from repro.schedulers import (
     SCAScheduler,
     SRPTScheduler,
 )
-from repro.schedulers.base import SpeculationEstimator
 from repro.core.speedup import ParetoSpeedup
+from repro.policies.speculation import SpeculationEstimator
 from repro.simulation import run_simulation
 from repro.workload.distributions import Deterministic, LogNormal
 from repro.workload.generators import bulk_arrival_trace

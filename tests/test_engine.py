@@ -6,10 +6,16 @@ from typing import List, Sequence
 
 import pytest
 
-from repro.cluster.stragglers import ProbabilisticSlowdown
+from repro.cluster.stragglers import DynamicStragglers, ProbabilisticSlowdown
+from repro.scenarios import MachineFailures, ScenarioSpec
 from repro.simulation.engine import SimulationEngine, SimulationError
-from repro.simulation.events import Event, EventHeap, EventType
-from repro.simulation.scheduler_api import LaunchRequest, Scheduler, SchedulerView
+from repro.simulation.events import Event, EventType
+from repro.simulation.scheduler_api import (
+    ComposedScheduler,
+    LaunchRequest,
+    Scheduler,
+    SchedulerView,
+)
 from repro.workload.distributions import Deterministic
 from repro.workload.generators import uniform_trace
 from repro.workload.job import JobSpec, Phase
@@ -313,119 +319,120 @@ class TestEvents:
         assert sorted([late, early])[0] is early
 
 
-class _StubCopy:
-    """Minimal copy stand-in for heap staleness tests."""
+class _DecisionLog(ComposedScheduler):
+    """The paper's srpt+share+clone composition, logging each decision time.
+
+    Deliberately not FIFO: the engine's FIFO fast lane launches without
+    calling ``schedule()`` at all.
+    """
 
     def __init__(self) -> None:
-        self.finish_time = None
-        self.killed_at = None
-        self.finish_version = 0
+        super().__init__("srpt", "share", "clone", epsilon=0.6, r=3.0)
+        self.decision_times: List[float] = []
+
+    def schedule(self, view: SchedulerView) -> Sequence[LaunchRequest]:
+        self.decision_times.append(view.time)
+        return super().schedule(view)
 
 
 class TestSameTimestampBatchDraining:
-    """The engine's fused drain and ``pop_time_batch`` are one contract.
+    """The engine drains each timestamp as one batch, then decides once.
 
-    The engine hot loop drains each same-timestamp batch with one
-    ``pop_entry`` followed by ``pop_entry_at`` until exhausted;
-    ``pop_time_batch`` materialises the same batch explicitly.  At ties
-    the two must yield entries in the identical ``(priority, sequence)``
-    order, never surface a stale finish entry, and produce exactly one
-    batch per unique timestamp.
+    The run mixes simultaneous arrivals, machine failures and repairs,
+    clones killed when a sibling wins, and finishes re-estimated by
+    straggler slowdowns, so the heap holds colliding timestamps and stale
+    finish entries.  Every handler call is logged: the scheduler must be
+    consulted once per unique live-event time, in increasing order, each
+    timestamp's entries must be handled in priority order, and no killed
+    or superseded finish may ever reach the finish handler.
     """
 
-    @staticmethod
-    def _populate(heap: EventHeap) -> list:
-        """Fill ``heap`` with colliding timestamps and stale finishes.
+    def test_one_decision_per_live_timestamp_and_no_stale_finish(self):
+        specs = [
+            JobSpec(job_id=i, arrival_time=arrival, weight=1.0 + i % 3,
+                    num_map_tasks=3 + i % 4, num_reduce_tasks=1 + i % 2,
+                    map_duration=Deterministic(6.0),
+                    reduce_duration=Deterministic(4.0))
+            for i, arrival in enumerate(
+                [0.0, 0.0, 0.0, 5.0, 5.0, 12.0, 12.0, 12.0, 30.0, 30.0]
+            )
+        ]
+        scheduler = _DecisionLog()
+        scenario = ScenarioSpec(
+            stragglers=DynamicStragglers(onset_rate=0.05, mean_duration=4.0,
+                                         factor=3.0),
+            failures=MachineFailures(rate=0.01, mean_repair=3.0),
+        )
+        engine = SimulationEngine(Trace(specs), scheduler, num_machines=12,
+                                  seed=4, scenario=scenario,
+                                  check_invariants=True)
 
-        Returns the copies whose queued finish entries must NOT surface
-        (killed, already finished, or superseded by a re-estimate).
-        """
-        import random
+        handled = []  # (time, kind) of every handler call
+        finish_handler = engine._handle_copy_finish
+        arrival_handler = engine._handle_arrival
+        event_handler = engine._handle_event
 
-        rng = random.Random(42)
-        times = [0.0, 1.0, 1.0, 2.5, 2.5, 2.5, 7.0]
-        seq = 0
-        stale_copies = []
-        for time in times:
-            # A burst of mixed-kind events at this timestamp, in a
-            # deliberately scrambled push order.
-            kinds = ["arrival", "finish", "tick", "failure", "repair", "finish"]
-            rng.shuffle(kinds)
-            for kind in kinds:
-                if kind == "arrival":
-                    heap.push_arrival(object(), time, seq)
-                elif kind == "finish":
-                    copy = _StubCopy()
-                    heap.push_finish(copy, time, seq)
-                    fate = rng.random()
-                    if fate < 0.25:
-                        copy.killed_at = time  # killed clone
-                        stale_copies.append(copy)
-                    elif fate < 0.5:
-                        # Decrease-key: a re-estimate supersedes the
-                        # queued entry; only the bumped-version entry at
-                        # the new time is live.
-                        seq += 1
-                        heap.push_finish(copy, time + 1.5, seq)
-                elif kind == "tick":
-                    heap.push(Event.tick(time, seq))
-                elif kind == "failure":
-                    heap.push(Event.machine_failure(time, seq, machine_id=0))
-                else:
-                    heap.push(Event.machine_repair(time, seq, machine_id=0))
-                seq += 1
-        return stale_copies
+        def on_finish(copy, version=0):
+            assert copy.finish_time is None and copy.killed_at is None
+            assert version == copy.finish_version
+            handled.append((engine.now, "finish"))
+            finish_handler(copy, version)
 
-    @staticmethod
-    def _drain_fused(heap: EventHeap) -> list:
-        """Drain ``heap`` the way the engine hot loop does."""
-        batches = []
-        entry = heap.pop_entry()
-        while entry is not None:
-            time = entry[0]
-            batch = [entry]
-            nxt = heap.pop_entry_at(time)
-            while nxt is not None:
-                batch.append(nxt)
-                nxt = heap.pop_entry_at(time)
-            batches.append((time, batch))
-            entry = heap.pop_entry()
-        return batches
+        def on_arrival(job):
+            handled.append((engine.now, "arrival"))
+            arrival_handler(job)
 
-    def test_fused_drain_matches_batch_contract_at_ties(self):
-        fused_heap, batch_heap = EventHeap(), EventHeap()
-        stale = self._populate(fused_heap)
-        self._populate(batch_heap)
+        def on_event(event):
+            handled.append((engine.now, event.event_type.name))
+            event_handler(event)
 
-        fused = self._drain_fused(fused_heap)
-        reference = []
-        batch = batch_heap.pop_time_batch()
-        while batch is not None:
-            reference.append(batch)
-            batch = batch_heap.pop_time_batch()
+        engine._handle_copy_finish = on_finish
+        engine._handle_arrival = on_arrival
+        engine._handle_event = on_event
+        result = engine.run()
+        assert result.num_jobs == len(specs)
 
-        def shape(batches):
-            return [
-                (time, [(e[0], e[1], e[2]) for e in entries])
-                for time, entries in batches
-            ]
+        times = sorted({time for time, _ in handled})
+        # One decision per batch, in time order; the batch completing the
+        # last job ends the run before any decision.
+        assert scheduler.decision_times == times[:-1]
+        assert times[-1] == result.makespan
 
-        # Identical heaps drain to identical batches either way.
-        assert shape(fused) == shape(reference)
+        # Within a batch, entries come out in global (priority, sequence)
+        # order: finish < repair < failure < ... < arrival < tick.
+        def priority(kind):
+            if kind == "finish":
+                return EventType.COPY_FINISH
+            if kind == "arrival":
+                return EventType.JOB_ARRIVAL
+            return EventType[kind]
 
-        times = [time for time, _ in fused]
-        # Exactly one decision point per unique simulated time.
-        assert times == sorted(set(times))
-        for time, entries in fused:
-            keys = [(e[1], e[2]) for e in entries]
-            # Within a batch: global (priority, sequence) order -- at a
-            # tie, finishes before repairs before failures before
-            # arrivals before ticks, FIFO within a kind.
-            assert keys == sorted(keys)
-            assert all(e[0] == time for e in entries)
-            # Stale finish entries (killed or superseded) never surface.
-            for e in entries:
-                if e[1] == int(EventType.COPY_FINISH):
-                    copy = e[3]
-                    assert copy not in stale
-                    assert e[4] == copy.finish_version
+        batches = {}
+        for time, kind in handled:
+            batches.setdefault(time, []).append(priority(kind))
+        for batch in batches.values():
+            assert batch == sorted(batch)
+        assert any(len(set(batch)) > 1 for batch in batches.values())
+
+        # The run really exercised every tie and staleness source.
+        kinds = [kind for _, kind in handled]
+        arrival_times = [time for time, kind in handled if kind == "arrival"]
+        assert len(set(arrival_times)) < len(arrival_times)
+        assert "MACHINE_FAILURE" in kinds and "MACHINE_REPAIR" in kinds
+        assert result.straggler_onsets > 0 and result.wasted_work > 0
+        copies = [
+            copy
+            for job in engine._jobs
+            for task in job.all_tasks()
+            for copy in task.copies
+        ]
+        assert any(copy.finish_version > 1 for copy in copies)
+        assert any(
+            copy.killed_at is not None and copy.start_time is not None
+            for copy in copies
+        )
+        # Each push of a finish entry bumps the copy's version, so the
+        # versions count every queued finish; all but the handled ones
+        # were stale and dropped in the drain.
+        pushed = sum(copy.finish_version for copy in copies)
+        assert pushed > kinds.count("finish")

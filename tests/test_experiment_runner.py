@@ -9,6 +9,7 @@ counter (wall-clock runtime excluded).
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
@@ -171,6 +172,29 @@ class TestRunnerMechanics:
             )
         with pytest.raises(TypeError):
             RunSpec(trace=small_online_trace, scheduler="FIFO", num_machines=4)
+
+
+class TestBatchedDispatch:
+    def test_pool_dispatch_is_batched_and_accounted(self, small_online_trace):
+        specs = _specs_for(SchedulerSpec(FIFOScheduler), small_online_trace)
+        runner = ExperimentRunner(workers=2, chunksize=2)
+        pooled = runner.run(specs)
+        stats = runner.last_dispatch_stats
+        assert stats["batches"] == len(specs) // 2
+        assert stats["batch_size"] == 2
+        assert sum(stats["per_worker"].values()) == len(specs) // 2
+        serial = ExperimentRunner(workers=1).run(specs)
+        for a, b in zip(pooled, serial):
+            assert a.fingerprint() == b.fingerprint()
+
+    def test_serial_dispatch_records_one_in_process_batch(
+        self, small_online_trace
+    ):
+        runner = ExperimentRunner(workers=1)
+        runner.run(_specs_for(SchedulerSpec(FIFOScheduler), small_online_trace)[:1])
+        stats = runner.last_dispatch_stats
+        assert stats["batches"] == 1
+        assert stats["per_worker"] == {os.getpid(): 1}
 
 
 class TestSpecPicklability:

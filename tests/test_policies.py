@@ -288,13 +288,6 @@ class TestGating:
         ready = self.make_job()
         assert schedulable_jobs([ready]) == [ready]
 
-    def test_legacy_entry_points_delegate(self):
-        """schedulers.base and SRPTMS+C share this module's gating."""
-        from repro.schedulers.base import SingleCopyScheduler
-
-        job = self.make_job()
-        assert SingleCopyScheduler.has_launchable_tasks(job) is True
-
 
 class TestCompositionRegistry:
     def test_parse_composition(self):

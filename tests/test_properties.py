@@ -436,6 +436,71 @@ class TestTopologyProperties:
                         or len(blacklisted) >= machines
                     )
 
+    def test_delay_deadline_rounding_to_now_does_not_deadlock(self):
+        # Counterexample Hypothesis found for the property above: at
+        # t~64.83 a deferred task's ``first_seen + locality_wait`` rounds
+        # down to ``now``.  Deferring it would leave a zero wake-up hint
+        # the engine ignores, and the run would stop with "scheduler made
+        # no progress"; the task must take its remote slot instead.
+        specs = [
+            JobSpec(job_id=job_id, arrival_time=9.0, weight=1.0,
+                    num_map_tasks=maps, num_reduce_tasks=0,
+                    map_duration=LogNormal(mean, 0.0),
+                    reduce_duration=LogNormal(mean, 0.0))
+            for job_id, maps, mean in ((0, 3, 14.0), (1, 1, 1.0))
+        ]
+        scheduler = ComposedScheduler("srpt", "delay", "none", r=3.0)
+        scenario = ScenarioSpec(
+            failures=MachineFailures(rate=0.03381618239312417,
+                                     mean_repair=5.0),
+            topology=TopologySpec(racks=2, remote_slowdown=2.0),
+        )
+        engine = SimulationEngine(Trace(specs), scheduler, num_machines=9,
+                                  seed=10, scenario=scenario,
+                                  check_invariants=True)
+        result = engine.run()
+        assert result.num_jobs == 2
+        assert result.makespan > 64.83
+
+    def test_delay_tick_hint_goes_stale_while_no_machine_is_free(self):
+        # Counterexample Hypothesis found for
+        # test_delay_never_waits_longer_than_locality_wait: at t~0.75 a
+        # deferred task's deadline lies 1e-12 ahead, then every machine
+        # fills up.  The policy is not consulted while nothing is free; had
+        # its 1e-12 wake-up hint stayed in force, the engine would tick
+        # every 1e-12 s until a copy finishes, tens of seconds later.
+        specs = [
+            JobSpec(job_id=0, arrival_time=1.6207932128612031e-22,
+                    weight=7.0730146165739285, num_map_tasks=5,
+                    num_reduce_tasks=0,
+                    map_duration=LogNormal(31.027, 20.072),
+                    reduce_duration=LogNormal(31.027, 20.072)),
+            JobSpec(job_id=1, arrival_time=1e-12, weight=6.93850927488957,
+                    num_map_tasks=2, num_reduce_tasks=1,
+                    map_duration=LogNormal(37.046, 16.818),
+                    reduce_duration=LogNormal(37.046, 16.818)),
+        ]
+        scheduler = ComposedScheduler("srpt", "delay", "none", r=3.0,
+                                      locality_wait=0.75)
+        decide = scheduler.schedule
+        decisions = []
+
+        def counted(view):
+            decisions.append(view.time)
+            assert len(decisions) < 1000, f"tick crawl near t={view.time}"
+            return decide(view)
+
+        scheduler.schedule = counted
+        scenario = ScenarioSpec(
+            topology=TopologySpec(racks=3, remote_slowdown=2.0)
+        )
+        engine = SimulationEngine(Trace(specs), scheduler, num_machines=5,
+                                  seed=2161, scenario=scenario,
+                                  check_invariants=True)
+        result = engine.run()
+        assert result.num_jobs == 2
+        assert scheduler.allocation.max_deferred_wait <= 0.75
+
     @given(specs=dag_spec_lists(deterministic=True),
            racks=st.integers(min_value=2, max_value=4),
            machines=st.integers(min_value=4, max_value=12),
