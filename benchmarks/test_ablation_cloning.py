@@ -15,8 +15,9 @@ import pytest
 from repro.analysis.comparison import ComparisonTable
 from repro.cluster.stragglers import SlowMachines
 from repro.core.srptms_c import SRPTMSCScheduler
-from repro.experiments import ExperimentConfig, run_scheduler_comparison
-from repro.simulation import run_replications
+from repro.experiments import ExperimentConfig
+from repro.simulation import ReplicatedResult, run_replications
+from repro.study.presets import STUDY_PRESETS
 
 from .conftest import save_report
 
@@ -53,14 +54,17 @@ def test_ablation_cloning_under_stragglers(benchmark):
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_extra_baselines(benchmark):
     """Extended Figure 6: all seven policies on the same scaled trace."""
+    preset = STUDY_PRESETS["figure6"]
+    study = preset.build(ABLATION_CONFIG, include_extra=True)
     results = benchmark.pedantic(
-        run_scheduler_comparison,
-        args=(ABLATION_CONFIG,),
-        kwargs={"include_extra": True},
-        rounds=1,
-        iterations=1,
+        preset.run, args=(study, ABLATION_CONFIG), rounds=1, iterations=1
     )
-    table = ComparisonTable.from_results(results)
+    table = ComparisonTable.from_results(
+        {
+            name: ReplicatedResult(name, cell.results)
+            for (name,), cell in results.group_by("scheduler").items()
+        }
+    )
     save_report("ablation_extra_baselines", table.render(baseline="Mantri"))
     # SRPT-family policies should not lose to FIFO on the unweighted average.
     assert table.row("SRPTMS+C").mean_flowtime <= table.row("FIFO").mean_flowtime

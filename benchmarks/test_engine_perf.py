@@ -1,15 +1,14 @@
-"""Engine throughput benchmark, recorded in ``benchmarks/results/BENCH_engine.json``.
+"""Engine throughput benchmark, recorded in ``.benchmarks/BENCH_engine.json``.
 
 Two measurements.  Both record their timings and assert only behaviour:
 wall-clock numbers depend on the machine, so judging them is left to
 ``tools/check_bench_regression.py``, which compares the recorded
-throughput leaves against the committed baseline.
+throughput leaves against the committed baseline
+``benchmarks/results/BENCH_engine.json``.
 
 1. **Smoke-workload throughput** -- the scale-0.02 synthetic Google trace
    (the same workload the benchmark suite's sweeps run) replayed under
-   SRPTMS+C and FIFO, best of :data:`TIMING_ROUNDS`.  The fixed reference
-   numbers measured at the pre-round-three HEAD (commit ``7297133``, best
-   of 5) are recorded beside the fresh ones with their ratio.
+   SRPTMS+C and FIFO, best of :data:`TIMING_ROUNDS`.
 
 2. **Million-job streaming run** -- a 1,000,000-job lazily generated
    workload (:mod:`repro.workload.stream`) replayed end-to-end under FIFO,
@@ -23,7 +22,6 @@ throughput leaves against the committed baseline.
 from __future__ import annotations
 
 import json
-import pathlib
 import resource
 import time
 
@@ -34,16 +32,8 @@ from repro.simulation.engine import SimulationEngine
 from repro.simulation import run_simulation
 from repro.workload.stream import StreamSpec, stream_uniform_jobs
 
-from .conftest import save_report_json
+from .conftest import MEASURED_DIR, save_report_json
 
-#: Pre-round-three throughput on the smoke workload (scale-0.02 synthetic
-#: Google trace, 858 jobs / 3171 tasks / 240 machines), measured at the
-#: PR-9 HEAD on the same container, best of 5 runs.
-BASELINE_JOBS_PER_SEC = {
-    "SRPTMS+C": 3180.8,
-    "FIFO": 28639.8,
-}
-BASELINE_COMMIT = "7297133 (pre-round-three HEAD, same container)"
 #: How often each timed configuration is run (the best run is kept;
 #: single-core containers are noisy).
 TIMING_ROUNDS = 5
@@ -57,7 +47,7 @@ MILLION_JOB_RSS_LIMIT_MB = 600
 
 
 def _results_payload() -> dict:
-    path = pathlib.Path(__file__).parent / "results" / "BENCH_engine.json"
+    path = MEASURED_DIR / "BENCH_engine.json"
     return json.loads(path.read_text()) if path.exists() else {}
 
 
@@ -84,15 +74,6 @@ def test_engine_throughput_vs_baseline():
         ),
         "FIFO": _best_jobs_per_sec(trace, FIFOScheduler, config.machines),
     }
-    speedups = {
-        name: measured[name] / BASELINE_JOBS_PER_SEC[name]
-        for name in measured
-    }
-    geomean = 1.0
-    for value in speedups.values():
-        geomean *= value
-    geomean **= 1.0 / len(speedups)
-
     payload = _results_payload()
     payload.update(
         {
@@ -100,11 +81,7 @@ def test_engine_throughput_vs_baseline():
                         f"({trace.num_jobs} jobs, {trace.total_tasks} tasks, "
                         f"{config.machines} machines), seed 0, best of "
                         f"{TIMING_ROUNDS}",
-            "baseline_commit": BASELINE_COMMIT,
-            "jobs_per_sec_before": BASELINE_JOBS_PER_SEC,
-            "jobs_per_sec_after": {k: round(v, 1) for k, v in measured.items()},
-            "speedup": {k: round(v, 2) for k, v in speedups.items()},
-            "speedup_geomean": round(geomean, 2),
+            "jobs_per_sec": {k: round(v, 1) for k, v in measured.items()},
         }
     )
     save_report_json("BENCH_engine", payload)

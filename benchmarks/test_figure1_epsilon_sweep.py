@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import run_figure1
+from repro.study.presets import STUDY_PRESETS
 
 from .conftest import SWEEP_CONFIG, save_report
 
@@ -13,18 +13,20 @@ EPSILONS = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 @pytest.mark.benchmark(group="figure1")
 def test_figure1_epsilon_sweep(benchmark):
-    result = benchmark.pedantic(
-        run_figure1, args=(SWEEP_CONFIG, EPSILONS), rounds=1, iterations=1
+    preset = STUDY_PRESETS["figure1"]
+    study = preset.build(SWEEP_CONFIG, epsilons=EPSILONS)
+    results = benchmark.pedantic(
+        preset.run, args=(study, SWEEP_CONFIG), rounds=1, iterations=1
     )
-    save_report("figure1", result.render())
+    save_report("figure1", preset.render(results, study))
 
     # Shape check (paper: interior minimum near 0.6): a mid-range epsilon
     # should beat the pure-SRPT extreme on the unweighted average, and no
     # value should be wildly off the best.
-    best = min(result.mean_flowtimes)
+    means = [results.filter(epsilon=eps).mean("mean_flowtime") for eps in EPSILONS]
+    best = min(means)
     mid_best = min(
-        value for eps, value in zip(result.epsilons, result.mean_flowtimes)
-        if 0.3 <= eps <= 0.9
+        value for eps, value in zip(EPSILONS, means) if 0.3 <= eps <= 0.9
     )
-    assert mid_best <= result.mean_flowtimes[0] * 1.02
-    assert max(result.mean_flowtimes) <= 2.0 * best
+    assert mid_best <= means[0] * 1.02
+    assert max(means) <= 2.0 * best

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import run_figure2
+from repro.study.presets import STUDY_PRESETS
 
 from .conftest import SWEEP_CONFIG, save_report
 
@@ -13,11 +13,14 @@ R_VALUES = (1, 2, 3, 5, 8, 10)
 
 @pytest.mark.benchmark(group="figure2")
 def test_figure2_r_sweep(benchmark):
-    result = benchmark.pedantic(
-        run_figure2, args=(SWEEP_CONFIG, R_VALUES), rounds=1, iterations=1
+    preset = STUDY_PRESETS["figure2"]
+    study = preset.build(SWEEP_CONFIG, r_values=R_VALUES)
+    results = benchmark.pedantic(
+        preset.run, args=(study, SWEEP_CONFIG), rounds=1, iterations=1
     )
-    save_report("figure2", result.render())
+    save_report("figure2", preset.render(results, study))
 
     # Shape check (paper: the curves are nearly flat in r because within-job
     # variation is small): the spread of the unweighted curve stays modest.
-    assert result.relative_spread_unweighted < 0.35
+    means = [results.filter(r=r).mean("mean_flowtime") for r in R_VALUES]
+    assert (max(means) - min(means)) / min(means) < 0.35

@@ -4,25 +4,29 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import run_figure4
+from repro.study.presets import STUDY_PRESETS
 
-from .conftest import COMPARISON_CONFIG, save_report
+from .conftest import save_report
 
 
 @pytest.mark.benchmark(group="figure4")
 def test_figure4_small_job_cdf(benchmark, comparison_results):
-    result = benchmark.pedantic(
-        run_figure4,
-        args=(COMPARISON_CONFIG,),
-        kwargs={"results": comparison_results},
+    study, results = comparison_results
+    report = benchmark.pedantic(
+        STUDY_PRESETS["figure4"].render,
+        args=(results, study),
         rounds=1,
         iterations=1,
     )
-    save_report("figure4", result.render())
+    save_report("figure4", report)
 
     # Shape check (paper: SRPTMS+C completes the largest fraction of jobs
     # within 100 s, ahead of Mantri).
-    srptms = result.fraction_within("SRPTMS+C", 100.0)
-    mantri = result.fraction_within("Mantri", 100.0)
+    srptms, mantri = (
+        results.filter(scheduler=name).mean(
+            lambda result: result.fraction_completed_within(100.0)
+        )
+        for name in ("SRPTMS+C", "Mantri")
+    )
     assert srptms >= mantri - 0.02
     assert srptms > 0.2

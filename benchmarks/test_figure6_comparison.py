@@ -4,31 +4,34 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import run_figure6
+from repro.analysis.comparison import percentage_improvement
+from repro.study.presets import STUDY_PRESETS
 
-from .conftest import COMPARISON_CONFIG, save_report
+from .conftest import save_report
 
 
 @pytest.mark.benchmark(group="figure6")
 def test_figure6_scheduler_comparison(benchmark, comparison_results):
-    result = benchmark.pedantic(
-        run_figure6,
-        args=(COMPARISON_CONFIG,),
-        kwargs={"results": comparison_results},
+    study, results = comparison_results
+    report = benchmark.pedantic(
+        STUDY_PRESETS["figure6"].render,
+        args=(results, study),
         rounds=1,
         iterations=1,
     )
-    save_report("figure6", result.render())
+    save_report("figure6", report)
 
     # Shape check (paper: SRPTMS+C reduces both averages relative to Mantri,
     # by ~25% in the paper's setting; the sign and a non-trivial margin is
     # what the scaled reproduction must show).
-    assert result.improvement_over_baseline(weighted=False) > 3.0
-    assert result.improvement_over_baseline(weighted=True) > 3.0
+    names = ("SRPTMS+C", "SCA", "Mantri")
+    mean = {name: results.filter(scheduler=name).mean("mean_flowtime") for name in names}
+    weighted = {
+        name: results.filter(scheduler=name).mean("weighted_mean_flowtime")
+        for name in names
+    }
+    assert percentage_improvement(mean["SRPTMS+C"], mean["Mantri"]) > 3.0
+    assert percentage_improvement(weighted["SRPTMS+C"], weighted["Mantri"]) > 3.0
     # SCA also sits between the two extremes on the unweighted metric.
-    table = result.table
-    srptms = table.row("SRPTMS+C").mean_flowtime
-    mantri = table.row("Mantri").mean_flowtime
-    sca = table.row("SCA").mean_flowtime
-    assert srptms < mantri
-    assert sca < mantri * 1.05
+    assert mean["SRPTMS+C"] < mean["Mantri"]
+    assert mean["SCA"] < mean["Mantri"] * 1.05

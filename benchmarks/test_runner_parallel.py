@@ -3,7 +3,7 @@
 Times a 10-replication figure-1-style sweep (SRPTMS+C at one epsilon on the
 scaled synthetic Google trace) executed by :class:`ExperimentRunner` with
 ``workers=1`` and with a 4-worker pool, checks the two are bit-identical,
-and writes the wall-clock numbers to ``benchmarks/results/BENCH_runner.json``.
+and writes the wall-clock numbers to ``.benchmarks/BENCH_runner.json``.
 
 Honesty rule: a pool on a single usable CPU cannot speed anything up, so
 when ``usable_cpus == 1`` the report records ``"degenerate": true`` and
@@ -30,7 +30,7 @@ from repro.core.srptms_c import SRPTMSCScheduler
 from repro.experiments import ExperimentConfig
 from repro.simulation import ExperimentRunner, RunSpec, SchedulerSpec, default_workers
 
-from .conftest import RESULTS_DIR, save_report_json
+from .conftest import MEASURED_DIR, save_report_json
 
 #: Replication seeds of the timed sweep (the paper's ten-repetition protocol).
 SEEDS = tuple(range(10))
@@ -73,7 +73,7 @@ def _timed_run(workers: int, specs: list):
 
 def _merge_into_report(section: str, payload: dict) -> None:
     """Add ``section`` to BENCH_runner.json, keeping other sections intact."""
-    path = RESULTS_DIR / "BENCH_runner.json"
+    path = MEASURED_DIR / "BENCH_runner.json"
     report = json.loads(path.read_text()) if path.exists() else {}
     report[section] = payload
     save_report_json("BENCH_runner", report)

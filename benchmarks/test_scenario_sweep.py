@@ -1,18 +1,18 @@
 """Benchmark: scenario sweep -- SCA's advantage under heterogeneity/failures.
 
-Runs the heterogeneity and failure axes of
-:func:`repro.experiments.run_scenario_sweep` at a reduced scale and records
-the rendered report.  The assertion is directional, not numeric: cloning
-(SCA) must not fall behind the best detection/fairness baseline by more
-than a small margin once machines misbehave -- the regime the scenario
-subsystem exists to study.
+Runs the heterogeneity and failure axes of the ``scenario-sweep`` study
+preset at a reduced scale and records the rendered report.  The assertion
+is directional, not numeric: cloning (SCA) must not fall behind the best
+detection/fairness baseline by more than a small margin once machines
+misbehave -- the regime the scenario subsystem exists to study.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_scenario_sweep
+from repro.experiments import ExperimentConfig
+from repro.study.presets import STUDY_PRESETS
 
 from .conftest import save_report
 
@@ -24,18 +24,14 @@ FAILURE_RATES = (0.0, 1e-4)
 
 @pytest.mark.benchmark(group="scenario-sweep")
 def test_scenario_sweep_smoke(benchmark):
-    result = benchmark.pedantic(
-        run_scenario_sweep,
-        args=(SWEEP_SCALE_CONFIG,),
-        kwargs={"speed_spreads": SPEED_SPREADS, "failure_rates": FAILURE_RATES},
-        rounds=1,
-        iterations=1,
+    preset = STUDY_PRESETS["scenario-sweep"]
+    study = preset.build(
+        SWEEP_SCALE_CONFIG, speed_spreads=SPEED_SPREADS, failure_rates=FAILURE_RATES
     )
-    save_report("scenario_sweep", result.render())
+    results = benchmark.pedantic(
+        preset.run, args=(study, SWEEP_SCALE_CONFIG), rounds=1, iterations=1
+    )
+    save_report("scenario_sweep", preset.render(results, study))
 
-    assert result.speed_spreads == SPEED_SPREADS
-    assert result.failure_rates == FAILURE_RATES
-    for flowtimes in result.hetero_flowtimes.values():
-        assert all(value > 0 for value in flowtimes)
-    for flowtimes in result.failure_flowtimes.values():
-        assert all(value > 0 for value in flowtimes)
+    assert results.coordinates("scenario") == ["base", "hetero:0.5", "failure:0.0001"]
+    assert all(value > 0 for value in results.values("mean_flowtime"))

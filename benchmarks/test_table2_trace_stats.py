@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_table2
+from repro.experiments import ExperimentConfig
+from repro.study.presets import STUDY_PRESETS, table2_statistics
 from repro.workload.google_trace import TABLE_II_TARGETS
 
 from .conftest import save_report
@@ -15,10 +16,11 @@ def test_table2_trace_statistics(benchmark):
     # Full-scale trace generation (no simulation), so the per-task statistics
     # are compared against the paper's at the published trace size.
     config = ExperimentConfig(scale=1.0, seeds=(0,))
-    result = benchmark.pedantic(run_table2, args=(config,), rounds=1, iterations=1)
-    save_report("table2", result.render())
+    preset = STUDY_PRESETS["table2"]
+    report = benchmark.pedantic(preset.report, args=(config,), rounds=1, iterations=1)
+    save_report("table2", report)
 
-    stats = result.statistics
+    stats = table2_statistics(preset.build(config))
     assert stats.total_jobs == TABLE_II_TARGETS["total_jobs"]
     assert stats.average_tasks_per_job == pytest.approx(
         TABLE_II_TARGETS["average_tasks_per_job"], rel=0.25

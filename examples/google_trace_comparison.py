@@ -6,17 +6,16 @@ Run with::
 
 This is a scaled-down version of the paper's Figure 4/5/6 evaluation: the
 synthetic Google-like trace is replayed against SRPTMS+C, SCA and Mantri (and
-a couple of extra reference policies), and the script prints the Figure 6
-comparison table plus the small-job CDF of Figure 4.
+the extra reference policies LATE, SRPT, Fair and FIFO), and the script
+prints the Figure 6 comparison plus the small-job CDF of Figure 4.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.analysis.cdf import SMALL_JOB_GRID, cdf_comparison, render_cdf_table
-from repro.analysis.comparison import ComparisonTable
-from repro.experiments import ExperimentConfig, run_scheduler_comparison
+from repro.experiments import ExperimentConfig
+from repro.study import STUDY_PRESETS
 
 
 def main() -> None:
@@ -27,20 +26,13 @@ def main() -> None:
         f"{config.machines} machines (scale={scale:g}) ...\n"
     )
 
-    results = run_scheduler_comparison(config, include_extra=True)
-
-    table = ComparisonTable.from_results(results)
-    print(table.render(baseline="Mantri"))
-    improvement = table.improvement_over("SRPTMS+C", "Mantri")
-    print(f"\nSRPTMS+C vs Mantri (unweighted): {improvement:+.1f}%  "
-          f"[paper reports ~25% at full scale]\n")
-
-    curves = cdf_comparison(
-        {name: results[name] for name in ("SRPTMS+C", "SCA", "Mantri")},
-        SMALL_JOB_GRID,
-    )
-    print(render_cdf_table(curves, SMALL_JOB_GRID,
-                           title="Small-job flowtime CDF (Figure 4 analogue)"))
+    # Figures 4 and 6 render the same comparison study: run it once.
+    study = STUDY_PRESETS["figure6"].build(config, include_extra=True)
+    results = STUDY_PRESETS["figure6"].run(study, config)
+    print(STUDY_PRESETS["figure6"].render(results, study))
+    print()
+    paper_policies = results.filter(scheduler=("SRPTMS+C", "SCA", "Mantri"))
+    print(STUDY_PRESETS["figure4"].render(paper_policies, study))
 
 
 if __name__ == "__main__":

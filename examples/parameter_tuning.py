@@ -14,28 +14,19 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments import (
-    ExperimentConfig,
-    run_figure1,
-    run_figure2,
-    run_offline_bound,
-)
+from repro.experiments import ExperimentConfig
+from repro.study import STUDY_PRESETS
 
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.01
     config = ExperimentConfig(scale=scale, seeds=(0,))
 
-    figure1 = run_figure1(config, epsilons=(0.2, 0.4, 0.6, 0.8, 1.0))
-    print(figure1.render())
+    print(STUDY_PRESETS["figure1"].report(config, epsilons=(0.2, 0.4, 0.6, 0.8, 1.0)))
     print()
-
-    figure2 = run_figure2(config, r_values=(0.0, 1.0, 3.0, 8.0))
-    print(figure2.render())
+    print(STUDY_PRESETS["figure2"].report(config, r_values=(0.0, 1.0, 3.0, 8.0)))
     print()
-
-    bound = run_offline_bound(config)
-    print(bound.render())
+    print(STUDY_PRESETS["offline-bound"].report(config))
 
 
 if __name__ == "__main__":

@@ -21,8 +21,10 @@ The package is organised as:
   is a cartesian product of axes (schedulers x scenarios x workloads x
   seeds x scalar sweeps) compiled to run specs, returning a tidy
   :class:`~repro.study.ResultSet`; spec files via ``repro-mapreduce sweep``;
-* :mod:`repro.experiments` -- one ``run_*`` function per paper
-  table/figure, each a thin wrapper over a study preset.
+  every paper table/figure is a preset in
+  :data:`~repro.study.presets.STUDY_PRESETS`;
+* :mod:`repro.experiments` -- :class:`~repro.experiments.ExperimentConfig`
+  and the plain-text report renderers.
 
 Quickstart::
 

@@ -68,25 +68,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.cluster.stragglers import DynamicStragglers
-from repro.experiments import (
-    ExperimentConfig,
-    run_figure1,
-    run_figure2,
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_figure6,
-    run_dag_redundancy,
-    run_locality,
-    run_offline_bound,
-    run_policy_grid,
-    run_scenario_sweep,
-    run_scheduler_comparison,
-    run_table2,
-)
+from repro.experiments import ExperimentConfig
 from repro.experiments.report import render_resultset
 from repro.scenarios import (
     DEFAULT_LOCALITY_WAIT,
@@ -108,6 +93,7 @@ from repro.policies import (
     composition_label,
 )
 from repro.simulation.experiment_runner import normalize_workers
+from repro.study.presets import STUDY_PRESETS, run_reports
 
 __all__ = ["main", "build_parser"]
 
@@ -124,23 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=[
-            "table2",
-            "figure1",
-            "figure2",
-            "figure3",
-            "figure4",
-            "figure5",
-            "figure6",
-            "offline-bound",
-            "scenario-sweep",
-            "policy",
-            "policy-grid",
-            "dag-redundancy",
-            "locality",
-            "sweep",
-            "all",
-        ],
+        choices=[*STUDY_PRESETS, "policy", "sweep", "all"],
         help=(
             "which table/figure to regenerate, 'sweep' for a spec-file "
             "study, 'policy' for one policy-kernel composition, "
@@ -469,7 +439,7 @@ def _compose_scenario(args: argparse.Namespace) -> Optional[ScenarioSpec]:
     if args.repair_time is not None:
         if failures is None:
             # scenario-sweep runs its own failure axis; --repair-time
-            # parameterises that axis instead (handled in _run_one).
+            # parameterises that axis instead (handled in main).
             if args.experiment != "scenario-sweep":
                 raise SystemExit(
                     "--repair-time needs a failure process to modify; pass "
@@ -520,6 +490,18 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         cache_dir=None if args.no_cache else args.cache_dir,
     )
 
+
+#: What 'all' prints: the paper's tables, figures and bound check.
+_PAPER_ARTEFACTS = (
+    "table2",
+    "figure1",
+    "figure2",
+    "figure3",
+    "figure4",
+    "figure5",
+    "figure6",
+    "offline-bound",
+)
 
 #: Figure flags that have no effect on 'sweep' (the spec file rules).
 _FIGURE_ONLY_FLAGS = ("scale", "seeds", "epsilon", "r", "machines")
@@ -590,39 +572,6 @@ def _run_policy(args: argparse.Namespace, config: ExperimentConfig) -> str:
         f"{len(config.seeds)} seed(s)"
     )
     return render_resultset(results, title=title)
-
-
-def _run_one(
-    name: str, config: ExperimentConfig, *, repair_time: Optional[float] = None
-) -> str:
-    if name == "table2":
-        return run_table2(config).render()
-    if name == "figure1":
-        return run_figure1(config).render()
-    if name == "figure2":
-        return run_figure2(config).render()
-    if name == "figure3":
-        return run_figure3(config).render()
-    if name in ("figure4", "figure5", "figure6"):
-        results = run_scheduler_comparison(config)
-        if name == "figure4":
-            return run_figure4(config, results=results).render()
-        if name == "figure5":
-            return run_figure5(config, results=results).render()
-        return run_figure6(config, results=results).render()
-    if name == "offline-bound":
-        return run_offline_bound(config).render()
-    if name == "policy-grid":
-        return run_policy_grid(config).render()
-    if name == "dag-redundancy":
-        return run_dag_redundancy(config).render()
-    if name == "locality":
-        return run_locality(config).render()
-    if name == "scenario-sweep":
-        if repair_time is not None:
-            return run_scenario_sweep(config, mean_repair=repair_time).render()
-        return run_scenario_sweep(config).render()
-    raise ValueError(f"unknown experiment {name!r}")
 
 
 def _main_cache(argv: Sequence[str]) -> int:
@@ -882,19 +831,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.experiment == "all":
-        reports: List[str] = [_run_one("table2", config)]
-        reports.append(_run_one("figure1", config))
-        reports.append(_run_one("figure2", config))
-        reports.append(_run_one("figure3", config))
-        comparison = run_scheduler_comparison(config)
-        reports.append(run_figure4(config, results=comparison).render())
-        reports.append(run_figure5(config, results=comparison).render())
-        reports.append(run_figure6(config, results=comparison).render())
-        reports.append(_run_one("offline-bound", config))
-        print("\n\n".join(reports))
+        print("\n\n".join(run_reports(_PAPER_ARTEFACTS, config).values()))
         return 0
-
-    print(_run_one(args.experiment, config, repair_time=args.repair_time))
+    overrides = {}
+    if args.experiment == "scenario-sweep" and args.repair_time is not None:
+        overrides["mean_repair"] = args.repair_time
+    print(STUDY_PRESETS[args.experiment].report(config, **overrides))
     return 0
 
 

@@ -1,55 +1,13 @@
-"""Per-table / per-figure experiment harness.
+"""Experiment configuration and the plain-text report renderers.
 
-Every table and figure of the paper's evaluation section has a module here
-whose ``run_*`` function regenerates it (on the synthetic Google-like trace,
-at a configurable scale).  The benchmark suite under ``benchmarks/`` simply
-calls these functions; the command-line interface (``python -m repro``)
-renders their text reports.
+:class:`ExperimentConfig` holds the knobs every paper artefact shares
+(scale, seeds, the SRPTMS+C operating point, workers, scenario, cache);
+:mod:`repro.experiments.report` renders tables.  The artefacts themselves
+-- Table II, Figures 1-6 and the sweeps -- are the study presets of
+:data:`repro.study.presets.STUDY_PRESETS`, which the command-line interface
+(``python -m repro``) and the benchmark suite run.
 """
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.baselines import run_scheduler_comparison
-from repro.experiments.table2 import Table2Result, run_table2
-from repro.experiments.figure1 import Figure1Result, run_figure1
-from repro.experiments.figure2 import Figure2Result, run_figure2
-from repro.experiments.figure3 import Figure3Result, run_figure3
-from repro.experiments.figure4 import Figure4Result, run_figure4
-from repro.experiments.figure5 import Figure5Result, run_figure5
-from repro.experiments.figure6 import Figure6Result, run_figure6
-from repro.experiments.offline_bound import OfflineBoundResult, run_offline_bound
-from repro.experiments.policy_grid import PolicyGridResult, run_policy_grid
-from repro.experiments.dag_redundancy import (
-    DagRedundancyResult,
-    run_dag_redundancy,
-)
-from repro.experiments.locality import LocalityResult, run_locality
-from repro.experiments.scenario_sweep import ScenarioSweepResult, run_scenario_sweep
 
-__all__ = [
-    "ScenarioSweepResult",
-    "run_scenario_sweep",
-    "PolicyGridResult",
-    "run_policy_grid",
-    "DagRedundancyResult",
-    "run_dag_redundancy",
-    "LocalityResult",
-    "run_locality",
-    "ExperimentConfig",
-    "run_scheduler_comparison",
-    "Table2Result",
-    "run_table2",
-    "Figure1Result",
-    "run_figure1",
-    "Figure2Result",
-    "run_figure2",
-    "Figure3Result",
-    "run_figure3",
-    "Figure4Result",
-    "run_figure4",
-    "Figure5Result",
-    "run_figure5",
-    "Figure6Result",
-    "run_figure6",
-    "OfflineBoundResult",
-    "run_offline_bound",
-]
+__all__ = ["ExperimentConfig"]

@@ -14,8 +14,8 @@ The layer every comparative evaluation goes through:
 * :mod:`~repro.study.specfile` -- strict TOML/JSON spec files, so new
   sweeps need a file rather than a driver
   (``repro-mapreduce sweep --spec study.toml``);
-* :mod:`~repro.study.presets` -- the paper drivers and the policy-grid
-  sweep as ready-made studies
+* :mod:`~repro.study.presets` -- every paper artefact and sweep as a
+  ready-made study plus its report
   (:data:`~repro.study.presets.STUDY_PRESETS`).
 """
 
@@ -29,7 +29,7 @@ from repro.study.core import (
     StudyPoint,
     WorkloadRef,
 )
-from repro.study.presets import STUDY_PRESETS, StudyPreset, preset_study, run_preset_report
+from repro.study.presets import STUDY_PRESETS, StudyPreset, preset_study, run_reports
 from repro.study.resultset import AGGREGATE_STATS, DEFAULT_METRICS, ResultSet, StudyRun
 from repro.study.specfile import (
     StudySpecError,
@@ -68,5 +68,5 @@ __all__ = [
     "StudyPreset",
     "STUDY_PRESETS",
     "preset_study",
-    "run_preset_report",
+    "run_reports",
 ]

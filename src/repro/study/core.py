@@ -60,6 +60,7 @@ from typing import (
     Union,
 )
 
+from repro.experiments.config import generate_google_trace
 from repro.policies import parse_composition
 from repro.scenarios import (
     DEFAULT_MEAN_REPAIR,
@@ -559,13 +560,9 @@ class WorkloadRef:
             return self.source
         params = dict(self.params)
         if self.kind == "google":
-            # Import here: repro.experiments.config imports this package's
-            # consumers, so a module-level import would be cyclic.  The
-            # factory identity must match ExperimentConfig.trace_source()
-            # exactly -- same function, same kwargs -- so preset studies hit
-            # the same results-cache entries as the legacy drivers.
-            from repro.experiments.config import generate_google_trace
-
+            # The factory identity must match ExperimentConfig.trace_source()
+            # exactly -- same function, same kwargs -- so studies and
+            # ExperimentConfig traces share results-cache entries.
             trace_config = GoogleTraceConfig(
                 scale=float(params.get("scale", point.scale)),
                 within_job_cv=float(
@@ -746,6 +743,10 @@ class Study:
                 raise ValueError(f"scalar axis {name!r} must not be empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"scalar axis {name!r} has duplicate values")
+            if name == "machine_fraction" and min(values) <= 0:
+                raise ValueError(
+                    f"machine fractions must be positive, got {values}"
+                )
             normalised.append((name, values))
         return tuple(normalised)
 

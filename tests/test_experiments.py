@@ -1,22 +1,17 @@
-"""Tests for the experiment harness (smoke-scale runs of every table/figure)."""
+"""Smoke-scale runs of every paper artefact through its study preset."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import (
-    ExperimentConfig,
-    run_figure1,
-    run_figure2,
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_figure6,
-    run_offline_bound,
-    run_scheduler_comparison,
-    run_table2,
-)
+from repro.analysis.cdf import BIG_JOB_GRID, SMALL_JOB_GRID
+from repro.experiments import ExperimentConfig
 from repro.experiments.report import render_key_values, render_sweep_table
+from repro.study.presets import (
+    STUDY_PRESETS,
+    offline_bound_reports,
+    table2_statistics,
+)
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +19,26 @@ def smoke_config() -> ExperimentConfig:
     return ExperimentConfig.smoke()
 
 
+def run_preset(name, config, **overrides):
+    """Build and run one preset: ``(study, results, report)``."""
+    preset = STUDY_PRESETS[name]
+    study = preset.build(config, **overrides)
+    results = preset.run(study, config)
+    return study, results, preset.render(results, study)
+
+
+def report_rows(report: str, points) -> list:
+    """The numeric cells of a CDF report's table, one list per grid point."""
+    lines = report.splitlines()[2 : 2 + len(points)]
+    return [[float(cell) for cell in line.split()[1:]] for line in lines]
+
+
 @pytest.fixture(scope="module")
 def comparison(smoke_config):
     """One shared scheduler-comparison run reused by the figure 4/5/6 tests."""
-    return run_scheduler_comparison(smoke_config)
+    preset = STUDY_PRESETS["figure4"]
+    study = preset.build(smoke_config)
+    return study, preset.run(study, smoke_config)
 
 
 class TestConfig:
@@ -80,89 +91,107 @@ class TestReportHelpers:
 
 class TestTable2:
     def test_statistics_and_render(self, smoke_config):
-        result = run_table2(smoke_config)
-        assert result.statistics.total_jobs == smoke_config.trace_config().effective_num_jobs
-        text = result.render()
-        assert "Table II" in text
-        assert "Average task duration" in text
+        study, _, report = run_preset("table2", smoke_config)
+        statistics = table2_statistics(study)
+        assert statistics.total_jobs == smoke_config.trace_config().effective_num_jobs
+        assert "Table II" in report
+        assert "Average task duration" in report
 
 
 class TestSweeps:
     def test_figure1_structure(self, smoke_config):
-        result = run_figure1(smoke_config, epsilons=(0.3, 0.6, 1.0))
-        assert len(result.mean_flowtimes) == 3
-        assert result.best_epsilon_unweighted in (0.3, 0.6, 1.0)
-        assert "Figure 1" in result.render()
+        _, results, report = run_preset(
+            "figure1", smoke_config, epsilons=(0.3, 0.6, 1.0)
+        )
+        assert results.coordinates("epsilon") == [0.3, 0.6, 1.0]
+        best = report.splitlines()[-2].split(":")[1]
+        assert float(best) in (0.3, 0.6, 1.0)
+        assert "Figure 1" in report
 
     def test_figure1_rejects_empty_sweep(self, smoke_config):
         with pytest.raises(ValueError):
-            run_figure1(smoke_config, epsilons=())
+            STUDY_PRESETS["figure1"].build(smoke_config, epsilons=())
 
     def test_figure2_structure(self, smoke_config):
-        result = run_figure2(smoke_config, r_values=(0.0, 3.0))
-        assert len(result.mean_flowtimes) == 2
-        assert result.relative_spread_unweighted >= 0.0
-        assert "Figure 2" in result.render()
+        _, results, report = run_preset("figure2", smoke_config, r_values=(0.0, 3.0))
+        assert results.coordinates("r") == [0.0, 3.0]
+        assert "relative spread of the unweighted curve" in report
+        assert "Figure 2" in report
 
     def test_figure3_structure(self, smoke_config):
-        result = run_figure3(smoke_config, machine_fractions=(0.5, 1.0))
-        assert len(result.machine_counts) == 2
-        assert result.machine_counts[0] < result.machine_counts[1]
-        assert result.knee_machine_count in result.machine_counts
-        assert "Figure 3" in result.render()
+        _, results, report = run_preset(
+            "figure3", smoke_config, machine_fractions=(0.5, 1.0)
+        )
+        counts = [
+            results.filter(machine_fraction=f).results[0].num_machines
+            for f in (0.5, 1.0)
+        ]
+        assert counts[0] < counts[1]
+        knee = int(report.splitlines()[-1].split()[1])
+        assert knee in counts
+        assert "Figure 3" in report
 
     def test_figure3_more_machines_never_hurt_much(self, smoke_config):
-        result = run_figure3(smoke_config, machine_fractions=(0.5, 1.0))
+        _, results, _ = run_preset("figure3", smoke_config, machine_fractions=(0.5, 1.0))
+        small, large = (
+            results.filter(machine_fraction=f).mean("mean_flowtime") for f in (0.5, 1.0)
+        )
         # Doubling the cluster should not increase mean flowtime by >20%.
-        assert result.mean_flowtimes[1] <= 1.2 * result.mean_flowtimes[0]
+        assert large <= 1.2 * small
 
     def test_figure3_validation(self, smoke_config):
         with pytest.raises(ValueError):
-            run_figure3(smoke_config, machine_fractions=())
+            STUDY_PRESETS["figure3"].build(smoke_config, machine_fractions=())
         with pytest.raises(ValueError):
-            run_figure3(smoke_config, machine_fractions=(0.0,))
+            STUDY_PRESETS["figure3"].build(smoke_config, machine_fractions=(0.0,))
 
 
 class TestComparisonFigures:
     def test_comparison_contains_three_policies(self, comparison):
-        assert set(comparison) == {"SRPTMS+C", "SCA", "Mantri"}
+        _, results = comparison
+        assert results.coordinates("scheduler") == ["SRPTMS+C", "SCA", "Mantri"]
 
     def test_scheduler_subset_and_unknown(self, smoke_config):
-        subset = run_scheduler_comparison(smoke_config, schedulers=("SRPTMS+C",))
-        assert set(subset) == {"SRPTMS+C"}
+        preset = STUDY_PRESETS["figure6"]
+        subset = preset.build(smoke_config, schedulers=("SRPTMS+C",))
+        assert [ref.label for ref in subset.schedulers] == ["SRPTMS+C"]
         with pytest.raises(ValueError):
-            run_scheduler_comparison(smoke_config, schedulers=("nope",))
+            preset.build(smoke_config, schedulers=("nope",))
 
-    def test_figure4_curves(self, smoke_config, comparison):
-        result = run_figure4(smoke_config, results=comparison)
-        assert set(result.curves) == {"SRPTMS+C", "SCA", "Mantri"}
-        for curve in result.curves.values():
-            assert len(curve) == len(result.points)
-            assert all(0.0 <= value <= 1.0 for value in curve)
-        assert "Figure 4" in result.render()
+    def test_figure4_curves(self, comparison):
+        study, results = comparison
+        report = STUDY_PRESETS["figure4"].render(results, study)
+        rows = report_rows(report, SMALL_JOB_GRID)
+        assert len(rows) == len(SMALL_JOB_GRID)
+        for row in rows:
+            assert len(row) == 3
+            assert all(0.0 <= value <= 1.0 for value in row)
+        assert "Figure 4" in report
 
-    def test_figure5_curves(self, smoke_config, comparison):
-        result = run_figure5(smoke_config, results=comparison)
-        assert result.points[-1] == 4000.0
-        assert "Figure 5" in result.render()
-        for name in result.curves:
-            assert result.fraction_within(name, 4000.0) >= result.fraction_within(
-                name, 500.0
-            )
+    def test_figure5_curves(self, comparison):
+        study, results = comparison
+        report = STUDY_PRESETS["figure5"].render(results, study)
+        rows = report_rows(report, BIG_JOB_GRID)
+        assert report.splitlines()[1 + len(BIG_JOB_GRID)].split()[0] == "4000"
+        assert "Figure 5" in report
+        at_500, at_4000 = rows[BIG_JOB_GRID.index(500.0)], rows[-1]
+        assert all(high >= low for low, high in zip(at_500, at_4000))
 
-    def test_figure6_table(self, smoke_config, comparison):
-        result = run_figure6(smoke_config, results=comparison)
-        text = result.render()
-        assert "SRPTMS+C" in text and "Mantri" in text
+    def test_figure6_table(self, comparison):
+        study, results = comparison
+        report = STUDY_PRESETS["figure6"].render(results, study)
+        assert "SRPTMS+C" in report and "Mantri" in report
         # The improvement is a finite percentage (sign depends on noise at
         # smoke scale; the benchmark suite checks the sign at larger scale).
-        assert isinstance(result.improvement_over_baseline(), float)
+        assert "SRPTMS+C vs Mantri:" in report.splitlines()[-1]
 
 
 class TestOfflineBound:
     def test_reports(self, smoke_config):
-        result = run_offline_bound(smoke_config)
-        assert result.deterministic.fraction_satisfying_bound == 1.0
-        assert result.deterministic.empirical_competitive_ratio <= 2.0
-        assert result.noisy.num_jobs == result.deterministic.num_jobs
-        assert "Remark 2" in result.render() or "deterministic" in result.render()
+        study, results, report = run_preset("offline-bound", smoke_config)
+        reports = offline_bound_reports(results, study)
+        assert len(results) == 2  # only the diagonal of workloads x r runs
+        assert reports["deterministic"].fraction_satisfying_bound == 1.0
+        assert reports["deterministic"].empirical_competitive_ratio <= 2.0
+        assert reports["noisy"].num_jobs == reports["deterministic"].num_jobs
+        assert "Remark 2" in report

@@ -347,15 +347,16 @@ class TestComposedGrid:
     """Acceptance: >= 12 novel compositions, runnable end to end."""
 
     def test_grid_size_and_novelty(self):
-        from repro.experiments.policy_grid import DEFAULT_GRID
+        from repro.study.presets import STUDY_PRESETS
 
-        assert len(DEFAULT_GRID) >= 12
+        grid = STUDY_PRESETS["policy-grid"].defaults["grid"]
+        assert len(grid) >= 12
         legacy = {
             composition_label(*triple)
             for triple in NAMED_COMPOSITIONS.values()
         }
-        assert not legacy.intersection(DEFAULT_GRID)
-        for name in DEFAULT_GRID:
+        assert not legacy.intersection(grid)
+        for name in grid:
             assert parse_composition(name) is not None
 
     def test_every_grid_cell_completes(self):

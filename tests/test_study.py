@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.scenarios import UniformSpeeds, scenario_preset
 from repro.simulation.experiment_runner import ExperimentRunner
-from repro.study import ResultSet, ScenarioRef, SchedulerRef, Study, WorkloadRef
+from repro.study import (
+    ResultSet,
+    ScenarioRef,
+    SchedulerRef,
+    Study,
+    StudySpecError,
+    WorkloadRef,
+    study_from_json,
+)
 
 #: A tiny bulk-arrival workload: every run takes milliseconds.
 BULK = {"kind": "bulk", "job_sizes": [2, 3, 4], "mean_duration": 5.0, "cv": 0.0}
@@ -56,6 +66,22 @@ class TestStudyConstruction:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             tiny_study(seeds=())
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5])
+    def test_non_positive_machine_fraction_rejected(self, fraction):
+        with pytest.raises(ValueError, match="machine fractions must be positive"):
+            tiny_study(axes={"machine_fraction": (fraction, 1.0)})
+        spec = json.dumps(
+            {
+                "study": {
+                    "name": "bad",
+                    "scale": 0.002,
+                    "axes": {"machine_fraction": [fraction, 1.0]},
+                }
+            }
+        )
+        with pytest.raises(StudySpecError, match="machine fractions must be positive"):
+            study_from_json(spec)
 
     def test_empty_scheduler_axis_allowed(self):
         study = tiny_study(schedulers=())

@@ -1,15 +1,16 @@
-"""Byte-identity of the Study presets against the pre-Study golden reports.
+"""Byte-identity of the study presets against the golden reports.
 
-``tests/golden/*.txt`` were generated by the legacy (pre-``repro.study``)
-drivers via ``tools/generate_golden_reports.py``; every driver must keep
-producing those bytes now that it runs as a Study preset.  Two drivers
-(table2, figure6) are additionally checked against an in-test legacy
-recomputation built from the raw primitives, so the equivalence stays
-executable rather than frozen.
+``tests/golden/*.txt`` freeze every preset's report at a smoke
+configuration (``tools/generate_golden_reports.py``).  Two presets
+(table2, figure6) are additionally checked against an in-test
+recomputation from the raw primitives, so the equivalence stays
+executable rather than frozen, and every preset's results-cache keys are
+pinned.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -29,8 +30,7 @@ from repro.study import (
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: The nine legacy drivers plus the policy-grid sweep (PR 5), the
-#: dag-redundancy sweep (PR 6) and the locality sweep (PR 8), as presets.
+#: Every paper artefact and sweep, by its CLI name.
 DRIVER_NAMES = (
     "table2",
     "figure1",
@@ -45,6 +45,24 @@ DRIVER_NAMES = (
     "dag-redundancy",
     "locality",
 )
+
+
+#: First 12 hex digits of the sha256 of each preset's concatenated run-spec
+#: fingerprints (its results-cache keys) at scale 0.005, seed 0.
+CACHE_KEY_DIGESTS = {
+    "table2": "e3b0c44298fc",  # no runs: the digest of the empty string
+    "figure1": "e53b77112cd4",
+    "figure2": "0eabe1643c62",
+    "figure3": "778b7fe0f3fe",
+    "figure4": "70603b338681",
+    "figure5": "70603b338681",
+    "figure6": "70603b338681",
+    "offline-bound": "9625ac219e14",
+    "scenario-sweep": "c98aee4dafce",
+    "policy-grid": "9f42ebc918a1",
+    "dag-redundancy": "a1772fe6cc1f",
+    "locality": "0ae93562953a",
+}
 
 
 def _golden_generator():
@@ -108,9 +126,42 @@ class TestPresetRegistry:
         with pytest.raises(KeyError, match="unknown preset"):
             preset_study("figure99")
 
+    def test_run_reports_runs_a_shared_study_once(self, monkeypatch):
+        from repro.study import presets
+
+        ran = []
+        run = presets.StudyPreset.run
+
+        def counting_run(self, study, config=None):
+            ran.append(study.name)
+            return run(self, study, config)
+
+        monkeypatch.setattr(presets.StudyPreset, "run", counting_run)
+        names = ["figure4", "figure5", "figure6", "table2"]
+        reports = presets.run_reports(names, ExperimentConfig(scale=0.005, seeds=(0,)))
+        assert list(reports) == names
+        assert ran == ["scheduler-comparison", "table2"]
+
+    def test_unknown_knob_rejected(self):
+        with pytest.raises(TypeError, match="unknown knobs"):
+            STUDY_PRESETS["figure1"].build(epsilon=(0.5,))
+
+    @pytest.mark.parametrize("name", DRIVER_NAMES)
+    def test_results_cache_keys_are_pinned(self, name):
+        """A preset's runs keep the cache keys earlier sweeps stored them under."""
+        from repro.simulation.results_store import run_spec_fingerprint
+
+        config = ExperimentConfig(scale=0.005, seeds=(0,))
+        keys = "".join(
+            run_spec_fingerprint(spec)
+            for spec in STUDY_PRESETS[name].build(config).compile()
+        )
+        digest = hashlib.sha256(keys.encode("utf-8")).hexdigest()[:12]
+        assert digest == CACHE_KEY_DIGESTS[name]
+
 
 class TestPresetVsLegacyRecomputation:
-    """Executable legacy equivalence for table2 and figure6 (satellite)."""
+    """Executable equivalence for table2 and figure6 against raw primitives."""
 
     @pytest.fixture(scope="class")
     def config(self):
@@ -119,20 +170,30 @@ class TestPresetVsLegacyRecomputation:
     def test_table2_preset_equals_legacy_computation(self, config):
         import numpy as np
 
-        from repro.experiments.table2 import Table2Result, run_table2
+        from repro.study.presets import table2_statistics
 
-        # The pre-Study driver body: generate the config's trace, compute
-        # its statistics with the trace-seeded generator.
-        legacy_stats = config.make_trace().statistics(
+        # Generate the config's trace and compute its statistics with the
+        # trace-seeded generator.
+        legacy = config.make_trace().statistics(
             rng=np.random.default_rng(config.trace_seed)
         )
-        legacy = Table2Result(statistics=legacy_stats, scale=config.scale)
-        assert run_table2(config).render() == legacy.render()
+        assert table2_statistics(preset_study("table2", config)) == legacy
+        rows = STUDY_PRESETS["table2"].report(config).splitlines()[1:]
+        expected = [
+            f"{legacy.total_jobs}  (paper*scale: ",
+            f"{legacy.trace_duration:.1f}  (paper: ",
+            f"{legacy.average_tasks_per_job:.2f}  (paper: ",
+            f"{legacy.min_task_duration:.1f}  (paper: ",
+            f"{legacy.max_task_duration:.1f}  (paper: ",
+            f"{legacy.average_task_duration:.1f}  (paper: ",
+        ]
+        assert len(rows) == len(expected)
+        for row, value in zip(rows, expected):
+            assert value in row, (row, value)
 
     def test_figure6_preset_equals_legacy_computation(self, config):
         from repro.analysis.comparison import ComparisonTable
         from repro.core.srptms_c import SRPTMSCScheduler
-        from repro.experiments.figure6 import Figure6Result, run_figure6
         from repro.schedulers import MantriScheduler, SCAScheduler
         from repro.simulation.experiment_runner import (
             ReplicatedResult,
@@ -140,8 +201,8 @@ class TestPresetVsLegacyRecomputation:
             sweep_specs,
         )
 
-        # The pre-Study comparison loop: one tagged spec batch through the
-        # runner, grouped into ReplicatedResults per policy.
+        # One tagged spec batch through the runner, grouped into
+        # ReplicatedResults per policy.
         factories = {
             "SRPTMS+C": SchedulerSpec(
                 SRPTMSCScheduler, {"epsilon": config.epsilon, "r": config.r}
@@ -156,14 +217,23 @@ class TestPresetVsLegacyRecomputation:
             scenario=config.scenario,
         )
         grouped = config.make_runner().run_grouped(specs)
-        legacy_results = {
-            name: ReplicatedResult(
-                scheduler_name=runs[0].scheduler_name, results=runs
-            )
-            for name, runs in grouped.items()
-        }
-        legacy = Figure6Result(table=ComparisonTable.from_results(legacy_results))
-        assert run_figure6(config).render() == legacy.render()
+        legacy = ComparisonTable.from_results(
+            {
+                name: ReplicatedResult(
+                    scheduler_name=runs[0].scheduler_name, results=runs
+                )
+                for name, runs in grouped.items()
+            }
+        )
+        header, *body, footer = STUDY_PRESETS["figure6"].report(config).splitlines()
+        assert header == "Figure 6 -- average job flowtime per scheduler"
+        assert "\n".join(body) == legacy.render(baseline="Mantri")
+        unweighted = legacy.improvement_over("SRPTMS+C", "Mantri")
+        weighted = legacy.improvement_over("SRPTMS+C", "Mantri", weighted=True)
+        assert footer.startswith(
+            f"SRPTMS+C vs Mantri: {unweighted:+.1f}% (unweighted), "
+            f"{weighted:+.1f}% (weighted)"
+        )
 
 
 class TestSweepCliReproducesPreset:

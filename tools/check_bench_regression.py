@@ -2,13 +2,13 @@
 """CI perf-regression gate over committed benchmark baselines.
 
 Compares a freshly measured benchmark JSON (the file the benchmark run
-just rewrote, e.g. ``benchmarks/results/BENCH_engine.json``) against the
-committed baseline (a pre-run snapshot of the same file) and **fails**
-when any shared throughput metric dropped by more than the tolerance::
+wrote, e.g. ``.benchmarks/BENCH_engine.json``) against the committed
+baseline (``benchmarks/results/BENCH_engine.json``) and **fails** when
+any shared throughput metric dropped by more than the tolerance::
 
     python tools/check_bench_regression.py \
-        --baseline /tmp/BENCH_engine.baseline.json \
-        --measured benchmarks/results/BENCH_engine.json \
+        --baseline benchmarks/results/BENCH_engine.json \
+        --measured .benchmarks/BENCH_engine.json \
         [--tolerance 0.25]
 
 Comparable metrics are numeric leaves whose key indicates a
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", required=True,
-                        help="committed baseline JSON (pre-run snapshot)")
+                        help="committed baseline JSON")
     parser.add_argument("--measured", required=True,
                         help="freshly measured benchmark JSON")
     parser.add_argument(
@@ -117,8 +117,9 @@ def main(argv=None) -> int:
         print(
             f"FAILED: {regressions} throughput metric(s) regressed beyond "
             f"{args.tolerance:.0%}. If the drop is expected (slower code "
-            "traded for a feature) re-baseline by committing the new JSON; "
-            "if the runner is noisy, raise BENCH_REGRESSION_TOLERANCE.",
+            "traded for a feature) re-baseline by copying the measured JSON "
+            "over the baseline and committing it; if the runner is noisy, "
+            "raise BENCH_REGRESSION_TOLERANCE.",
             file=sys.stderr,
         )
         return 1

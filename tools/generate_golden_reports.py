@@ -1,9 +1,10 @@
-"""Regenerate the golden driver reports under ``tests/golden/``.
+"""Regenerate the golden preset reports under ``tests/golden/``.
 
-The golden files freeze the plain-text reports the nine experiment drivers
-produce at a tiny smoke configuration; ``tests/test_study_presets.py``
-asserts the Study-preset reimplementations reproduce them byte-for-byte.
-Regenerate only when a driver's *output format* deliberately changes:
+The golden files freeze the plain-text report of every
+:data:`~repro.study.presets.STUDY_PRESETS` entry at a tiny smoke
+configuration; ``tests/test_study_presets.py`` asserts the presets
+reproduce them byte-for-byte.  Regenerate only when a report's *output
+format* deliberately changes:
 
     PYTHONPATH=src python tools/generate_golden_reports.py
 """
@@ -13,59 +14,28 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from repro.experiments import (
-    ExperimentConfig,
-    run_dag_redundancy,
-    run_locality,
-    run_figure1,
-    run_figure2,
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_figure6,
-    run_offline_bound,
-    run_policy_grid,
-    run_scenario_sweep,
-    run_scheduler_comparison,
-    run_table2,
-)
+from repro.experiments import ExperimentConfig
+from repro.study.presets import STUDY_PRESETS, run_reports
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 #: The exact smoke configuration the golden reports (and their tests) use.
 GOLDEN_CONFIG = dict(scale=0.005, seeds=(0,))
-GOLDEN_FIGURE1_EPSILONS = (0.2, 0.6, 1.0)
-GOLDEN_FIGURE2_R_VALUES = (1.0, 5.0, 10.0)
-GOLDEN_FIGURE3_FRACTIONS = (0.5, 1.0)
-GOLDEN_SWEEP_SPREADS = (0.0, 0.5)
-GOLDEN_SWEEP_RATES = (0.0, 1e-4)
+#: Shorter sweeps than the presets' defaults, keyed by preset name.
+GOLDEN_OVERRIDES = {
+    "figure1": {"epsilons": (0.2, 0.6, 1.0)},
+    "figure2": {"r_values": (1.0, 5.0, 10.0)},
+    "figure3": {"machine_fractions": (0.5, 1.0)},
+    "scenario-sweep": {"speed_spreads": (0.0, 0.5), "failure_rates": (0.0, 1e-4)},
+}
 
 
 def generate() -> dict:
-    """Produce every golden report, keyed by driver name."""
-    config = ExperimentConfig(**GOLDEN_CONFIG)
-    reports = {
-        "table2": run_table2(config).render(),
-        "figure1": run_figure1(config, epsilons=GOLDEN_FIGURE1_EPSILONS).render(),
-        "figure2": run_figure2(config, r_values=GOLDEN_FIGURE2_R_VALUES).render(),
-        "figure3": run_figure3(
-            config, machine_fractions=GOLDEN_FIGURE3_FRACTIONS
-        ).render(),
-        "offline_bound": run_offline_bound(config).render(),
-        "scenario_sweep": run_scenario_sweep(
-            config,
-            speed_spreads=GOLDEN_SWEEP_SPREADS,
-            failure_rates=GOLDEN_SWEEP_RATES,
-        ).render(),
-        "policy_grid": run_policy_grid(config).render(),
-        "dag_redundancy": run_dag_redundancy(config).render(),
-        "locality": run_locality(config).render(),
-    }
-    comparison = run_scheduler_comparison(config)
-    reports["figure4"] = run_figure4(config, results=comparison).render()
-    reports["figure5"] = run_figure5(config, results=comparison).render()
-    reports["figure6"] = run_figure6(config, results=comparison).render()
-    return reports
+    """Produce every golden report, keyed by file stem (``offline_bound``...)."""
+    reports = run_reports(
+        list(STUDY_PRESETS), ExperimentConfig(**GOLDEN_CONFIG), GOLDEN_OVERRIDES
+    )
+    return {name.replace("-", "_"): text for name, text in reports.items()}
 
 
 def main() -> int:
