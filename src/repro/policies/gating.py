@@ -85,13 +85,14 @@ def schedulable_jobs(
 ) -> List[Job]:
     """``psi^s(l)``: jobs with unscheduled, launchable tasks, in given order.
 
-    Uses the O(1) per-job counters (never builds task lists), so this is
+    Filters on the raw O(1) per-job counters (inlined
+    :func:`has_launchable_tasks`; never builds task lists), so this is
     O(jobs) per decision point regardless of job sizes.
     """
-    result: List[Job] = []
-    for job in jobs:
-        if job.num_unscheduled_ready_tasks > 0 or (
-            allow_early_reduce and job.num_unscheduled_tasks > 0
-        ):
-            result.append(job)
-    return result
+    if allow_early_reduce:
+        return [
+            job
+            for job in jobs
+            if job._unscheduled_ready > 0 or job._unscheduled_total > 0
+        ]
+    return [job for job in jobs if job._unscheduled_ready > 0]

@@ -52,14 +52,19 @@ The hot path relies on the O(1) incremental counters of
 updated at copy transitions, never recomputed by scanning) and on the
 tuple-payload :class:`~repro.simulation.events.EventHeap` (C-speed
 comparisons, Job/TaskCopy payloads carried directly in the heap tuples,
-lazy-deletion decrease-key for finish re-estimates).  Task workloads are
-pre-sampled per stage with one vectorised ``sample_batch`` draw at job
-arrival -- bit-identical to per-task draws by the RNG-consumption
-contract of :meth:`repro.workload.distributions.DurationDistribution
-.sample_batch` -- into buffers living on the :class:`Job` itself.  All
-events at one timestamp are drained as a single batch before the
-scheduler is consulted, and the static FIFO+greedy composition takes a
-gated engine-inlined decision walk (see :meth:`SimulationEngine
+lazy-deletion decrease-key for finish re-estimates).  Task workloads come
+from per-stage buffers on the :class:`Job` itself: one vectorised
+``sample_batch`` draw per stage at job arrival, and once clones and
+relaunches exhaust it, one fused top-up per launch request -- each
+:class:`LaunchRequest` is a single :meth:`SimulationEngine._launch_copies`
+call, and nothing else draws from the engine RNG inside one.  By the
+RNG-consumption contract of :meth:`repro.workload.distributions
+.DurationDistribution.sample_batch` both are bit-identical to per-task
+draws.  The exception is a straggler ``inflate`` hook, which may draw
+between copies: with one configured, refills stay per copy.  All events
+at one timestamp are drained as a single batch before the scheduler is
+consulted, and the static FIFO+greedy composition takes a gated
+engine-inlined decision walk (see :meth:`SimulationEngine
 ._resolve_fast_lane`).
 """
 
@@ -168,7 +173,7 @@ class SimulationEngine:
         # interval when its redundancy policy is "checkpoint"; the engine
         # then rounds a failure-killed copy's completed work down to an
         # interval multiple and resumes the task from there (see
-        # _handle_machine_failure / _launch_copy).
+        # _handle_machine_failure / _launch_copies).
         interval = getattr(scheduler, "checkpoint_interval", None)
         if interval is not None and interval <= 0:
             raise ValueError(
@@ -343,7 +348,7 @@ class SimulationEngine:
         handle_finish = self._handle_copy_finish
         handle_arrival = self._handle_arrival
         pump = self._push_next_arrival
-        launch = self._launch_copy
+        launch = self._launch_copies
         refill = self._refill_workloads
         schedule = self.scheduler.schedule
         view = self._view
@@ -357,7 +362,7 @@ class SimulationEngine:
         dynamic = self._dynamic
         fast = self._fast_fifo
         # The *plain* launch gate: with no topology, no workload inflation,
-        # no checkpointing and no dynamic scenario, _launch_copy collapses
+        # no checkpointing and no dynamic scenario, _launch_copies collapses
         # to pure counter updates plus one heap push -- inlined below in
         # the fast-lane walk (launched tasks there are always on a ready
         # stage, so the parked branch is unreachable too).
@@ -483,7 +488,7 @@ class SimulationEngine:
                                     ):
                                         continue
                                     if plain:
-                                        # _launch_copy, inlined for the
+                                        # _launch_copies, inlined for the
                                         # plain gate above: the walk
                                         # already holds the job and a
                                         # ready stage, the machine is on
@@ -492,7 +497,7 @@ class SimulationEngine:
                                         machine_id = free_ids[-1]
                                         buffer = job._workloads[stage]
                                         if not buffer:
-                                            buffer = refill(task)
+                                            buffer = refill(task, 1)
                                         raw_workload = buffer.pop()
                                         machine = machines[machine_id]
                                         if machine.slowdown == 1.0:
@@ -546,7 +551,7 @@ class SimulationEngine:
                                             ),
                                         )
                                     else:
-                                        launch(task)
+                                        launch(task, 1)
                                     free -= 1
                                     if free == 0:
                                         break
@@ -696,17 +701,19 @@ class SimulationEngine:
         if self._notify_arrival is not None:
             self._notify_arrival(job, self.now)
 
-    def _refill_workloads(self, task: Task) -> List[float]:
-        """Refill ``task``'s stage buffer (clones/relaunches exhausted it).
+    def _refill_workloads(self, task: Task, needed: int) -> List[float]:
+        """Top ``task``'s stage buffer up by at least ``needed`` workloads.
 
-        Refills with another stage-sized ``sample_batch`` draw to keep RNG
-        calls rare; the cold path behind the inlined buffer pop in
-        :meth:`_launch_copy`.
+        One draw of ``ceil(needed / s) * s`` values, ``s`` the stage's task
+        count: by the ``sample_batch`` contract, the values ``ceil(needed /
+        s)`` back-to-back stage-sized refills would draw.  Values still in
+        the buffer are popped first.
         """
         job = task.job
-        count = max(job.stage_specs[task.stage].num_tasks, 1)
-        buffer = task.duration_distribution.sample_list(self.rng, count)
+        size = max(job.stage_specs[task.stage].num_tasks, 1)
+        buffer = task.duration_distribution.sample_list(self.rng, -(-needed // size) * size)
         buffer.reverse()
+        buffer += job._workloads[task.stage]
         job._workloads[task.stage] = buffer
         return buffer
 
@@ -759,33 +766,30 @@ class SimulationEngine:
         result.useful_work += elapsed
 
         if num_active:
-            # Clones still occupy machines: kill and release them in copy
-            # order (inlined TaskCopy.kill; the task's completion_time is
-            # already set, so no unscheduled re-entry fires).
+            # The ``num_active`` clones still occupy machines: kill and
+            # release them in copy order (inlined TaskCopy.kill; the task's
+            # completion_time is already set, so no unscheduled re-entry
+            # fires), then move the counters once.
             for clone in task.copies:
                 if clone.finish_time is None and clone.killed_at is None:
                     clone.killed_at = now
-                    task._num_active -= 1
-                    job._active_copies -= 1
-                    clone_elapsed = (
-                        0.0
-                        if clone.start_time is None
-                        else now - clone.start_time
-                    )
+                    clone_elapsed = 0.0 if clone.start_time is None else now - clone.start_time
                     machine_id = clone.machine_id
                     machine = cluster._machines[machine_id]
                     machine.current_copy = None
                     machine.busy_time += clone_elapsed
                     cluster._free_ids.append(machine_id)
-                    if stage == 0:
-                        cluster._map_running -= 1
-                    else:
-                        cluster._reduce_running -= 1
                     if topology:
                         cluster._rack_running[self._rack_of[machine_id]] -= 1
                     if dynamic:
-                        self._running.pop(clone.machine_id, None)
+                        self._running.pop(machine_id, None)
                     result.wasted_work += clone_elapsed
+            task._num_active = 0
+            job._active_copies -= num_active
+            if stage == 0:
+                cluster._map_running -= num_active
+            else:
+                cluster._reduce_running -= num_active
 
         # Inlined Job.notify_task_completion (the engine calls it exactly
         # once per completion, so its ownership checks are elided).
@@ -981,7 +985,7 @@ class SimulationEngine:
         whatever the task had checkpointed from earlier kills, is rounded
         *down* to a multiple of the checkpoint interval -- that much is
         durably saved (the next copy of the task resumes from it, see
-        :meth:`_launch_copy`).  The copy's wall-clock time splits
+        :meth:`_launch_copies`).  The copy's wall-clock time splits
         proportionally: the saved fraction counts as useful work, the
         work since the last checkpoint is wasted.
         """
@@ -1093,9 +1097,7 @@ class SimulationEngine:
 
     def _apply_launches(self, requests: Sequence[LaunchRequest]) -> None:
         now = self.now + 1e-9
-        free_ids = self.cluster._free_ids
-        result = self.result
-        launch = self._launch_copy
+        launch = self._launch_copies
         for request in requests:
             task = request.task
             job = task.job
@@ -1107,19 +1109,7 @@ class SimulationEngine:
                 or job.completion_time is not None
             ):
                 self._validate_request(task)
-            num_copies = request.num_copies
-            if num_copies == 1:
-                # The overwhelmingly common request shape.
-                if free_ids:
-                    launch(task)
-                else:
-                    result.over_requests += 1
-                continue
-            for _ in range(num_copies):
-                if not free_ids:
-                    result.over_requests += 1
-                    continue
-                launch(task)
+            launch(task, request.num_copies)
 
     def _validate_request(self, task: Task) -> None:
         job = task.job
@@ -1181,122 +1171,131 @@ class SimulationEngine:
         if choice != top:
             free_ids[choice], free_ids[top] = free_ids[top], free_ids[choice]
 
-    def _launch_copy(self, task: Task) -> TaskCopy:
+    def _launch_copies(self, task: Task, n: int) -> None:
+        """Launch up to ``n`` copies of ``task``: one call per launch request.
+
+        Truncation to the free pool (the excess counts as ``over_requests``),
+        the stage-buffer top-up and the task, job, cluster and result
+        counters happen once per request; machine, duration, copy and
+        finish event are per copy.
+        """
         cluster = self.cluster
         free_ids = cluster._free_ids
-        topology = self._topology_active
-        if topology:
-            self._place_for_locality(task)
-        machine_id = free_ids[-1]
-        # Next pre-sampled workload of the task's stage (inlined buffer
-        # pop; the refill runs only when clones exhausted the arrival batch).
-        buffer = task.job._workloads[task.stage]
-        if not buffer:
-            buffer = self._refill_workloads(task)
-        raw_workload = buffer.pop()
-        if self._inflate is not None:
-            raw_workload = self._inflate(raw_workload, machine_id, self.rng)
-        if self._checkpoint_interval is not None and task.checkpoint_work > 0.0:
-            # Resume from the last checkpoint: the fresh draw keeps RNG
-            # consumption identical across policies; the saved work is then
-            # deducted (with a tiny floor so the copy stays schedulable).
-            raw_workload = max(raw_workload - task.checkpoint_work, 1e-9)
-            self.result.checkpoint_resumes += 1
-        now = self.now
         result = self.result
-        machine = cluster._machines[machine_id]
-        # Inlined Machine.processing_time / effective_speed: a machine on
-        # the free list is up, so only the slowdown branch remains (the
-        # no-division path preserves pre-scenario results bit for bit).
-        if machine.slowdown == 1.0:
-            duration = raw_workload / machine.speed
-        else:
-            duration = raw_workload / (machine.speed / machine.slowdown)
-        penalty = 1.0
-        if topology:
-            # Remote-read penalty: a copy off its preferred rack processes
-            # at effective_speed / remote_slowdown for its whole life (its
-            # input does not move), composing multiplicatively with static
-            # speeds and dynamic slowdowns.
-            if self._rack_of[machine_id] == task.preferred_rack:
-                result.local_launches += 1
-            else:
-                penalty = self._remote_slowdown
-                duration *= penalty
-                result.remote_launches += 1
-        # Inlined TaskCopy construction -- its validation cannot fire
-        # (raw_workload is floored strictly positive, now >= 0).
-        copy = TaskCopy.__new__(TaskCopy)
-        copy.copy_id = next(self._copy_ids)
-        copy.task = task
-        copy.machine_id = machine_id
-        copy.launch_time = now
-        copy.workload = duration
-        copy.start_time = None
-        copy.finish_time = None
-        copy.killed_at = None
-        copy.work = raw_workload
-        copy.finish_version = 0
-        copy.remote_penalty = penalty
+        free = len(free_ids)
+        if n > free:
+            result.over_requests += n - free
+            n = free
+            if n == 0:
+                return
         job = task.job
         stage = task.stage
+        inflate = self._inflate
+        buffer = job._workloads[stage]
+        if inflate is None and len(buffer) < n:
+            # Nothing else draws from the engine RNG inside one request, so
+            # the refills its copies would trigger fuse into one draw.
+            buffer = self._refill_workloads(task, n - len(buffer))
+        topology = self._topology_active
+        ready = job._stage_ready[stage]
+        now = self.now
+        machines = cluster._machines
+        entries = self._events._entries
+        sequence = self._sequence
+        for _ in range(n):
+            if topology:
+                self._place_for_locality(task)
+            machine_id = free_ids.pop()
+            if inflate is None:
+                raw_workload = buffer.pop()
+            else:
+                # An inflate hook may draw from the engine RNG between
+                # copies, so refills stay per copy (stage-sized, on empty).
+                if not buffer:
+                    buffer = self._refill_workloads(task, 1)
+                raw_workload = inflate(buffer.pop(), machine_id, self.rng)
+            if self._checkpoint_interval is not None and task.checkpoint_work > 0.0:
+                # Resume from the last checkpoint: the fresh draw keeps RNG
+                # consumption identical across policies; the saved work is then
+                # deducted (with a tiny floor so the copy stays schedulable).
+                raw_workload = max(raw_workload - task.checkpoint_work, 1e-9)
+                result.checkpoint_resumes += 1
+            machine = machines[machine_id]
+            # Inlined Machine.processing_time / effective_speed: a machine on
+            # the free list is up, so only the slowdown branch remains (the
+            # no-division path preserves pre-scenario results bit for bit).
+            if machine.slowdown == 1.0:
+                duration = raw_workload / machine.speed
+            else:
+                duration = raw_workload / (machine.speed / machine.slowdown)
+            penalty = 1.0
+            if topology:
+                # Remote-read penalty: a copy off its preferred rack processes
+                # at effective_speed / remote_slowdown for its whole life (its
+                # input does not move), composing multiplicatively with static
+                # speeds and dynamic slowdowns.
+                rack = self._rack_of[machine_id]
+                if rack == task.preferred_rack:
+                    result.local_launches += 1
+                else:
+                    penalty = self._remote_slowdown
+                    duration *= penalty
+                    result.remote_launches += 1
+                cluster._rack_running[rack] += 1
+            # Inlined TaskCopy construction (its checks cannot fire), and the
+            # per-copy halves of Task.add_copy and ClusterState.place (a
+            # free-listed machine is up and idle, covering Machine.assign).
+            copy = TaskCopy.__new__(TaskCopy)
+            copy.copy_id = next(self._copy_ids)
+            copy.task = task
+            copy.machine_id = machine_id
+            copy.launch_time = now
+            copy.workload = duration
+            copy.finish_time = None
+            copy.killed_at = None
+            copy.work = raw_workload
+            copy.remote_penalty = penalty
+            task.copies.append(copy)
+            machine.current_copy = copy
+            machine.copies_hosted += 1
+            if not ready:
+                # Parked: occupies the machine, progresses only once every
+                # predecessor stage completes (reduce-behind-map).
+                copy.start_time = None
+                copy.finish_version = 0
+                continue
+            # Inlined TaskCopy.start and EventHeap.push_finish: a fresh copy
+            # is unstarted and at version 0, so the bump lands on 1.
+            copy.start_time = now
+            if self._dynamic:
+                rate = machine.effective_speed
+                if penalty != 1.0:
+                    rate /= penalty
+                self._running[machine_id] = _RunningCopy(copy, raw_workload, now, rate)
+            copy.finish_version = 1
+            heappush(entries, (now + duration, 0, next(sequence), copy, 1))
+        # The counters, once per request.  A copy of a task already holding a
+        # machine is redundant (a clone or a speculative duplicate); the
+        # replacement of a failure-killed copy is not.
         num_active = task._num_active
-        if num_active > 0:
-            # The task already occupies a machine: this launch is redundant
-            # (a clone or a speculative duplicate).  Replacements of
-            # failure-killed copies are not counted -- the killed copy no
-            # longer holds a machine when the task is re-dispatched.
-            result.redundant_copies_launched += 1
-        # Inlined Task.add_copy (the task is not complete: _apply_launches
-        # validated the request) and ClusterState.place (the copy was just
-        # built for the peeked machine, so the id checks cannot fire; a
-        # free-listed machine is up and idle, covering Machine.assign).
-        task.copies.append(copy)
-        if num_active == 0:
+        if num_active:
+            result.redundant_copies_launched += n
+        else:
+            result.redundant_copies_launched += n - 1
             job._unscheduled[stage] -= 1
             job._unscheduled_total -= 1
-            if job._stage_ready[stage]:
+            if ready:
                 job._unscheduled_ready -= 1
-        task._num_active = num_active + 1
-        job._active_copies += 1
-        job._copies_launched += 1
-        free_ids.pop()
-        machine.current_copy = copy
-        machine.copies_hosted += 1
+        task._num_active = num_active + n
+        job._active_copies += n
+        job._copies_launched += n
         if stage == 0:
-            cluster._map_running += 1
+            cluster._map_running += n
         else:
-            cluster._reduce_running += 1
-        if topology:
-            cluster._rack_running[self._rack_of[machine_id]] += 1
-        result.total_copies += 1
-
-        if not job._stage_ready[stage]:
-            # Parked: occupies the machine, progresses only once every
-            # predecessor stage completes (reduce-behind-map in the 2-node DAG).
-            self._parked += 1
-            return copy
-        # Inlined TaskCopy.start: a just-launched copy is active, unstarted
-        # and launched at `now`, so its validation cannot fire.
-        copy.start_time = now
-        if self._dynamic:
-            rate = machine.effective_speed
-            if penalty != 1.0:
-                rate /= penalty
-            self._running[machine_id] = _RunningCopy(
-                copy=copy,
-                work_remaining=raw_workload,
-                settled_at=now,
-                rate=rate,
-            )
-        # Inlined EventHeap.push_finish: a fresh copy's version is 0, so
-        # the bump lands on 1 and the entry carries exactly that version.
-        copy.finish_version = 1
-        heappush(
-            self._events._entries,
-            (now + duration, 0, next(self._sequence), copy, 1),
-        )
-        return copy
+            cluster._reduce_running += n
+        result.total_copies += n
+        if not ready:
+            self._parked += n
 
     def _maybe_schedule_tick(self) -> None:
         interval = self.scheduler.tick_interval

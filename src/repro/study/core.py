@@ -290,13 +290,19 @@ def _scenario_from_table(data: Mapping[str, float]) -> Optional[ScenarioSpec]:
     slowdown_rate = float(data.get("slowdown_rate", 0.0))
     if not 0.0 <= speed_spread < 1.0:
         raise ValueError(f"speed_spread must lie in [0, 1), got {speed_spread}")
+    for name, rate in (("failure_rate", failure_rate), ("slowdown_rate", slowdown_rate)):
+        if not rate >= 0.0:
+            raise ValueError(f"{name} must be non-negative, got {rate}")
     if "mean_repair" in data and failure_rate == 0.0:
         raise ValueError("mean_repair needs failure_rate > 0")
     if (
         "slowdown_duration" in data or "slowdown_factor" in data
     ) and slowdown_rate == 0.0:
         raise ValueError("slowdown_duration/slowdown_factor need slowdown_rate > 0")
-    racks = int(data.get("racks", 1))
+    racks_value = float(data.get("racks", 1))
+    if not racks_value.is_integer() or racks_value < 1:
+        raise ValueError(f"racks must be a positive integer, got {data['racks']!r}")
+    racks = int(racks_value)
     if "remote_slowdown" in data and racks <= 1:
         raise ValueError("remote_slowdown needs racks > 1")
     speeds = None

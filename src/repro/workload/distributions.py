@@ -89,8 +89,8 @@ class DurationDistribution(ABC):
         the bits of ``n`` size-1 draws (asserted per distribution by
         ``tests/test_sample_batch.py``).  A subclass whose ``sample``
         issues size-*dependent* draws must override this method before it
-        can be used on the batched paths (engine arrival pre-sampling,
-        stream generation, trace materialisation).
+        can be used on the batched paths (engine arrival pre-sampling and
+        launch-request top-ups, stream generation, trace materialisation).
         """
         return self.sample(rng, size)
 

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as np
 import pytest
 
 from repro.cluster.stragglers import DynamicStragglers, ProbabilisticSlowdown
-from repro.scenarios import MachineFailures, ScenarioSpec
+from repro.experiments import ExperimentConfig
+from repro.policies.redundancy import PaperCloning
+from repro.scenarios import MachineFailures, ScenarioSpec, TopologySpec
 from repro.simulation.engine import SimulationEngine, SimulationError
 from repro.simulation.events import Event, EventType
 from repro.simulation.scheduler_api import (
@@ -16,7 +19,7 @@ from repro.simulation.scheduler_api import (
     Scheduler,
     SchedulerView,
 )
-from repro.workload.distributions import Deterministic
+from repro.workload.distributions import Deterministic, DurationDistribution, Exponential
 from repro.workload.generators import uniform_trace
 from repro.workload.job import JobSpec, Phase
 from repro.workload.trace import Trace
@@ -215,6 +218,157 @@ class TestCloning:
         result = SimulationEngine(trace, CloningScheduler(), num_machines=8).run()
         assert result.total_copies == 5
         assert result.cloning_ratio == pytest.approx(5.0 / 3.0)
+
+
+class CountingDistribution(DurationDistribution):
+    """Delegates to ``base`` and records the size of every ``sample_list`` draw."""
+
+    def __init__(self, base: DurationDistribution) -> None:
+        self.base = base
+        self.draws: List[int] = []
+
+    @property
+    def mean(self) -> float:
+        return self.base.mean
+
+    @property
+    def std(self) -> float:
+        return self.base.std
+
+    def sample(self, rng, size=1):
+        return self.base.sample(rng, size)
+
+    def sample_list(self, rng, size):
+        self.draws.append(size)
+        return self.base.sample_list(rng, size)
+
+
+def single_task_trace(duration: DurationDistribution) -> Trace:
+    spec = JobSpec(
+        job_id=0,
+        arrival_time=0.0,
+        weight=1.0,
+        num_map_tasks=1,
+        num_reduce_tasks=0,
+        map_duration=duration,
+        reduce_duration=duration,
+    )
+    return Trace([spec])
+
+
+class TestLaunchRequestFusion:
+    """One launch request is one launch call and at most one refill draw."""
+
+    def test_clone_grant_refills_with_one_fused_draw(self):
+        dist = CountingDistribution(Exponential(10.0))
+        scheduler = ComposedScheduler("srpt", "share", "clone", epsilon=0.6, r=3.0)
+        engine = SimulationEngine(single_task_trace(dist), scheduler, num_machines=6, seed=4)
+        result = engine.run()
+        # The lone job's epsilon-share grant is the whole cluster: one
+        # request of six copies.  One draw at arrival (the stage's single
+        # task), then one fused top-up for all five clones, not one each.
+        assert result.total_copies == 6
+        assert result.redundant_copies_launched == 5
+        assert result.over_requests == 0
+        assert dist.draws == [1, 5]
+        # The copies carry the draws in draw order, as six size-1 draws would.
+        copies = engine._jobs[0].stage_tasks[0][0].copies
+        expected = Exponential(10.0).sample_list(np.random.default_rng(4), 6)
+        assert [copy.work for copy in copies] == expected
+
+    def test_request_larger_than_free_pool_is_truncated_once(self):
+        dist = CountingDistribution(Exponential(10.0))
+        engine = SimulationEngine(
+            single_task_trace(dist), OverRequestingScheduler(), num_machines=3
+        )
+        result = engine.run()
+        # One copy, then a request of six copies with two machines free:
+        # two launch (one fused draw of two) and four are over-requests.
+        assert result.total_copies == 3
+        assert result.over_requests == 4
+        assert dist.draws == [1, 2]
+
+
+class CheckpointedCloning(PaperCloning):
+    """Paper cloning whose copies also checkpoint: clones and resumes at once."""
+
+    checkpoint_interval = 5.0
+
+
+FAILURES = ScenarioSpec(failures=MachineFailures(rate=2e-4, mean_repair=50.0))
+
+#: Per-copy branches of the launch path a clone-heavy run can take: an
+#: inflate hook drawing from the engine RNG between copies, failure kills
+#: and relaunches, a two-rack topology (placement and remote pricing), and
+#: checkpoint resumes on top of failures.
+CLONE_BRANCHES = {
+    "inflate": dict(straggler_model=ProbabilisticSlowdown(0.3, 3.0)),
+    "failures": dict(scenario=FAILURES),
+    "two-racks": dict(
+        scenario=ScenarioSpec(topology=TopologySpec(racks=2, remote_slowdown=2.0))
+    ),
+    "checkpoint": dict(scenario=FAILURES),
+}
+
+#: Fingerprints of the runs above, recorded with one launch call and one
+#: refill draw per copy: they pin request-level launching to per-copy
+#: launching, bit for bit.
+CLONE_FINGERPRINTS = {
+    ("srpt+share+clone", "inflate"): (
+        "a499c5a69969fb9d5f3c8a7e2d17df885635cc2d32f6255adee56add268a0d79"
+    ),
+    ("srpt+share+clone", "failures"): (
+        "5d6ed8f3704f538ddb50a631bc3fef49e51ad648af029ff2d88c611aa11034cb"
+    ),
+    ("srpt+share+clone", "two-racks"): (
+        "b7707c4b8aed3c4170690bf0e9db1b518caf134b3b98c7d9ffd76d27c0f45aea"
+    ),
+    ("srpt+share+clone", "checkpoint"): (
+        "7f25f162c6c7216a624933bcf70f1cecfe492dcb52221a9f1847c6426514231e"
+    ),
+    ("srpt+greedy+clone", "inflate"): (
+        "4d96ec7007747a492bd0c1721a591abebc4a64465c820d713fad799a78c79455"
+    ),
+    ("srpt+greedy+clone", "failures"): (
+        "1b932a741f55b2e3b9c0cd81fd26029ff33d8bb11a1df0ce2cd6f2cc56d7e6ae"
+    ),
+    ("srpt+greedy+clone", "two-racks"): (
+        "b22c98732ebada273b2802df7707b26ccefb5e24728a01747648974e384bad14"
+    ),
+    ("srpt+greedy+clone", "checkpoint"): (
+        "92f7351fad52c3b294823813018c50a6b6d4b9f22beb30dde6d22cf6dc4b8292"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def google_config():
+    config = ExperimentConfig(scale=0.003)
+    return config, config.make_trace()
+
+
+@pytest.mark.parametrize("composition, branch", sorted(CLONE_FINGERPRINTS))
+def test_clone_heavy_fingerprints_are_pinned(google_config, composition, branch):
+    config, trace = google_config
+    ordering, allocation, _ = composition.split("+")
+    redundancy = CheckpointedCloning() if branch == "checkpoint" else "clone"
+    scheduler = ComposedScheduler(ordering, allocation, redundancy, epsilon=0.6, r=3.0, seed=2)
+    result = SimulationEngine(
+        trace,
+        scheduler,
+        config.machines,
+        seed=5,
+        check_invariants=True,
+        **CLONE_BRANCHES[branch],
+    ).run()
+    assert result.redundant_copies_launched > 0
+    if branch in ("failures", "checkpoint"):
+        assert result.copies_killed_by_failure > 0
+    if branch == "two-racks":
+        assert result.remote_launches > 0
+    if branch == "checkpoint":
+        assert result.checkpoint_resumes > 0
+    assert result.fingerprint() == CLONE_FINGERPRINTS[composition, branch]
 
 
 class TestRobustness:

@@ -109,6 +109,35 @@ class TestStudyConstruction:
         with pytest.raises(ValueError, match="failure_rate"):
             ScenarioRef.coerce({"mean_repair": 10.0})
 
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            pytest.param(
+                {"failure_rate": -0.001},
+                "failure_rate must be non-negative",
+                id="negative-failure-rate",
+            ),
+            pytest.param(
+                {"slowdown_rate": -0.5},
+                "slowdown_rate must be non-negative",
+                id="negative-slowdown-rate",
+            ),
+            pytest.param({"racks": 0}, "racks must be a positive integer", id="zero-racks"),
+            pytest.param({"racks": -2}, "racks must be a positive integer", id="negative-racks"),
+            pytest.param(
+                {"racks": 2.5}, "racks must be a positive integer", id="fractional-racks"
+            ),
+        ],
+    )
+    def test_scenario_invalid_knob_rejected(self, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioRef.coerce(knobs)
+        spec = json.dumps(
+            {"study": {"name": "bad", "scale": 0.002, "scenarios": [knobs]}}
+        )
+        with pytest.raises(StudySpecError, match=message):
+            study_from_json(spec)
+
 
 class TestCompile:
     def test_product_order_and_coords(self):
