@@ -1,10 +1,10 @@
 """Shared configuration for the benchmark suite.
 
 Every benchmark regenerates one of the paper's tables or figures on the
-scaled synthetic Google trace (see DESIGN.md).  The resulting report text is
-printed (so ``pytest benchmarks/ --benchmark-only -s`` shows the reproduced
-numbers) and written to ``benchmarks/results/<name>.txt`` so the outputs
-survive in the repository after a run.
+scaled synthetic Google trace.  The resulting report text is printed (so
+``pytest benchmarks/ --benchmark-only -s`` shows the reproduced numbers)
+and written to ``benchmarks/results/<name>.txt`` so the outputs survive
+in the repository after a run.
 """
 
 from __future__ import annotations

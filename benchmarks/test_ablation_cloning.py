@@ -1,7 +1,7 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the paper's design choices.
 
 1. Cloning on/off inside SRPTMS+C (machine sharing only vs sharing + cloning)
-   under an injected straggler model.
+   on a cluster where a quarter of the machines are permanently slow.
 2. The r-term of the effective workload (r = 0 vs r = 3) -- complements the
    Figure 2 sweep at the comparison scale.
 3. Extra reference policies (LATE, Fair, FIFO, plain SRPT) on the same trace,
@@ -13,15 +13,18 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.comparison import ComparisonTable
-from repro.cluster.stragglers import SlowMachines
 from repro.core.srptms_c import SRPTMSCScheduler
 from repro.experiments import ExperimentConfig
+from repro.scenarios import BimodalSpeeds, ScenarioSpec
 from repro.simulation import ReplicatedResult, run_replications
 from repro.study.presets import STUDY_PRESETS
 
 from .conftest import save_report
 
 ABLATION_CONFIG = ExperimentConfig(scale=0.015, seeds=(0,))
+
+#: Each machine is 4x slow with probability 1/4 (partially failing nodes).
+SLOW_QUARTER = ScenarioSpec(speeds=BimodalSpeeds(slow_fraction=0.25, slow_speed=0.25))
 
 
 @pytest.mark.benchmark(group="ablation")
@@ -39,8 +42,7 @@ def test_ablation_cloning_under_stragglers(benchmark):
                                                    cloning_enabled=c),
                 ABLATION_CONFIG.machines,
                 seeds=ABLATION_CONFIG.seeds,
-                straggler_model_factory=lambda: SlowMachines(fraction=0.25,
-                                                             factor=4.0),
+                scenario=SLOW_QUARTER,
             )
         return ComparisonTable.from_results(results)
 

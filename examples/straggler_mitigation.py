@@ -4,8 +4,9 @@ Run with::
 
     python examples/straggler_mitigation.py
 
-A quarter of the cluster's machines are made 5x slower (the paper's
-"partially failing machines" straggler cause).  The script compares:
+Each machine is 5x slower with probability 1/4 (the paper's "partially
+failing machines" straggler cause, as a ``BimodalSpeeds`` scenario).  The
+script compares:
 
 * SRPTMS+C            -- proactive cloning + SRPT machine sharing,
 * SRPTMS (no cloning) -- the same sharing rule with cloning disabled,
@@ -18,7 +19,7 @@ showing how much of the straggler-induced flowtime each strategy recovers.
 from __future__ import annotations
 
 from repro import FairScheduler, MantriScheduler, SRPTMSCScheduler, run_simulation
-from repro.cluster.stragglers import SlowMachines
+from repro.scenarios import BimodalSpeeds, ScenarioSpec
 from repro.workload import bimodal_trace
 
 
@@ -35,8 +36,9 @@ def main() -> None:
         seed=7,
     )
     machines = 80
+    slow_quarter = ScenarioSpec(speeds=BimodalSpeeds(slow_fraction=0.25, slow_speed=0.2))
     print(f"workload: {trace}")
-    print(f"straggler model: 25% of the {machines} machines run 5x slower\n")
+    print(f"stragglers: each of the {machines} machines runs 5x slower with probability 1/4\n")
 
     schedulers = [
         SRPTMSCScheduler(epsilon=0.6, r=3.0),
@@ -52,7 +54,7 @@ def main() -> None:
             scheduler,
             num_machines=machines,
             seed=1,
-            straggler_model=SlowMachines(fraction=0.25, factor=5.0),
+            scenario=slow_quarter,
         )
         print(
             f"{result.scheduler_name:<12} {result.mean_flowtime:>10.1f} "

@@ -8,8 +8,8 @@ The package is organised as:
   effective workloads, epsilon-fraction machine sharing, Theorem 1 bounds);
 * :mod:`repro.workload` -- job/task model, duration distributions, traces
   and the synthetic Google-trace generator;
-* :mod:`repro.cluster` -- machines, occupancy bookkeeping and straggler
-  injection;
+* :mod:`repro.cluster` -- machines, occupancy bookkeeping and the dynamic
+  straggler process;
 * :mod:`repro.scenarios` -- cluster environments (heterogeneous machine
   speeds, dynamic stragglers, machine failures) behind a picklable
   :class:`~repro.scenarios.ScenarioSpec`;

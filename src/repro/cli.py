@@ -479,16 +479,19 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             "scenarios from the spec file, and 'all' mixes both kinds -- "
             "run the figure commands individually instead"
         )
-    return ExperimentConfig(
-        scale=args.scale,
-        seeds=tuple(args.seeds),
-        epsilon=args.epsilon,
-        r=args.r,
-        num_machines=args.machines,
-        workers=_workers_from_args(args),
-        scenario=scenario,
-        cache_dir=None if args.no_cache else args.cache_dir,
-    )
+    try:
+        return ExperimentConfig(
+            scale=args.scale,
+            seeds=tuple(args.seeds),
+            epsilon=args.epsilon,
+            r=args.r,
+            num_machines=args.machines,
+            workers=_workers_from_args(args),
+            scenario=scenario,
+            cache_dir=None if args.no_cache else args.cache_dir,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid arguments: {exc}") from None
 
 
 #: What 'all' prints: the paper's tables, figures and bound check.

@@ -1,23 +1,11 @@
-"""Cluster substrate: machines, straggler injection and occupancy bookkeeping."""
+"""Cluster substrate: machines, the dynamic straggler process and occupancy bookkeeping."""
 
 from repro.cluster.machine import Machine
-from repro.cluster.stragglers import (
-    DynamicStragglers,
-    NoStragglers,
-    ParetoTailInflation,
-    ProbabilisticSlowdown,
-    SlowMachines,
-    StragglerModel,
-)
+from repro.cluster.stragglers import DynamicStragglers
 from repro.cluster.state import ClusterState
 
 __all__ = [
     "Machine",
     "ClusterState",
-    "StragglerModel",
-    "NoStragglers",
-    "ProbabilisticSlowdown",
-    "SlowMachines",
-    "ParetoTailInflation",
     "DynamicStragglers",
 ]

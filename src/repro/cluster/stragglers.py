@@ -1,171 +1,25 @@
-"""Straggler-injection models.
+"""The dynamic straggler process of a cluster scenario.
 
 The paper attributes stragglers to "tasks running on partially/intermittently
 failing machines or the existence of some localized resource bottleneck(s)"
-and folds the resulting variability into the task workload.  The task
-duration distributions of :mod:`repro.workload.distributions` already carry
-heavy tails; the models here add an *extra*, machine- or event-driven layer
-of inflation so that ablation benchmarks can dial straggler severity
-independently of the base workload:
-
-* :class:`NoStragglers` -- pass-through (the default).
-* :class:`ProbabilisticSlowdown` -- with probability ``p`` a copy is slowed
-  by a constant factor (a transient resource bottleneck hits that copy).
-* :class:`SlowMachines` -- a fixed subset of machines is permanently slow
-  (a partially failing node); every copy placed there is inflated.
-* :class:`ParetoTailInflation` -- every copy is multiplied by a Pareto
-  factor with unit minimum, adding a heavy tail on top of any base
-  distribution.
-
-All models act on the *sampled workload of one copy*; two copies of the same
-task placed on different machines therefore see independent straggler
-events, which is exactly why cloning helps.
-
-:class:`DynamicStragglers` is different in kind: it is not a per-copy
-workload transform but a *time-varying machine process* (slowdown onset and
-recovery events) executed by the simulation engine, which re-estimates the
-remaining work of whatever copy is running when a machine's effective speed
-changes.  It composes into a :class:`~repro.scenarios.ScenarioSpec`.
+and folds the resulting per-task variability into the task-duration
+distributions of :mod:`repro.workload.distributions`.  Machine-level causes
+live in :class:`~repro.scenarios.ScenarioSpec`: permanently slow machines
+are a speed distribution such as :class:`~repro.scenarios.BimodalSpeeds`,
+and intermittently slow ones are the :class:`DynamicStragglers` process
+below -- slowdown onset and recovery events executed by the simulation
+engine, which re-estimates the remaining work of whatever copy is running
+when a machine's effective speed changes.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+import math
 from dataclasses import dataclass
-from typing import Optional, Set
 
 import numpy as np
 
-__all__ = [
-    "StragglerModel",
-    "NoStragglers",
-    "ProbabilisticSlowdown",
-    "SlowMachines",
-    "ParetoTailInflation",
-    "DynamicStragglers",
-]
-
-
-class StragglerModel(ABC):
-    """Transforms a sampled copy workload to model straggler effects."""
-
-    @abstractmethod
-    def inflate(
-        self, workload: float, machine_id: int, rng: np.random.Generator
-    ) -> float:
-        """Return the (possibly inflated) workload of one copy.
-
-        Parameters
-        ----------
-        workload:
-            The workload sampled from the task's duration distribution.
-        machine_id:
-            The machine the copy is being placed on.
-        rng:
-            The simulator's random generator.
-        """
-
-    def prepare(self, num_machines: int, rng: np.random.Generator) -> None:
-        """Hook called once per simulation before any copy is placed.
-
-        Models that depend on the cluster size (e.g. choosing which machines
-        are slow) override this; the default is a no-op.
-        """
-
-
-class NoStragglers(StragglerModel):
-    """Pass-through model: the sampled workload is used as-is."""
-
-    def inflate(
-        self, workload: float, machine_id: int, rng: np.random.Generator
-    ) -> float:
-        """Apply the straggler model to one sampled workload (see base class)."""
-        return workload
-
-
-class ProbabilisticSlowdown(StragglerModel):
-    """Each copy independently hits a slowdown with probability ``probability``."""
-
-    def __init__(self, probability: float, factor: float) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability}")
-        if factor < 1.0:
-            raise ValueError(f"slowdown factor must be >= 1, got {factor}")
-        self.probability = probability
-        self.factor = factor
-
-    def inflate(
-        self, workload: float, machine_id: int, rng: np.random.Generator
-    ) -> float:
-        """Apply the straggler model to one sampled workload (see base class)."""
-        if self.probability > 0 and rng.random() < self.probability:
-            return workload * self.factor
-        return workload
-
-
-class SlowMachines(StragglerModel):
-    """A random fraction of machines is permanently slow.
-
-    Copies placed on a slow machine have their workload multiplied by
-    ``factor``; this is the "partially failing machine" straggler cause.
-    The slow set is drawn once per simulation in :meth:`prepare`.
-    """
-
-    def __init__(self, fraction: float, factor: float) -> None:
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        if factor < 1.0:
-            raise ValueError(f"slowdown factor must be >= 1, got {factor}")
-        self.fraction = fraction
-        self.factor = factor
-        self._slow_machines: Optional[Set[int]] = None
-
-    @property
-    def slow_machines(self) -> Set[int]:
-        """The machine ids selected as slow (empty before :meth:`prepare`)."""
-        return set(self._slow_machines) if self._slow_machines else set()
-
-    def prepare(self, num_machines: int, rng: np.random.Generator) -> None:
-        """Pre-run hook: sample per-machine straggler state (see base class)."""
-        if num_machines <= 0:
-            raise ValueError(f"num_machines must be positive, got {num_machines}")
-        n_slow = int(round(self.fraction * num_machines))
-        chosen = rng.choice(num_machines, size=n_slow, replace=False)
-        self._slow_machines = set(int(m) for m in chosen)
-
-    def inflate(
-        self, workload: float, machine_id: int, rng: np.random.Generator
-    ) -> float:
-        """Apply the straggler model to one sampled workload (see base class)."""
-        if self._slow_machines is None:
-            raise RuntimeError("SlowMachines.prepare() must be called before use")
-        if machine_id in self._slow_machines:
-            return workload * self.factor
-        return workload
-
-
-class ParetoTailInflation(StragglerModel):
-    """Multiply every copy's workload by a Pareto factor with unit minimum.
-
-    With shape ``alpha`` the inflation factor has mean ``alpha / (alpha - 1)``
-    (for ``alpha > 1``); small ``alpha`` produces occasional extreme
-    stragglers regardless of the base task-duration distribution.
-    """
-
-    def __init__(self, alpha: float, cap: float = 100.0) -> None:
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        if cap < 1.0:
-            raise ValueError(f"cap must be >= 1, got {cap}")
-        self.alpha = alpha
-        self.cap = cap
-
-    def inflate(
-        self, workload: float, machine_id: int, rng: np.random.Generator
-    ) -> float:
-        """Apply the straggler model to one sampled workload (see base class)."""
-        factor = (1.0 - rng.random()) ** (-1.0 / self.alpha)
-        return workload * min(factor, self.cap)
+__all__ = ["DynamicStragglers"]
 
 
 @dataclass(frozen=True)
@@ -176,8 +30,7 @@ class DynamicStragglers:
     rate ``onset_rate``; the slow period lasts an exponential time with mean
     ``mean_duration``, during which the machine's effective speed is divided
     by ``factor``.  Onset and recovery are *events*: copies already running
-    on the machine slow down (or speed back up) mid-flight, which is what
-    distinguishes this model from the static per-copy transforms above.
+    on the machine slow down (or speed back up) mid-flight.
 
     The engine drives the process from each machine's dedicated scenario
     stream (see :mod:`repro.scenarios` for the seeding contract).
@@ -188,14 +41,15 @@ class DynamicStragglers:
     factor: float
 
     def __post_init__(self) -> None:
-        if self.onset_rate <= 0:
-            raise ValueError(f"onset_rate must be positive, got {self.onset_rate}")
-        if self.mean_duration <= 0:
+        # Chained comparisons are False for NaN, so NaN and inf fail too.
+        if not 0 < self.onset_rate < math.inf:
+            raise ValueError(f"onset_rate must be positive and finite, got {self.onset_rate}")
+        if not 0 < self.mean_duration < math.inf:
             raise ValueError(
-                f"mean_duration must be positive, got {self.mean_duration}"
+                f"mean_duration must be positive and finite, got {self.mean_duration}"
             )
-        if self.factor <= 1.0:
-            raise ValueError(f"slowdown factor must exceed 1, got {self.factor}")
+        if not 1.0 < self.factor < math.inf:
+            raise ValueError(f"slowdown factor must exceed 1 and be finite, got {self.factor}")
 
     def draw_onset(self, rng: np.random.Generator) -> float:
         """Healthy time until the next slowdown begins."""

@@ -11,6 +11,7 @@ full-scale configuration remains one constructor call away
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -93,14 +94,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scenario is not None and not isinstance(self.scenario, ScenarioSpec):
             raise TypeError(f"scenario must be a ScenarioSpec, got {self.scenario!r}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:  # False for NaN too
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if not self.seeds:
             raise ValueError("at least one replication seed is required")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.r < 0:
-            raise ValueError(f"r must be non-negative, got {self.r}")
+        if not 0 <= self.r < math.inf:
+            raise ValueError(f"r must be non-negative and finite, got {self.r}")
         object.__setattr__(self, "workers", normalize_workers(self.workers))
 
     # -- presets ------------------------------------------------------------------

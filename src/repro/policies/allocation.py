@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -302,9 +303,9 @@ class DelayScheduling(AllocationPolicy):
     dynamic_tick = True
 
     def __init__(self, locality_wait: float = LOCALITY_WAIT) -> None:
-        if locality_wait < 0:
+        if not 0 <= locality_wait < math.inf:  # False for NaN too
             raise ValueError(
-                f"locality_wait must be non-negative, got {locality_wait}"
+                f"locality_wait must be non-negative and finite, got {locality_wait}"
             )
         self.locality_wait = float(locality_wait)
         #: Earliest pending deferral deadline, as a delay from "now";

@@ -18,6 +18,7 @@ Two ranking modes exist:
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 from repro.core.priority import online_priority
@@ -112,8 +113,8 @@ class SRPTOrdering(OrderingPolicy):
     name = "srpt"
 
     def __init__(self, r: float = 0.0) -> None:
-        if r < 0:
-            raise ValueError(f"r must be non-negative, got {r}")
+        if not 0 <= r < math.inf:  # False for NaN too
+            raise ValueError(f"r must be non-negative and finite, got {r}")
         self.r = r
 
     def order(self, view: SchedulerView, jobs: Sequence[Job]) -> List[Job]:

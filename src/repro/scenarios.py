@@ -41,6 +41,7 @@ to serial execution (asserted in ``tests/test_scenarios.py``).
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -129,10 +130,11 @@ class UniformSpeeds(SpeedDistribution):
     high: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.low <= 0:
-            raise ValueError(f"low must be positive, got {self.low}")
-        if self.high < self.low:
-            raise ValueError(f"high must be >= low, got [{self.low}, {self.high}]")
+        # Chained comparisons are False for NaN, so NaN and inf fail too.
+        if not 0 < self.low < math.inf:
+            raise ValueError(f"low must be positive and finite, got {self.low}")
+        if not self.low <= self.high < math.inf:
+            raise ValueError(f"high must be >= low and finite, got [{self.low}, {self.high}]")
 
     def sample(self, num_machines: int, rng: np.random.Generator) -> np.ndarray:
         """Draw one speed per machine (see base class)."""
@@ -156,8 +158,8 @@ class BimodalSpeeds(SpeedDistribution):
             raise ValueError(
                 f"slow_fraction must be in [0, 1], got {self.slow_fraction}"
             )
-        if self.slow_speed <= 0 or self.fast_speed <= 0:
-            raise ValueError("speeds must be positive")
+        if not (0 < self.slow_speed < math.inf and 0 < self.fast_speed < math.inf):
+            raise ValueError("speeds must be positive and finite")
         if self.slow_speed > self.fast_speed:
             raise ValueError(
                 f"slow_speed {self.slow_speed} exceeds fast_speed {self.fast_speed}"
@@ -183,8 +185,8 @@ class ZipfSpeeds(SpeedDistribution):
     num_tiers: int = 4
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.num_tiers < 1:
             raise ValueError(f"num_tiers must be >= 1, got {self.num_tiers}")
 
@@ -217,11 +219,11 @@ class MachineFailures:
     fixed_repair: bool = False
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"failure rate must be positive, got {self.rate}")
-        if self.mean_repair <= 0:
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"failure rate must be positive and finite, got {self.rate}")
+        if not 0 < self.mean_repair < math.inf:
             raise ValueError(
-                f"mean_repair must be positive, got {self.mean_repair}"
+                f"mean_repair must be positive and finite, got {self.mean_repair}"
             )
 
     def draw_uptime(self, rng: np.random.Generator) -> float:
@@ -265,9 +267,9 @@ class TopologySpec:
             raise TypeError(f"racks must be an int, got {self.racks!r}")
         if self.racks < 1:
             raise ValueError(f"racks must be >= 1, got {self.racks}")
-        if self.remote_slowdown < 1.0:
+        if not 1.0 <= self.remote_slowdown < math.inf:
             raise ValueError(
-                f"remote_slowdown must be >= 1.0, got {self.remote_slowdown}"
+                f"remote_slowdown must be >= 1.0 and finite, got {self.remote_slowdown}"
             )
 
     @property
@@ -294,9 +296,10 @@ class ScenarioSpec:
         (the scenario sweep uses this so flowtime differences are not just
         capacity differences).
     stragglers:
-        Dynamic slowdown process; ``None`` disables it.  Static (per-copy)
-        straggler models remain available through
-        ``RunSpec.straggler_factory``.
+        Dynamic slowdown process (intermittently slow machines); ``None``
+        disables it.  Permanently slow machines are a ``speeds``
+        distribution, e.g. ``BimodalSpeeds(slow_fraction=0.25,
+        slow_speed=0.25)`` for a quarter of the machines at 4x slower.
     failures:
         Machine failure/restart process; ``None`` disables it.
     topology:

@@ -7,9 +7,9 @@ then to launch all chosen copies on available machines.  The reproduction
 implements the standard greedy/water-filling counterpart of that program:
 fair-share single copies first, then leftover machines spent one at a time
 on the clone with the largest marginal gain (see
-:class:`~repro.policies.redundancy.SCACloning` for the rule and
-DESIGN.md "Substitutions" for why the greedy preserves the relevant
-behaviour of the original convex program).
+:class:`~repro.policies.redundancy.SCACloning` for the rule and for why
+the greedy keeps the behaviour [26] reports for the convex program:
+small jobs are cloned aggressively).
 
 Since the policy-kernel refactor this class is a thin alias for the
 ``fair+greedy+sca`` composition (see :mod:`repro.policies`); it produces

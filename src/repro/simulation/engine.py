@@ -60,11 +60,9 @@ relaunches exhaust it, one fused top-up per launch request -- each
 call, and nothing else draws from the engine RNG inside one.  By the
 RNG-consumption contract of :meth:`repro.workload.distributions
 .DurationDistribution.sample_batch` both are bit-identical to per-task
-draws.  The exception is a straggler ``inflate`` hook, which may draw
-between copies: with one configured, refills stay per copy.  All events
-at one timestamp are drained as a single batch before the scheduler is
-consulted, and the static FIFO+greedy composition takes a gated
-engine-inlined decision walk (see :meth:`SimulationEngine
+draws.  All events at one timestamp are drained as a single batch before
+the scheduler is consulted, and the static FIFO+greedy composition takes
+a gated engine-inlined decision walk (see :meth:`SimulationEngine
 ._resolve_fast_lane`).
 """
 
@@ -77,7 +75,6 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.cluster.state import ClusterState
-from repro.cluster.stragglers import NoStragglers, StragglerModel
 from repro.scenarios import ScenarioSpec, machine_process_rng, placement_rng
 from repro.simulation.events import Event, EventHeap, EventType
 from repro.simulation.metrics import JobRecord, SimulationResult
@@ -132,7 +129,6 @@ class SimulationEngine:
         *,
         seed: int = 0,
         machine_speed: float = 1.0,
-        straggler_model: Optional[StragglerModel] = None,
         scenario: Optional[ScenarioSpec] = None,
         max_time: Optional[float] = None,
         check_invariants: bool = False,
@@ -155,16 +151,6 @@ class SimulationEngine:
             num_machines, machine_speed=machine_speed, speeds=speeds
         )
         self.machine_speed = machine_speed
-        self.straggler_model = (
-            straggler_model if straggler_model is not None else NoStragglers()
-        )
-        # Fast path: skip the per-copy inflate() call entirely when no
-        # straggler model is configured (the overwhelmingly common case).
-        self._inflate = (
-            None
-            if isinstance(self.straggler_model, NoStragglers)
-            else self.straggler_model.inflate
-        )
         self.rng = np.random.default_rng(seed)
         self.seed = seed
         self.max_time = max_time
@@ -239,7 +225,6 @@ class SimulationEngine:
             total_tasks=0 if declared_tasks is None else declared_tasks,
             seed=seed,
         )
-        self.straggler_model.prepare(num_machines, self.rng)
         self._view = SchedulerView(self)
         # Resolved notification hooks, or None when the scheduler (or the
         # policy an instance attribute delegates to) left the base no-op in
@@ -361,16 +346,15 @@ class SimulationEngine:
         alive_values = self._alive.values()
         dynamic = self._dynamic
         fast = self._fast_fifo
-        # The *plain* launch gate: with no topology, no workload inflation,
-        # no checkpointing and no dynamic scenario, _launch_copies collapses
-        # to pure counter updates plus one heap push -- inlined below in
-        # the fast-lane walk (launched tasks there are always on a ready
-        # stage, so the parked branch is unreachable too).
+        # The *plain* launch gate: with no topology, no checkpointing and no
+        # dynamic scenario, _launch_copies collapses to pure counter updates
+        # plus one heap push -- inlined below in the fast-lane walk (launched
+        # tasks there are always on a ready stage, so the parked branch is
+        # unreachable too).
         plain = (
             fast
             and not self._topology_active
             and not dynamic
-            and self._inflate is None
             and self._checkpoint_interval is None
         )
         total_jobs = self._total_jobs
@@ -1190,9 +1174,8 @@ class SimulationEngine:
                 return
         job = task.job
         stage = task.stage
-        inflate = self._inflate
         buffer = job._workloads[stage]
-        if inflate is None and len(buffer) < n:
+        if len(buffer) < n:
             # Nothing else draws from the engine RNG inside one request, so
             # the refills its copies would trigger fuse into one draw.
             buffer = self._refill_workloads(task, n - len(buffer))
@@ -1206,14 +1189,7 @@ class SimulationEngine:
             if topology:
                 self._place_for_locality(task)
             machine_id = free_ids.pop()
-            if inflate is None:
-                raw_workload = buffer.pop()
-            else:
-                # An inflate hook may draw from the engine RNG between
-                # copies, so refills stay per copy (stage-sized, on empty).
-                if not buffer:
-                    buffer = self._refill_workloads(task, 1)
-                raw_workload = inflate(buffer.pop(), machine_id, self.rng)
+            raw_workload = buffer.pop()
             if self._checkpoint_interval is not None and task.checkpoint_work > 0.0:
                 # Resume from the last checkpoint: the fresh draw keeps RNG
                 # consumption identical across policies; the saved work is then

@@ -84,7 +84,6 @@ import multiprocessing
 
 import numpy as np
 
-from repro.cluster.stragglers import StragglerModel
 from repro.scenarios import ScenarioSpec
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.metrics import SimulationResult
@@ -147,7 +146,6 @@ def run_simulation(
     *,
     seed: int = 0,
     machine_speed: float = 1.0,
-    straggler_model: Optional[StragglerModel] = None,
     scenario: Optional[ScenarioSpec] = None,
     max_time: Optional[float] = None,
     check_invariants: bool = False,
@@ -165,7 +163,6 @@ def run_simulation(
         num_machines=num_machines,
         seed=seed,
         machine_speed=machine_speed,
-        straggler_model=straggler_model,
         scenario=scenario,
         max_time=max_time,
         check_invariants=check_invariants,
@@ -358,13 +355,13 @@ class RunSpec:
         A zero-argument factory; use :class:`SchedulerSpec` when the spec
         must cross a process boundary.
     seed:
-        Drives *all* randomness of the run (workload sampling, straggler
-        inflation, randomised tie-breaking, and -- through dedicated
-        streams -- the scenario's speed sampling and failure/slowdown
-        timelines).
+        Drives *all* randomness of the run (workload sampling, randomised
+        tie-breaking, and -- through dedicated streams -- the scenario's
+        speed sampling, failure/slowdown timelines and input placement).
     scenario:
-        Cluster environment (heterogeneous speeds, dynamic stragglers,
-        failures); ``None`` is the paper's homogeneous static cluster.
+        Cluster environment (heterogeneous speeds such as permanently slow
+        machines, dynamic stragglers, failures, rack topology); ``None`` is
+        the paper's homogeneous static cluster.
         :class:`~repro.scenarios.ScenarioSpec` is a frozen dataclass, so it
         pickles across the pool like every other spec field.
     tag:
@@ -377,7 +374,6 @@ class RunSpec:
     num_machines: int
     seed: int = 0
     machine_speed: float = 1.0
-    straggler_factory: Optional[Callable[[], StragglerModel]] = None
     scenario: Optional[ScenarioSpec] = None
     max_time: Optional[float] = None
     tag: Optional[Hashable] = None
@@ -406,14 +402,12 @@ class RunSpec:
 
     def execute(self) -> SimulationResult:
         """Build the trace/scheduler/engine and run the simulation."""
-        straggler = self.straggler_factory() if self.straggler_factory else None
         return run_simulation(
             _resolve_trace(self.trace),
             self.scheduler(),
             self.num_machines,
             seed=self.seed,
             machine_speed=self.machine_speed,
-            straggler_model=straggler,
             scenario=self.scenario,
             max_time=self.max_time,
         )
@@ -743,7 +737,6 @@ class ExperimentRunner:
         *,
         seeds: Sequence[int] = (0, 1, 2),
         machine_speed: float = 1.0,
-        straggler_model_factory: Optional[Callable[[], StragglerModel]] = None,
         scenario: Optional[ScenarioSpec] = None,
         max_time: Optional[float] = None,
     ) -> ReplicatedResult:
@@ -755,7 +748,6 @@ class ExperimentRunner:
             scheduler=scheduler_factory,
             num_machines=num_machines,
             machine_speed=machine_speed,
-            straggler_factory=straggler_model_factory,
             scenario=scenario,
             max_time=max_time,
         )
@@ -771,7 +763,6 @@ def sweep_specs(
     seeds: Sequence[int],
     *,
     machine_speed: float = 1.0,
-    straggler_model_factory: Optional[Callable[[], StragglerModel]] = None,
     scenario: Optional[ScenarioSpec] = None,
     max_time: Optional[float] = None,
 ) -> List[RunSpec]:
@@ -793,7 +784,6 @@ def sweep_specs(
                     num_machines=num_machines,
                     seed=seed,
                     machine_speed=machine_speed,
-                    straggler_factory=straggler_model_factory,
                     scenario=scenario,
                     max_time=max_time,
                     tag=tag,
@@ -809,7 +799,6 @@ def run_replications(
     *,
     seeds: Sequence[int] = (0, 1, 2),
     machine_speed: float = 1.0,
-    straggler_model_factory: Optional[Callable[[], StragglerModel]] = None,
     scenario: Optional[ScenarioSpec] = None,
     max_time: Optional[float] = None,
     workers: Optional[int] = 1,
@@ -819,10 +808,9 @@ def run_replications(
     A fresh scheduler instance is built per replication because schedulers
     carry state (priority queues, per-job bookkeeping) that must not leak
     between runs.  With ``workers > 1`` (or ``0``/``None`` for all CPUs)
-    the replications fan out over a process pool (``scheduler_factory`` and
-    ``straggler_model_factory`` must then be picklable -- use
-    :class:`SchedulerSpec` rather than a lambda); results are bit-identical
-    to ``workers=1`` for the same seeds.
+    the replications fan out over a process pool (``scheduler_factory`` must
+    then be picklable -- use :class:`SchedulerSpec` rather than a lambda);
+    results are bit-identical to ``workers=1`` for the same seeds.
     """
     return ExperimentRunner(workers=workers).run_replications(
         trace,
@@ -830,7 +818,6 @@ def run_replications(
         num_machines,
         seeds=seeds,
         machine_speed=machine_speed,
-        straggler_model_factory=straggler_model_factory,
         scenario=scenario,
         max_time=max_time,
     )

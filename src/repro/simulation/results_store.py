@@ -13,10 +13,10 @@ Keying
 :func:`run_spec_fingerprint` derives a SHA-256 key from a *canonical
 description* of the spec: every field that can influence the result --
 trace contents or recipe, scheduler class + kwargs, seed, cluster size and
-speed, scenario (including every nested process spec), straggler factory,
-max_time -- rendered with exact float round-tripping (``repr``), bypassing
-any class ``__repr__`` that rounds.  The ``tag`` field is *excluded*: it is
-a grouping label and does not affect execution.  Change any other field --
+speed, scenario (including every nested process spec), max_time --
+rendered with exact float round-tripping (``repr``), bypassing any class
+``__repr__`` that rounds.  The ``tag`` field is *excluded*: it is a
+grouping label and does not affect execution.  Change any other field --
 even a nested ``ScenarioSpec`` process parameter -- and the key changes;
 keep them identical and a sweep resumes from cache.
 
@@ -215,7 +215,8 @@ def canonical_spec_description(spec: "RunSpec") -> str:  # noqa: F821
         f"num_machines={_canon(spec.num_machines)}",
         f"seed={_canon(spec.seed)}",
         f"machine_speed={_canon(spec.machine_speed)}",
-        f"straggler_factory={_canon(spec.straggler_factory)}",
+        # A removed RunSpec field, kept as a constant so no stored key changes.
+        "straggler_factory=None",
         f"scenario={_canon(spec.scenario)}",
         f"max_time={_canon(spec.max_time)}",
     ]

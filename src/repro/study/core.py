@@ -48,6 +48,7 @@ engine zero times.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -709,6 +710,9 @@ class Study:
             )
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
+        for knob in ("scale", "epsilon", "r"):
+            if not math.isfinite(getattr(self, knob)):
+                raise ValueError(f"{knob} must be finite, got {getattr(self, knob)}")
         for axis in ("workload", "scenario", "scheduler"):
             labels = [
                 ref.label for ref in getattr(self, axis + "s")
@@ -747,6 +751,8 @@ class Study:
             values = tuple(coerce(value) for value in values)
             if not values:
                 raise ValueError(f"scalar axis {name!r} must not be empty")
+            if not all(math.isfinite(value) for value in values):
+                raise ValueError(f"scalar axis {name!r} values must be finite, got {values}")
             if len(set(values)) != len(values):
                 raise ValueError(f"scalar axis {name!r} has duplicate values")
             if name == "machine_fraction" and min(values) <= 0:

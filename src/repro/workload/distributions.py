@@ -118,10 +118,7 @@ class DurationDistribution(ABC):
         return self.std / self.mean
 
     def scaled(self, factor: float) -> "DurationDistribution":
-        """Return a distribution whose samples are multiplied by ``factor``.
-
-        Used by the straggler-injection models and by the trace scaler.
-        """
+        """Return a distribution whose samples are multiplied by ``factor``."""
         if factor <= 0:
             raise ValueError(f"scale factor must be positive, got {factor}")
         return _Scaled(self, factor)

@@ -14,6 +14,7 @@ from repro.schedulers import (
 )
 from repro.core.speedup import ParetoSpeedup
 from repro.policies.speculation import SpeculationEstimator
+from repro.scenarios import BimodalSpeeds, ScenarioSpec
 from repro.simulation import run_simulation
 from repro.workload.distributions import Deterministic, LogNormal
 from repro.workload.generators import bulk_arrival_trace
@@ -161,15 +162,15 @@ class TestMantri:
                     num_reduce_tasks=0, map_duration=short,
                     reduce_duration=short),
         ]
-        from repro.cluster.stragglers import SlowMachines
-
         scheduler = MantriScheduler(delta=0.25, tick_interval=2.0, min_samples=3)
         result = run_simulation(
             Trace(jobs),
             scheduler,
             num_machines=8,
             seed=1,
-            straggler_model=SlowMachines(fraction=0.25, factor=20.0),
+            scenario=ScenarioSpec(
+                speeds=BimodalSpeeds(slow_fraction=0.25, slow_speed=0.05)
+            ),
         )
         assert result.num_jobs == 1
         assert scheduler.speculative_copies_launched > 0

@@ -84,6 +84,12 @@ class TestScenarioFlags:
             self._scenario("--slowdown-rate", "1e-3", "--slowdown-factor", "0.5")
         with pytest.raises(SystemExit):
             self._scenario("--scenario", "failures", "--repair-time", "0")
+        with pytest.raises(SystemExit, match="invalid scenario flags: .*finite"):
+            self._scenario("--slowdown-rate", "0.05", "--slowdown-duration", "nan")
+
+    def test_non_finite_r_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="invalid arguments: r must be .*finite"):
+            main(["figure6", "--scale", "0.003", "--seeds", "0", "--r", "nan"])
 
     def test_scenario_sweep_allows_bare_repair_time(self):
         assert self._scenario(

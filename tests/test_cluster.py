@@ -1,4 +1,4 @@
-"""Unit tests for the cluster substrate: machines, occupancy state, stragglers."""
+"""Unit tests for the cluster substrate: machines and occupancy state."""
 
 from __future__ import annotations
 
@@ -6,12 +6,6 @@ import pytest
 
 from repro.cluster.machine import Machine
 from repro.cluster.state import ClusterState
-from repro.cluster.stragglers import (
-    NoStragglers,
-    ParetoTailInflation,
-    ProbabilisticSlowdown,
-    SlowMachines,
-)
 from repro.workload.distributions import Deterministic
 from repro.workload.job import Job, JobSpec, Phase, TaskCopy
 
@@ -227,57 +221,3 @@ class TestClusterFailureState:
         assert machine.effective_speed == 0.5
         machine.is_down = True
         assert machine.effective_speed == 0.0
-
-
-class TestStragglerModels:
-    def test_no_stragglers_identity(self, rng):
-        assert NoStragglers().inflate(10.0, 0, rng) == 10.0
-
-    def test_probabilistic_slowdown_always(self, rng):
-        model = ProbabilisticSlowdown(probability=1.0, factor=3.0)
-        assert model.inflate(10.0, 0, rng) == 30.0
-
-    def test_probabilistic_slowdown_never(self, rng):
-        model = ProbabilisticSlowdown(probability=0.0, factor=3.0)
-        assert model.inflate(10.0, 0, rng) == 10.0
-
-    def test_probabilistic_slowdown_validation(self):
-        with pytest.raises(ValueError):
-            ProbabilisticSlowdown(1.5, 2.0)
-        with pytest.raises(ValueError):
-            ProbabilisticSlowdown(0.5, 0.5)
-
-    def test_slow_machines_requires_prepare(self, rng):
-        model = SlowMachines(fraction=0.5, factor=2.0)
-        with pytest.raises(RuntimeError):
-            model.inflate(10.0, 0, rng)
-
-    def test_slow_machines_inflates_only_selected(self, rng):
-        model = SlowMachines(fraction=0.5, factor=2.0)
-        model.prepare(num_machines=10, rng=rng)
-        slow = model.slow_machines
-        assert len(slow) == 5
-        slow_id = next(iter(slow))
-        fast_id = next(m for m in range(10) if m not in slow)
-        assert model.inflate(10.0, slow_id, rng) == 20.0
-        assert model.inflate(10.0, fast_id, rng) == 10.0
-
-    def test_slow_machines_validation(self, rng):
-        with pytest.raises(ValueError):
-            SlowMachines(2.0, 2.0)
-        with pytest.raises(ValueError):
-            SlowMachines(0.5, 0.9)
-        with pytest.raises(ValueError):
-            SlowMachines(0.5, 2.0).prepare(0, rng)
-
-    def test_pareto_tail_inflation_bounds(self, rng):
-        model = ParetoTailInflation(alpha=1.1, cap=5.0)
-        values = [model.inflate(10.0, 0, rng) for _ in range(500)]
-        assert all(10.0 <= value <= 50.0 for value in values)
-        assert max(values) > 10.0
-
-    def test_pareto_tail_validation(self):
-        with pytest.raises(ValueError):
-            ParetoTailInflation(alpha=0.0)
-        with pytest.raises(ValueError):
-            ParetoTailInflation(alpha=1.0, cap=0.5)

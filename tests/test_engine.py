@@ -7,7 +7,7 @@ from typing import List, Sequence
 import numpy as np
 import pytest
 
-from repro.cluster.stragglers import DynamicStragglers, ProbabilisticSlowdown
+from repro.cluster.stragglers import DynamicStragglers
 from repro.experiments import ExperimentConfig
 from repro.policies.redundancy import PaperCloning
 from repro.scenarios import MachineFailures, ScenarioSpec, TopologySpec
@@ -297,12 +297,10 @@ class CheckpointedCloning(PaperCloning):
 
 FAILURES = ScenarioSpec(failures=MachineFailures(rate=2e-4, mean_repair=50.0))
 
-#: Per-copy branches of the launch path a clone-heavy run can take: an
-#: inflate hook drawing from the engine RNG between copies, failure kills
-#: and relaunches, a two-rack topology (placement and remote pricing), and
-#: checkpoint resumes on top of failures.
+#: Per-copy branches of the launch path a clone-heavy run can take: failure
+#: kills and relaunches, a two-rack topology (placement and remote pricing),
+#: and checkpoint resumes on top of failures.
 CLONE_BRANCHES = {
-    "inflate": dict(straggler_model=ProbabilisticSlowdown(0.3, 3.0)),
     "failures": dict(scenario=FAILURES),
     "two-racks": dict(
         scenario=ScenarioSpec(topology=TopologySpec(racks=2, remote_slowdown=2.0))
@@ -314,9 +312,6 @@ CLONE_BRANCHES = {
 #: refill draw per copy: they pin request-level launching to per-copy
 #: launching, bit for bit.
 CLONE_FINGERPRINTS = {
-    ("srpt+share+clone", "inflate"): (
-        "a499c5a69969fb9d5f3c8a7e2d17df885635cc2d32f6255adee56add268a0d79"
-    ),
     ("srpt+share+clone", "failures"): (
         "5d6ed8f3704f538ddb50a631bc3fef49e51ad648af029ff2d88c611aa11034cb"
     ),
@@ -325,9 +320,6 @@ CLONE_FINGERPRINTS = {
     ),
     ("srpt+share+clone", "checkpoint"): (
         "7f25f162c6c7216a624933bcf70f1cecfe492dcb52221a9f1847c6426514231e"
-    ),
-    ("srpt+greedy+clone", "inflate"): (
-        "4d96ec7007747a492bd0c1721a591abebc4a64465c820d713fad799a78c79455"
     ),
     ("srpt+greedy+clone", "failures"): (
         "1b932a741f55b2e3b9c0cd81fd26029ff33d8bb11a1df0ce2cd6f2cc56d7e6ae"
@@ -429,16 +421,6 @@ class TestRobustness:
 
 
 class TestStragglerInjection:
-    def test_slowdown_model_inflates_flowtime(self):
-        trace = single_job_trace(maps=1, reduces=0, map_d=10.0)
-        slow = SimulationEngine(
-            trace,
-            GreedyScheduler(),
-            num_machines=1,
-            straggler_model=ProbabilisticSlowdown(probability=1.0, factor=3.0),
-        ).run()
-        assert slow.records[0].flowtime == pytest.approx(30.0)
-
     def test_seed_changes_sampled_durations(self):
         trace = uniform_trace(4, tasks_per_job=3, reduce_tasks_per_job=1,
                               mean_duration=10.0, cv=0.5)

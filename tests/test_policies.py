@@ -34,7 +34,7 @@ from repro.policies import (
     parse_composition,
     schedulable_jobs,
 )
-from repro.scenarios import scenario_preset
+from repro.scenarios import BimodalSpeeds, ScenarioSpec, scenario_preset
 from repro.schedulers import (
     FairScheduler,
     FIFOScheduler,
@@ -202,15 +202,15 @@ class TestRedundantCopiesCounter:
                 )
             ]
         )
-        from repro.cluster.stragglers import SlowMachines
-
         scheduler = MantriScheduler(delta=0.25, tick_interval=2.0, min_samples=3)
         result = run_simulation(
             trace,
             scheduler,
             num_machines=8,
             seed=1,
-            straggler_model=SlowMachines(fraction=0.25, factor=20.0),
+            scenario=ScenarioSpec(
+                speeds=BimodalSpeeds(slow_fraction=0.25, slow_speed=0.05)
+            ),
         )
         assert result.redundant_copies_launched > 0
         assert (

@@ -13,6 +13,7 @@ from repro.scenarios import (
     BimodalSpeeds,
     MachineFailures,
     ScenarioSpec,
+    TopologySpec,
     UniformSpeeds,
 )
 from repro.schedulers.fifo import FIFOScheduler
@@ -126,6 +127,50 @@ class TestFingerprint:
         spec = make_spec(scheduler=lambda: FIFOScheduler())
         with pytest.raises(UncacheableSpecError):
             run_spec_fingerprint(spec)
+
+    def test_canonical_description_text_is_pinned(self):
+        """Every key line of a fully populated spec, byte for byte: field
+        order, float rendering and the constant ``straggler_factory=None``
+        line cannot drift without rotating every stored key."""
+        spec = make_spec(
+            machine_speed=1.5,
+            max_time=1e6,
+            scenario=ScenarioSpec(
+                speeds=BimodalSpeeds(slow_fraction=0.25, slow_speed=0.25),
+                normalize_mean_speed=True,
+                stragglers=DynamicStragglers(
+                    onset_rate=1e-3, mean_duration=200.0, factor=4.0
+                ),
+                failures=MachineFailures(rate=5e-5, mean_repair=300.0),
+                topology=TopologySpec(racks=2, remote_slowdown=2.0),
+            ),
+        )
+        assert canonical_spec_description(spec).splitlines() == [
+            "format=4",
+            "trace=repro.simulation.experiment_runner.TraceSpec("
+            "factory=function:repro.workload.generators.poisson_trace, "
+            "kwargs={'arrival_rate': 1.0, 'num_jobs': 40, 'seed': 5})",
+            "scheduler=repro.simulation.experiment_runner.SchedulerSpec("
+            "scheduler_cls=class:repro.core.srptms_c.SRPTMSCScheduler, "
+            "kwargs={'epsilon': 0.6, 'r': 3.0})",
+            "num_machines=16",
+            "seed=7",
+            "machine_speed=1.5",
+            "straggler_factory=None",
+            "scenario=repro.scenarios.ScenarioSpec("
+            "speeds=repro.scenarios.BimodalSpeeds("
+            "slow_fraction=0.25, slow_speed=0.25, fast_speed=1.0), "
+            "normalize_mean_speed=True, "
+            "stragglers=repro.cluster.stragglers.DynamicStragglers("
+            "onset_rate=0.001, mean_duration=200.0, factor=4.0), "
+            "failures=repro.scenarios.MachineFailures("
+            "rate=5e-05, mean_repair=300.0, fixed_repair=False), "
+            "topology=repro.scenarios.TopologySpec(racks=2, remote_slowdown=2.0))",
+            "max_time=1000000.0",
+        ]
+        assert run_spec_fingerprint(spec) == (
+            "c3b19325574d86ec0d02a4170ed41b2520f9982737a90097cd31449ab1810b41"
+        )
 
 
 class TestResultsStore:

@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from repro.scenarios import UniformSpeeds, scenario_preset
+from repro.cluster.stragglers import DynamicStragglers
+from repro.policies.allocation import DelayScheduling
+from repro.policies.ordering import SRPTOrdering
+from repro.scenarios import (
+    BimodalSpeeds,
+    MachineFailures,
+    TopologySpec,
+    UniformSpeeds,
+    ZipfSpeeds,
+    scenario_preset,
+)
 from repro.simulation.experiment_runner import ExperimentRunner
 from repro.study import (
     ResultSet,
@@ -127,6 +138,30 @@ class TestStudyConstruction:
             pytest.param(
                 {"racks": 2.5}, "racks must be a positive integer", id="fractional-racks"
             ),
+            pytest.param(
+                {"failure_rate": math.inf}, "failure rate must be positive and finite",
+                id="inf-failure-rate",
+            ),
+            pytest.param(
+                {"failure_rate": 1e-4, "mean_repair": math.nan},
+                "mean_repair must be positive and finite",
+                id="nan-mean-repair",
+            ),
+            pytest.param(
+                {"slowdown_rate": 0.05, "slowdown_duration": math.nan},
+                "mean_duration must be positive and finite",
+                id="nan-slowdown-duration",
+            ),
+            pytest.param(
+                {"slowdown_rate": 0.05, "slowdown_factor": math.nan},
+                "slowdown factor must exceed 1 and be finite",
+                id="nan-slowdown-factor",
+            ),
+            pytest.param(
+                {"racks": 2, "remote_slowdown": math.nan},
+                "remote_slowdown must be >= 1.0 and finite",
+                id="nan-remote-slowdown",
+            ),
         ],
     )
     def test_scenario_invalid_knob_rejected(self, knobs, message):
@@ -136,6 +171,64 @@ class TestStudyConstruction:
             {"study": {"name": "bad", "scale": 0.002, "scenarios": [knobs]}}
         )
         with pytest.raises(StudySpecError, match=message):
+            study_from_json(spec)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: MachineFailures(rate=math.inf, mean_repair=300.0),
+                         id="inf-failure-rate"),
+            pytest.param(lambda: MachineFailures(rate=1e-4, mean_repair=math.nan),
+                         id="nan-mean-repair"),
+            pytest.param(lambda: MachineFailures(rate=1e-4, mean_repair=math.inf),
+                         id="inf-mean-repair"),
+            pytest.param(lambda: DynamicStragglers(math.nan, 200.0, 4.0),
+                         id="nan-onset-rate"),
+            pytest.param(lambda: DynamicStragglers(math.inf, 200.0, 4.0),
+                         id="inf-onset-rate"),
+            pytest.param(lambda: DynamicStragglers(0.05, math.nan, 4.0),
+                         id="nan-slowdown-duration"),
+            pytest.param(lambda: DynamicStragglers(0.05, math.inf, 4.0),
+                         id="inf-slowdown-duration"),
+            pytest.param(lambda: DynamicStragglers(0.05, 200.0, math.nan),
+                         id="nan-slowdown-factor"),
+            pytest.param(lambda: DynamicStragglers(0.05, 200.0, math.inf),
+                         id="inf-slowdown-factor"),
+            pytest.param(lambda: TopologySpec(racks=2, remote_slowdown=math.nan),
+                         id="nan-remote-slowdown"),
+            pytest.param(lambda: TopologySpec(racks=2, remote_slowdown=math.inf),
+                         id="inf-remote-slowdown"),
+            pytest.param(lambda: UniformSpeeds(math.nan, 1.5), id="nan-uniform-low"),
+            pytest.param(lambda: UniformSpeeds(0.5, math.nan), id="nan-uniform-high"),
+            pytest.param(lambda: UniformSpeeds(0.5, math.inf), id="inf-uniform-high"),
+            pytest.param(lambda: BimodalSpeeds(slow_speed=math.nan), id="nan-slow-speed"),
+            pytest.param(lambda: BimodalSpeeds(fast_speed=math.nan), id="nan-fast-speed"),
+            pytest.param(lambda: BimodalSpeeds(fast_speed=math.inf), id="inf-fast-speed"),
+            pytest.param(lambda: ZipfSpeeds(alpha=math.nan), id="nan-zipf-alpha"),
+            pytest.param(lambda: ZipfSpeeds(alpha=math.inf), id="inf-zipf-alpha"),
+            pytest.param(lambda: SRPTOrdering(r=math.nan), id="nan-r"),
+            pytest.param(lambda: SRPTOrdering(r=math.inf), id="inf-r"),
+            pytest.param(lambda: DelayScheduling(locality_wait=math.nan),
+                         id="nan-locality-wait"),
+            pytest.param(lambda: DelayScheduling(locality_wait=math.inf),
+                         id="inf-locality-wait"),
+        ],
+    )
+    def test_non_finite_knob_rejected_at_construction(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+    @pytest.mark.parametrize(
+        "study",
+        [
+            pytest.param({"r": math.nan}, id="nan-r"),
+            pytest.param({"epsilon": math.inf}, id="inf-epsilon"),
+            pytest.param({"axes": {"r": [1.0, math.nan]}}, id="nan-r-axis"),
+        ],
+    )
+    def test_non_finite_study_scalar_rejected(self, study):
+        spec = json.dumps({"study": {"name": "bad", "scale": 0.002, **study}})
+        with pytest.raises(StudySpecError, match="finite"):
             study_from_json(spec)
 
 
