@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.speedup import ParetoSpeedup, SpeedupFunction
 from repro.policies.speculation import SpeculationEstimator
 from repro.simulation.scheduler_api import LaunchRequest, SchedulerView
-from repro.workload.job import Job, Phase, Task, TaskCopy
+from repro.workload.job import Job, Phase, Task
 
 __all__ = [
     "RedundancyPolicy",
@@ -416,6 +416,26 @@ class SCACloning(RedundancyPolicy):
         return requests
 
 
+def _linear_percentile(values: Sequence[float], q: float) -> float:
+    """``np.percentile(values, q)`` (linear method) bit for bit, minus numpy's call cost.
+
+    numpy's own float arithmetic: the virtual index ``(n - 1) * (q / 100)``
+    into the sorted values, and its two-branch interpolation.
+    """
+    ordered = sorted(values)
+    top = len(ordered) - 1
+    virtual = top * (q / 100)
+    if virtual >= top:
+        return ordered[top]
+    below = int(virtual)
+    t = virtual - below
+    a = ordered[below]
+    b = ordered[below + 1]
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
+
+
 class LATESpeculation(RedundancyPolicy):
     """LATE (Longest Approximate Time to End) speculative execution [28].
 
@@ -424,9 +444,12 @@ class LATESpeculation(RedundancyPolicy):
     * speculate only on attempts whose *progress rate* falls below the
       ``slow_task_percentile`` of currently running attempts;
     * among those, duplicate the attempts with the *longest* estimated time
-      to end first;
+      to end first (ties by job arrival, stage, task index, launch order);
     * never exceed ``speculative_cap`` (a fraction of the cluster)
-      concurrent speculative copies, and at most one duplicate per task.
+      speculative copies per decision point, and at most one duplicate per
+      task.
+
+    It reads no finished-copy durations, so it takes no completion hook.
     """
 
     name = "late"
@@ -456,59 +479,36 @@ class LATESpeculation(RedundancyPolicy):
             min_progress=min_progress, min_elapsed=min_elapsed, min_samples=1
         )
 
-    def on_task_completion(self, task: Task, time: float) -> None:
-        """Feed the finished task's duration into the time-left estimator."""
-        self.estimator.record_completion(task, time)
-
-    def _progress_rates(self, view: SchedulerView) -> Dict[int, float]:
-        """Progress per unit time of every estimable running copy."""
-        rates: Dict[int, float] = {}
-        for copy in view.running_copies():
-            elapsed = view.copy_elapsed(copy)
-            if elapsed < self.estimator.min_elapsed:
-                continue
-            rates[id(copy)] = view.copy_progress(copy) / elapsed
-        return rates
-
     def _speculate(self, view: SchedulerView, free: int) -> List[LaunchRequest]:
         if free <= 0:
             return []
-        cap = int(self.speculative_cap * view.num_machines)
-        budget = min(free, cap)
+        budget = min(free, int(self.speculative_cap * view.num_machines))
         if budget <= 0:
             return []
-        rates = self._progress_rates(view)
-        if not rates:
+        estimates = self.estimator.estimate(view)
+        if not estimates:
             return []
-        threshold = float(
-            np.percentile(list(rates.values()), self.slow_task_percentile)
+        threshold = _linear_percentile(
+            [entry[0] for entry in estimates], self.slow_task_percentile
         )
         candidates: List[tuple] = []
-        for copy in view.running_copies():
-            key = id(copy)
-            if key not in rates or rates[key] > threshold:
+        for rate, time_left, _, copy in estimates:
+            if time_left is None or rate > threshold:
                 continue
             task = copy.task
+            # A one-copy task is listed once: no duplicate set is needed.
             if task.num_active_copies >= 2:
                 continue
-            time_left = self.estimator.remaining_time(view, copy)
-            if time_left is None:
-                continue
-            candidates.append((-time_left, copy))
-        candidates.sort(key=lambda item: item[0])
-
-        requests: List[LaunchRequest] = []
-        duplicated = set()
-        for _, copy in candidates:
-            if budget <= 0:
-                break
-            task = copy.task
-            if id(task) in duplicated:
-                continue
-            requests.append(LaunchRequest(task=task, num_copies=1))
-            duplicated.add(id(task))
-            self.copies_launched += 1
-            budget -= 1
+            candidates.append(
+                (-time_left, task.job.arrival_index, task.stage, task.index,
+                 copy.copy_id, task)
+            )
+        candidates.sort()
+        requests = [
+            LaunchRequest(task=entry[-1], num_copies=1)
+            for entry in candidates[:budget]
+        ]
+        self.copies_launched += len(requests)
         return requests
 
     def finalize(
@@ -531,7 +531,7 @@ class MantriSpeculation(RedundancyPolicy):
     For every running attempt Mantri tracks a progress score and estimates
     the remaining time ``t_rem`` by progress-rate extrapolation, and the
     duration ``t_new`` of a restarted copy from the empirical durations of
-    finished copies of the same job phase; a duplicate is launched when
+    finished copies of the same job stage; a duplicate is launched when
     ``P(t_rem > 2 * t_new) > delta``, the paper's inequality, with at most
     ``max_copies_per_task`` simultaneous attempts per task.  Pending
     (never-yet-launched) tasks always take priority over speculative
@@ -570,31 +570,30 @@ class MantriSpeculation(RedundancyPolicy):
         """Feed the finished task's duration into the t_new estimator."""
         self.estimator.record_completion(task, time)
 
-    def _speculation_candidates(self, view: SchedulerView) -> List[TaskCopy]:
-        """Running copies eligible for a duplicate, worst straggler first."""
-        scored: List[tuple] = []
-        for copy in view.running_copies():
-            task = copy.task
-            if task.num_active_copies >= self.max_copies_per_task:
-                continue
-            probability = self.estimator.straggler_probability(view, copy)
-            if probability is None or probability <= self.delta:
-                continue
-            t_rem = self.estimator.remaining_time(view, copy)
-            scored.append((-(t_rem or 0.0), copy))
-        scored.sort(key=lambda item: item[0])
-        return [copy for _, copy in scored]
-
     def _speculate(self, view: SchedulerView, free: int) -> List[LaunchRequest]:
-        """Spend up to ``free`` machines on duplicates of detected stragglers."""
+        """Spend up to ``free`` machines on duplicates, longest time left first."""
         if free <= 0:
             return []
+        delta = self.delta
+        max_copies = self.max_copies_per_task
+        scored: List[tuple] = []
+        for _, time_left, probability, copy in self.estimator.estimate(view):
+            if probability is None or probability <= delta:
+                continue
+            task = copy.task
+            if task.num_active_copies >= max_copies:
+                continue
+            scored.append(
+                (-time_left, task.job.arrival_index, task.stage, task.index,
+                 copy.copy_id, task)
+            )
+        scored.sort()
         requests: List[LaunchRequest] = []
         duplicated = set()
-        for copy in self._speculation_candidates(view):
+        for entry in scored:
             if free <= 0:
                 break
-            task = copy.task
+            task = entry[-1]
             if id(task) in duplicated:
                 continue
             requests.append(LaunchRequest(task=task, num_copies=1))

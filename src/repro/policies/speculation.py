@@ -1,7 +1,7 @@
 """Progress-based straggler estimation shared by the speculation policies.
 
-:class:`SpeculationEstimator` estimates a running copy's remaining time
-(``t_rem``) and the duration of a fresh copy (``t_new``) purely from
+:class:`SpeculationEstimator` estimates a running copy's progress rate,
+remaining time (``t_rem``) and straggler probability purely from
 observable signals (progress scores and the durations of already finished
 copies), never from the simulator's hidden workloads.  It sits beside the
 redundancy policies that consume it (Mantri and LATE speculation).
@@ -9,19 +9,24 @@ redundancy policies that consume it (Mantri and LATE speculation).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.simulation.scheduler_api import SchedulerView
-from repro.workload.job import Job, Phase, Task, TaskCopy
+from repro.workload.job import Job, Task, TaskCopy
 
 __all__ = ["SpeculationEstimator"]
+
+#: One :meth:`SpeculationEstimator.estimate` entry (see there).
+Estimate = Tuple[float, Optional[float], Optional[float], TaskCopy]
 
 
 class SpeculationEstimator:
     """Progress-based straggler estimation shared by Mantri and LATE.
+
+    Duration samples are kept per ``(job, stage)``, so on a stage DAG a
+    copy is only ever compared with finished copies of its own stage.
 
     Parameters
     ----------
@@ -31,15 +36,16 @@ class SpeculationEstimator:
         wildly noisy in practice, so both Mantri and LATE wait).
     min_elapsed:
         Minimum processing time a copy must have consumed before being a
-        speculation candidate.
+        speculation candidate.  A copy with no processing time at all has
+        no progress rate and is never estimated, even at ``0``.
     min_samples:
-        Minimum number of finished copies of the same job phase needed to
-        estimate ``t_new``; this is exactly the "detection needs to wait for
-        enough samples" limitation of detection-based schemes that the paper
-        points out for small jobs.
+        Minimum number of finished copies of the same job stage needed to
+        estimate the straggler probability; this is exactly the "detection
+        needs to wait for enough samples" limitation of detection-based
+        schemes that the paper points out for small jobs.
     """
 
-    #: Maximum duration samples retained per (job, phase); older samples are
+    #: Maximum duration samples retained per (job, stage); older samples are
     #: discarded, which both bounds memory and keeps estimates recent.
     max_samples: int = 64
 
@@ -58,78 +64,84 @@ class SpeculationEstimator:
         self.min_progress = min_progress
         self.min_elapsed = min_elapsed
         self.min_samples = min_samples
-        self._samples: Dict[tuple, deque] = {}
+        # Job id -> per stage: None, or (durations oldest first, the same
+        # doubled and sorted, so one bisection counts ``2 d < t_rem``).
+        self._samples: Dict[int, List[Optional[Tuple[Deque[float], List[float]]]]] = {}
 
     def record_completion(self, task: Task, time: float) -> None:
         """Record the duration of the copy that completed ``task``.
 
         Schedulers call this from their ``on_task_completion`` hook so that
-        ``t_new`` estimation is an O(1) lookup instead of a rescan of the
+        the straggler probability is a lookup instead of a rescan of the
         job's copies at every decision point.
         """
         winner = next((c for c in task.copies if c.is_finished), None)
         if winner is None or winner.start_time is None:
             return
-        key = (task.job.job_id, task.phase)
-        bucket = self._samples.setdefault(key, deque(maxlen=self.max_samples))
-        bucket.append(winner.finish_time - winner.start_time)
+        job = task.job
+        stages = self._samples.get(job.job_id)
+        if stages is None:
+            stages = self._samples[job.job_id] = [None] * job.num_stages
+        entry = stages[task.stage]
+        if entry is None:
+            entry = stages[task.stage] = (deque(), [])
+        recent, doubled = entry
+        if len(recent) == self.max_samples:
+            doubled.remove(2.0 * recent.popleft())
+        duration = winner.finish_time - winner.start_time
+        recent.append(duration)
+        insort(doubled, 2.0 * duration)
 
-    def recorded_durations(self, job: Job, phase: Phase) -> List[float]:
-        """Durations recorded via :meth:`record_completion` for ``job``/``phase``."""
-        return list(self._samples.get((job.job_id, phase), ()))
+    def recorded_durations(self, job: Job, stage: int) -> List[float]:
+        """The last :attr:`max_samples` durations recorded for ``job``/``stage``."""
+        stages = self._samples.get(job.job_id)
+        entry = None if stages is None else stages[stage]
+        return [] if entry is None else list(entry[0])
 
-    def remaining_time(self, view: SchedulerView, copy: TaskCopy) -> Optional[float]:
-        """``t_rem``: estimated remaining processing time of a running copy.
+    def estimate(self, view: SchedulerView) -> List[Estimate]:
+        """``(rate, time_left, probability, copy)`` per running copy, machine order.
 
-        Uses the standard progress-rate extrapolation
-        ``t_rem = elapsed * (1 - progress) / progress``.  Returns ``None``
-        when the copy has not yet produced a usable progress signal.
+        One pass per decision point.  A copy gets an entry once its elapsed
+        time is positive and at least ``min_elapsed`` (parked and just
+        started copies have no progress rate).  ``progress = min(1,
+        elapsed / workload)`` is the score a MapReduce framework reports;
+        ``rate = progress / elapsed``; ``time_left = elapsed * (1 -
+        progress) / progress`` (``t_rem``), ``None`` below ``min_progress``.
+        ``probability`` is Mantri's ``P(t_rem > 2 * t_new)`` with ``t_new``
+        drawn from the copy's ``(job, stage)`` samples, i.e. the fraction
+        of samples ``d`` with ``2 d < t_rem``; ``None`` without a
+        ``time_left`` or before ``min_samples`` samples.
         """
-        if not copy.is_active or copy.is_blocked:
-            return None
-        elapsed = view.copy_elapsed(copy)
-        progress = view.copy_progress(copy)
-        if elapsed < self.min_elapsed or progress < self.min_progress:
-            return None
-        return elapsed * (1.0 - progress) / progress
+        now = view.time
+        min_elapsed = self.min_elapsed
+        min_progress = self.min_progress
+        min_samples = self.min_samples
+        samples = self._samples
+        estimates: List[Estimate] = []
+        append = estimates.append
+        for copy in view.running_copies():
+            start = copy.start_time
+            if start is None:
+                continue
+            elapsed = now - start
+            if elapsed < min_elapsed or elapsed == 0.0:
+                continue
+            progress = elapsed / copy.workload
+            if progress > 1.0:
+                progress = 1.0
+            time_left = probability = None
+            if progress >= min_progress:
+                time_left = elapsed * (1.0 - progress) / progress
+                if samples:
+                    task = copy.task
+                    stages = samples.get(task.job.spec.job_id)
+                    if stages is not None:
+                        entry = stages[task.stage]
+                        if entry is not None:
+                            doubled = entry[1]
+                            count = len(doubled)
+                            if count >= min_samples:
+                                probability = bisect_left(doubled, time_left) / count
+            append((progress / elapsed, time_left, probability, copy))
+        return estimates
 
-    def observed_durations(self, job: Job, phase: Phase) -> List[float]:
-        """Durations of already-finished copies of ``job``/``phase``.
-
-        Prefers the samples recorded through :meth:`record_completion`.
-        """
-        return self.recorded_durations(job, phase)
-
-    def new_copy_estimate(self, job: Job, phase: Phase) -> Optional[float]:
-        """``t_new``: expected duration of a relaunched copy.
-
-        The median of observed durations of the same job phase; ``None``
-        until ``min_samples`` copies have finished.
-        """
-        durations = self.observed_durations(job, phase)
-        if len(durations) < self.min_samples:
-            return None
-        return float(np.median(durations))
-
-    def straggler_probability(
-        self, view: SchedulerView, copy: TaskCopy
-    ) -> Optional[float]:
-        """Mantri's ``P(t_rem > 2 * t_new)`` estimated from observed samples.
-
-        ``t_new`` is treated as a random draw from the empirical duration
-        distribution of finished copies of the same job phase; the
-        probability is the fraction of those samples ``d`` with
-        ``2 d < t_rem``.  Returns ``None`` when either quantity cannot be
-        estimated yet.
-        """
-        t_rem = self.remaining_time(view, copy)
-        if t_rem is None:
-            return None
-        durations = self._samples.get((copy.task.job.job_id, copy.task.phase))
-        if durations is None or len(durations) < self.min_samples:
-            return None
-        # Pure-Python loop: the sample buffer is tiny (<= max_samples) and
-        # this runs for every running copy at every tick, so numpy overhead
-        # would dominate.
-        hits = sum(1 for duration in durations if 2.0 * duration < t_rem)
-        return hits / len(durations)

@@ -647,6 +647,7 @@ class SimulationEngine:
                 "the first job with that id is still alive"
             )
         alive[job_id] = job
+        job.arrival_index = self._arrived
         self._arrived += 1
         if self._accumulate_tasks:
             self.result.total_tasks += spec.num_map_tasks + spec.num_reduce_tasks

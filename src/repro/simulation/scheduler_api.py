@@ -2,9 +2,8 @@
 
 A scheduler never mutates simulation state directly.  It observes the
 cluster through a :class:`SchedulerView` (time, free machines, alive jobs,
-progress of running copies, observed durations of completed copies) and
-returns a list of :class:`LaunchRequest` objects; the engine places the
-requested copies on free machines.
+running copies) and returns a list of :class:`LaunchRequest` objects; the
+engine places the requested copies on free machines.
 
 The view deliberately does *not* expose the sampled workload of running
 copies: like a real cluster, a scheduler can observe progress and history,
@@ -16,7 +15,7 @@ assumption that only the first and second moments are known a priori.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.workload.job import Job, Phase, Task, TaskCopy
 
@@ -159,39 +158,17 @@ class SchedulerView:
 
     # -- running copies (for progress-monitoring schedulers) ------------------------
 
-    def running_copies(self) -> Iterator[TaskCopy]:
-        """All copies currently occupying machines (including blocked ones)."""
-        for job in self._engine.alive_jobs():
-            for task in job.all_tasks():
-                for copy in task.copies:
-                    if copy.is_active:
-                        yield copy
+    def running_copies(self) -> List[TaskCopy]:
+        """All copies occupying machines (blocked ones too), in machine order.
 
-    def copy_elapsed(self, copy: TaskCopy) -> float:
-        """Processing time ``copy`` has consumed so far."""
-        return copy.elapsed(self.time)
-
-    def copy_progress(self, copy: TaskCopy) -> float:
-        """Progress fraction of ``copy`` in ``[0, 1]``.
-
-        This models the progress score a MapReduce framework reports for
-        every running attempt (fraction of input records processed); it is
-        what detection-based schedulers such as Mantri and LATE consume.
+        Policies that break exact ties in job order sort by ``(job.arrival_index,
+        task.stage, task.index, copy.copy_id)``.
         """
-        return copy.progress(self.time)
-
-    def observed_durations(self, job: Job, phase: Phase) -> List[float]:
-        """Durations of copies of ``job``/``phase`` that ran to completion.
-
-        This is the sample history a detection-based scheduler (Mantri, LATE)
-        uses to estimate the expected duration of a relaunched copy.
-        """
-        durations: List[float] = []
-        for task in job.tasks(phase):
-            for copy in task.copies:
-                if copy.is_finished and copy.start_time is not None:
-                    durations.append(copy.finish_time - copy.start_time)
-        return durations
+        return [
+            copy
+            for machine in self._engine.cluster._machines
+            if (copy := machine.current_copy) is not None
+        ]
 
 
 class Scheduler(ABC):

@@ -67,8 +67,8 @@ class Phase(enum.Enum):
 
     With the stage-DAG generalisation, stage 0 presents as ``MAP`` and
     every later stage as ``REDUCE`` (see :attr:`Task.phase`), so per-phase
-    consumers -- cluster occupancy counters, speculation estimators --
-    keep working unchanged on arbitrary DAGs.
+    consumers -- cluster occupancy counters, report slices -- keep working
+    unchanged on arbitrary DAGs.
     """
 
     MAP = "map"
@@ -642,9 +642,9 @@ class Task:
     def phase(self) -> Phase:
         """Two-phase summary view: stage 0 is ``MAP``, every later stage ``REDUCE``.
 
-        Keeps per-phase consumers (cluster occupancy counters, speculation
-        estimators, report slices) working unchanged on DAG jobs; for the
-        canonical 2-node DAG this is exactly the legacy phase.
+        Keeps per-phase consumers (cluster occupancy counters, report
+        slices) working unchanged on DAG jobs; for the canonical 2-node DAG
+        this is exactly the legacy phase.
         """
         return Phase.MAP if self.stage == 0 else Phase.REDUCE
 
@@ -753,10 +753,14 @@ class Job:
     maintained incrementally by the task / copy state transitions, making
     every priority and allocation query O(1) per job (see the module
     docstring for the invariant).
+
+    ``arrival_index`` (the job's 0-based position in arrival order) is
+    stamped by the engine at arrival.
     """
 
     __slots__ = (
         "spec",
+        "arrival_index",
         "stage_tasks",
         "completion_time",
         "_stages",
@@ -992,12 +996,6 @@ class Job:
         for tasks in self.stage_tasks[1:]:
             result.extend(tasks)
         return result
-
-    def tasks(self, phase: Phase) -> List[Task]:
-        """The task list of one phase (summary view for DAG jobs)."""
-        if phase is Phase.MAP:
-            return self.stage_tasks[0]
-        return self.reduce_tasks
 
     def all_tasks(self) -> Iterator[Task]:
         """Iterate over every task in stage order."""

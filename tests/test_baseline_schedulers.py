@@ -13,12 +13,18 @@ from repro.schedulers import (
     SRPTScheduler,
 )
 from repro.core.speedup import ParetoSpeedup
+from repro.policies.redundancy import LATESpeculation
 from repro.policies.speculation import SpeculationEstimator
 from repro.scenarios import BimodalSpeeds, ScenarioSpec
 from repro.simulation import run_simulation
+from repro.simulation.scheduler_api import (
+    ComposedScheduler,
+    LaunchRequest,
+    Scheduler,
+)
 from repro.workload.distributions import Deterministic, LogNormal
 from repro.workload.generators import bulk_arrival_trace
-from repro.workload.job import JobSpec, Phase
+from repro.workload.job import JobSpec, Phase, StageSpec, TaskCopy
 from repro.workload.trace import Trace
 
 
@@ -101,38 +107,119 @@ class TestSRPT:
             SRPTScheduler(r=-2.0)
 
 
+class _StubView:
+    """The two view members the estimator reads: the clock and the copies."""
+
+    def __init__(self, time, copies):
+        self.time = time
+        self._copies = copies
+
+    def running_copies(self):
+        return list(self._copies)
+
+
+def _finished_copy(task, copy_id, start, duration):
+    copy = TaskCopy(copy_id, task, machine_id=copy_id, launch_time=start,
+                    workload=duration, start_time=start)
+    task.add_copy(copy)
+    copy.finish(start + duration)
+    return copy
+
+
 class TestSpeculationEstimator:
     def test_remaining_time_extrapolates_progress(self):
         from repro.simulation.engine import SimulationEngine
-        from repro.core.srptms_c import SRPTMSCScheduler
 
         estimator = SpeculationEstimator(min_progress=0.05, min_elapsed=0.0,
                                          min_samples=1)
-        # Build a view via a tiny engine so copy_progress works end to end.
+
+        class Probe(Scheduler):
+            """Launches every pending map task; records estimates per tick."""
+
+            tick_interval = 4.0
+
+            def __init__(self):
+                self.seen = []
+
+            def schedule(self, view):
+                self.seen.append((view.time, estimator.estimate(view)))
+                return [LaunchRequest(task) for job in view.alive_jobs
+                        for task in job.unscheduled_tasks(Phase.MAP)]
+
         spec = JobSpec(job_id=0, arrival_time=0.0, weight=1.0, num_map_tasks=1,
                        num_reduce_tasks=0, map_duration=Deterministic(10.0),
                        reduce_duration=Deterministic(10.0))
-        engine = SimulationEngine(Trace([spec]),
-                                  SRPTMSCScheduler(cloning_enabled=False),
-                                  num_machines=1)
+        probe = Probe()
+        engine = SimulationEngine(Trace([spec]), probe, num_machines=1)
         engine.run()
-        # After the run the copy is finished; remaining time is None.
         copy = engine._jobs[0].map_tasks[0].copies[0]
-        view = engine._view
-        assert estimator.remaining_time(view, copy) is None
+        # Launched at t=0 (nothing running yet), ticks at 4 and 8, done at 10.
+        assert [time for time, _ in probe.seen] == [0.0, 4.0, 8.0]
+        assert probe.seen[0][1] == []
+        for time, estimates in probe.seen[1:]:
+            [(rate, time_left, probability, estimated)] = estimates
+            assert estimated is copy
+            assert rate == pytest.approx(0.1)
+            assert time_left == pytest.approx(10.0 - time)
+            assert probability is None  # no sample was ever recorded
+        # After the run nothing is running, so nothing is estimated.
+        assert estimator.estimate(engine._view) == []
 
     def test_straggler_probability_requires_samples(self):
-        estimator = SpeculationEstimator(min_samples=3)
-        assert estimator.new_copy_estimate.__doc__  # sanity: API present
-        # With no recorded samples the estimate must be None.
-        spec = JobSpec(job_id=0, arrival_time=0.0, weight=1.0, num_map_tasks=1,
-                       num_reduce_tasks=0, map_duration=Deterministic(10.0),
-                       reduce_duration=Deterministic(10.0))
         from repro.workload.job import Job
 
+        estimator = SpeculationEstimator(min_samples=3)
+        spec = JobSpec(job_id=0, arrival_time=0.0, weight=1.0, num_map_tasks=4,
+                       num_reduce_tasks=0, map_duration=Deterministic(10.0),
+                       reduce_duration=Deterministic(10.0))
         job = Job.from_spec(spec)
-        assert estimator.new_copy_estimate(job, Phase.MAP) is None
-        assert estimator.recorded_durations(job, Phase.MAP) == []
+        tasks = job.map_tasks
+        running = TaskCopy(9, tasks[3], machine_id=9, launch_time=0.0,
+                           workload=20.0, start_time=0.0)
+        tasks[3].add_copy(running)
+        # elapsed 5 of 20: progress 0.25, time left 5 * 0.75 / 0.25 = 15.
+        view = _StubView(5.0, [running])
+        assert estimator.recorded_durations(job, 0) == []
+        for index, duration in enumerate((4.0, 10.0)):
+            _finished_copy(tasks[index], index, 0.0, duration)
+            estimator.record_completion(tasks[index], duration)
+        [(_, time_left, probability, _)] = estimator.estimate(view)
+        assert time_left == 15.0
+        assert probability is None  # 2 < min_samples
+        _finished_copy(tasks[2], 2, 0.0, 8.0)
+        estimator.record_completion(tasks[2], 8.0)
+        [(_, time_left, probability, _)] = estimator.estimate(view)
+        # Samples d with 2 d < 15: only the 4 s one.
+        assert probability == pytest.approx(1 / 3)
+        assert estimator.recorded_durations(job, 0) == [4.0, 10.0, 8.0]
+        assert estimator.recorded_durations(job, 1) == []
+
+    def test_sample_window_keeps_the_most_recent_durations(self):
+        from repro.workload.job import Job
+
+        estimator = SpeculationEstimator(min_samples=1)
+        cap = estimator.max_samples
+        spec = JobSpec(job_id=0, arrival_time=0.0, weight=1.0,
+                       num_map_tasks=cap + 11, num_reduce_tasks=0,
+                       map_duration=Deterministic(10.0),
+                       reduce_duration=Deterministic(10.0))
+        job = Job.from_spec(spec)
+        *done, last = job.map_tasks
+        durations = [float((7 * i) % 23 + 1) for i in range(len(done))]
+        for index, (task, duration) in enumerate(zip(done, durations)):
+            _finished_copy(task, index, 0.0, duration)
+            estimator.record_completion(task, duration)
+        kept = durations[-cap:]
+        assert estimator.recorded_durations(job, 0) == kept
+        running = TaskCopy(999, last, machine_id=999, launch_time=0.0,
+                           workload=100.0, start_time=0.0)
+        last.add_copy(running)
+        for now in (10.0, 30.0, 60.0, 75.0, 90.0):
+            [(_, time_left, probability, _)] = estimator.estimate(
+                _StubView(now, [running])
+            )
+            hits = sum(1 for duration in kept if 2.0 * duration < time_left)
+            assert probability == hits / cap
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -176,6 +263,33 @@ class TestMantri:
         assert scheduler.speculative_copies_launched > 0
         assert result.total_copies > 30
 
+    def test_samples_are_recorded_per_stage(self):
+        # A 3-stage chain whose stages run 1, 10 and 100 s: each stage's
+        # recorded samples are exactly its own finished-copy durations, so
+        # t_new for a stage-2 copy never pools stage-1 durations.
+        from repro.simulation.engine import SimulationEngine
+
+        stages = [
+            StageSpec("s0", 3, Deterministic(1.0)),
+            StageSpec("s1", 3, Deterministic(10.0), deps=(0,)),
+            StageSpec("s2", 3, Deterministic(100.0), deps=(1,)),
+        ]
+        jobs = [JobSpec.from_stages(job_id=i, arrival_time=2.0 * i, weight=1.0,
+                                    stages=stages) for i in range(3)]
+        scheduler = MantriScheduler(tick_interval=2.0, min_samples=1)
+        engine = SimulationEngine(Trace(jobs), scheduler, num_machines=8, seed=0)
+        engine.run()
+        for job in engine._jobs:
+            for stage, tasks in enumerate(job.stage_tasks):
+                finished = [
+                    copy.finish_time - copy.start_time
+                    for task in tasks for copy in task.copies
+                    if copy.is_finished
+                ]
+                recorded = scheduler.estimator.recorded_durations(job, stage)
+                assert len(finished) == len(tasks)
+                assert sorted(recorded) == sorted(finished)
+
     def test_does_not_speculate_without_variance(self):
         trace = bulk_arrival_trace([10], mean_duration=10.0, cv=0.0)
         scheduler = MantriScheduler(tick_interval=1.0)
@@ -185,6 +299,37 @@ class TestMantri:
 
 
 class TestLATE:
+    def test_takes_no_completion_notifications(self):
+        # LATE reads no finished-copy durations; Mantri records them.
+        from repro.simulation.engine import SimulationEngine
+
+        trace = bulk_arrival_trace([3], mean_duration=10.0, cv=0.0)
+        late = SimulationEngine(trace, LATEScheduler(), num_machines=4)
+        mantri = SimulationEngine(trace, MantriScheduler(), num_machines=4)
+        assert late._notify_task_completion is None
+        assert mantri._notify_task_completion is not None
+
+    def test_zero_elapsed_copies_have_no_progress_rate(self):
+        # min_elapsed=0 admits copies that have not run at all: reduce
+        # copies parked under allow_early_reduce, and parked copies unparked
+        # at this very instant.  They have no progress rate and are skipped
+        # instead of dividing by their zero elapsed time.
+        maps, reduces = Deterministic(10.0), Deterministic(5.0)
+        jobs = [
+            JobSpec(job_id=i, arrival_time=3.0 * i, weight=1.0, num_map_tasks=3,
+                    num_reduce_tasks=2, map_duration=maps,
+                    reduce_duration=reduces)
+            for i in range(4)
+        ]
+        scheduler = ComposedScheduler(
+            "fair", "greedy",
+            LATESpeculation(min_elapsed=0.0, tick_interval=1.0),
+            allow_early_reduce=True,
+        )
+        result = run_simulation(Trace(jobs), scheduler, num_machines=20, seed=0)
+        assert result.num_jobs == 4
+        assert result.over_requests == 0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LATEScheduler(slow_task_percentile=0.0)

@@ -5,7 +5,9 @@ instrumented wrapper scheduler that validates the paper's Section III
 semantics at every decision point, plus post-mortem checks over the full
 copy history:
 
-* at most one copy occupies any machine at any decision point;
+* the view's running copies (read off the machines) are exactly the
+  active copies of the alive jobs' tasks, and at most one copy occupies
+  any machine at any decision point;
 * reduce copies make no progress before their job's map phase completes;
 * a task's completion time equals that of its earliest-finishing copy;
 * killed clones release their machines (the cluster drains to fully free).
@@ -63,7 +65,20 @@ class InvariantCheckingScheduler(Scheduler):
 
     def schedule(self, view):
         self.decision_points += 1
-        occupied = list(view.running_copies())
+        # Recount the active copies from the alive jobs' tasks (independent
+        # of the machines, which the view reads them from) and require the
+        # view to report exactly that set.
+        occupied = [
+            copy
+            for job in view.alive_jobs
+            for task in job.all_tasks()
+            for copy in task.copies
+            if copy.is_active
+        ]
+        running = view.running_copies()
+        assert len(running) == len(occupied) and set(running) == set(occupied), (
+            f"running-copy view disagrees with a task rescan at t={view.time}"
+        )
 
         # At most one active copy per machine, and occupancy must agree
         # with the free-machine count (down machines are neither free nor
@@ -82,7 +97,7 @@ class InvariantCheckingScheduler(Scheduler):
             job = copy.task.job
             if copy.task.phase is Phase.REDUCE and not job.map_phase_complete:
                 assert copy.is_blocked
-                assert view.copy_progress(copy) == 0.0
+                assert copy.progress(view.time) == 0.0
             else:
                 assert not copy.is_blocked
 
