@@ -21,12 +21,7 @@ from repro.core.bounds import (
     theorem1_probability,
     weighted_flowtime_lower_bound,
 )
-from repro.core.effective_workload import (
-    accumulated_higher_priority_workload,
-    effective_task_workload,
-    remaining_effective_workload,
-    total_effective_workload,
-)
+from repro.core.effective_workload import accumulated_higher_priority_workload
 from repro.core.offline import OfflineSRPTScheduler
 from repro.core.priority import (
     offline_priority,
@@ -56,9 +51,6 @@ __all__ = [
     "CappedLinearSpeedup",
     "NoSpeedup",
     "check_speedup_properties",
-    "effective_task_workload",
-    "total_effective_workload",
-    "remaining_effective_workload",
     "accumulated_higher_priority_workload",
     "srpt_priority",
     "offline_priority",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.priority import online_priority
+from repro.core.priority import sort_jobs_by_remaining_priority
 from repro.workload.job import Job
 
 __all__ = [
@@ -153,9 +153,7 @@ def epsilon_shares(
     """
     if not jobs:
         return {}
-    ordered = sorted(
-        jobs, key=lambda job: (-online_priority(job, r), job.job_id)
-    )
+    ordered = sort_jobs_by_remaining_priority(jobs, r)
     return epsilon_shares_from_ordered(
         [(job.job_id, job.weight) for job in ordered], num_machines, epsilon
     )

@@ -1,71 +1,36 @@
-"""Effective-workload computations (Equations (2) and (4) of the paper).
+"""Effective workloads (Equations (2)-(4) of the paper), generalised to stages.
 
 The paper folds the standard deviation of task durations into a job's
-workload through a tunable factor ``r``:
+workload through a tunable factor ``r``.  On a stage DAG each stage ``s``
+has ``n_s`` tasks with duration mean ``E_s`` and standard deviation
+``sigma_s``; the paper's map->reduce job is the 2-stage instance:
 
-* ``phi_i = m_i (E_i^m + r sigma_i^m) + r_i (E_i^r + r sigma_i^r)`` -- the
-  *total* effective workload used by the offline Algorithm 1 (Equation 2);
-* ``U_i(l) = m_i(l) (E_i^m + r sigma_i^m) + r_i(l) (E_i^r + r sigma_i^r)``
-  -- the *remaining* effective workload used online by SRPTMS+C
-  (Equation 4), where ``m_i(l)``/``r_i(l)`` count the still-unscheduled
-  tasks of each phase;
+* ``phi_i = sum_s n_s (E_s + r sigma_s)`` -- the *total* effective
+  workload used by the offline Algorithm 1 (Equation 2, with the map and
+  reduce terms as its two summands), implemented once as
+  :meth:`JobSpec.effective_workload <repro.workload.job.JobSpec.effective_workload>`;
+* ``U_i(l) = sum_s n_s(l) (E_s + r sigma_s)`` -- the *remaining* effective
+  workload used online by SRPTMS+C (Equation 4), where ``n_s(l)`` counts
+  the still-unscheduled tasks of stage ``s`` (``m_i(l)``/``r_i(l)`` on
+  two-stage jobs), implemented once as
+  :meth:`Job.remaining_effective_workload <repro.workload.job.Job.remaining_effective_workload>`;
 * ``f_i^s = sum_{j: w_j/phi_j >= w_i/phi_i} phi_j`` -- the accumulated
   workload of all jobs with priority at least that of ``J_i`` (Equation 3),
-  which appears in the Theorem 1 flowtime bound.
+  which appears in the Theorem 1 flowtime bound (below).
 
-The functions here are deliberately standalone (they accept plain counts and
-moments as well as :class:`~repro.workload.job.JobSpec`/``Job`` objects) so
-the theory utilities and the schedulers share a single implementation.
+Every stage is priced at its own moments, so a chain with stage durations
+1, 10 and 100 s has ``phi = 111``.  The SRPT ordering, the epsilon-share
+allocation, Algorithm 1 and the Theorem 1 bounds all read these two
+methods through :mod:`repro.core.priority`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.workload.job import Job, JobSpec
+from repro.workload.job import JobSpec
 
-__all__ = [
-    "effective_task_workload",
-    "total_effective_workload",
-    "remaining_effective_workload",
-    "accumulated_higher_priority_workload",
-]
-
-
-def effective_task_workload(mean: float, std: float, r: float) -> float:
-    """Per-task effective workload ``E + r * sigma``."""
-    if mean < 0:
-        raise ValueError(f"mean must be non-negative, got {mean}")
-    if std < 0:
-        raise ValueError(f"std must be non-negative, got {std}")
-    if r < 0:
-        raise ValueError(f"r must be non-negative, got {r}")
-    return mean + r * std
-
-
-def total_effective_workload(spec: JobSpec, r: float) -> float:
-    """``phi_i`` of Equation (2) for a job spec."""
-    return spec.num_map_tasks * effective_task_workload(
-        spec.map_duration.mean, spec.map_duration.std, r
-    ) + spec.num_reduce_tasks * effective_task_workload(
-        spec.reduce_duration.mean, spec.reduce_duration.std, r
-    )
-
-
-def remaining_effective_workload(job: Job, r: float) -> float:
-    """``U_i(l)`` of Equation (4) for a runtime job.
-
-    Counts *unscheduled* tasks, matching the paper: a task that already has a
-    running copy no longer contributes to the remaining workload used for
-    prioritisation (its machines are accounted for separately via
-    ``sigma_i(l)``).
-    """
-    spec = job.spec
-    return job.num_unscheduled_map_tasks * effective_task_workload(
-        spec.map_duration.mean, spec.map_duration.std, r
-    ) + job.num_unscheduled_reduce_tasks * effective_task_workload(
-        spec.reduce_duration.mean, spec.reduce_duration.std, r
-    )
+__all__ = ["accumulated_higher_priority_workload"]
 
 
 def accumulated_higher_priority_workload(
@@ -77,7 +42,7 @@ def accumulated_higher_priority_workload(
     SRPT priority ``w_j / phi_j`` is at least ``w_i / phi_i`` -- including
     ``J_i`` itself.  Returns a mapping ``job_id -> f_i^s``.
     """
-    workloads = {spec.job_id: total_effective_workload(spec, r) for spec in specs}
+    workloads = {spec.job_id: spec.effective_workload(r) for spec in specs}
     priorities = {
         spec.job_id: spec.weight / workloads[spec.job_id] for spec in specs
     }

@@ -6,7 +6,7 @@ All jobs are assumed to arrive at (or near) time zero.  The scheduler:
    ``phi_i`` is the variance-adjusted total workload of Equation (2);
 2. whenever a machine is free, walks the jobs in decreasing priority order
    and launches one unscheduled task of the highest-priority job that still
-   has one -- map tasks before reduce tasks;
+   has one -- tasks of ready stages (map) before later stages (reduce);
 3. never clones: in the bulk-arrival regime the number of pending tasks
    exceeds the machine count, and the paper argues (citing [3]) that cloning
    cannot reduce flowtime when ``s(x) <= x`` and work is abundant.
@@ -30,8 +30,9 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.priority import offline_priority
+from repro.policies.gating import launchable_tasks
 from repro.simulation.scheduler_api import LaunchRequest, Scheduler, SchedulerView
-from repro.workload.job import Job, Phase, Task
+from repro.workload.job import Job, Task
 
 __all__ = ["OfflineSRPTScheduler"]
 
@@ -45,11 +46,12 @@ class OfflineSRPTScheduler(Scheduler):
         The standard-deviation weighting factor in ``phi_i`` (Equation 2).
         ``r = 0`` ignores task-duration variance.
     park_reduce_tasks:
-        If True (the paper's pseudo-code), a job whose map tasks are all
-        *scheduled* but not finished may have reduce tasks placed on
-        machines, where they wait without progressing.  If False, reduce
-        tasks are only launched once the map phase has completed, which
-        never wastes machine time.
+        If True (the paper's pseudo-code), a job whose ready stages are all
+        *scheduled* but not finished may have tasks of later stages placed
+        on machines, where they wait without progressing.  If False, a
+        stage's tasks are only launched once every predecessor stage has
+        completed, which never wastes machine time.  Candidates come from
+        :func:`~repro.policies.gating.launchable_tasks` (ready stages first).
     seed:
         Seed of the scheduler's private RNG used for the paper's random
         choice among a job's unscheduled tasks.
@@ -86,15 +88,6 @@ class OfflineSRPTScheduler(Scheduler):
 
     # -- decision -------------------------------------------------------------------
 
-    def _candidate_tasks(self, job: Job) -> Sequence[Task]:
-        """Unscheduled tasks of ``job`` respecting map-before-reduce order."""
-        pending_maps = job.unscheduled_tasks(Phase.MAP)
-        if pending_maps:
-            return pending_maps
-        if not self.park_reduce_tasks and not job.map_phase_complete:
-            return []
-        return job.unscheduled_tasks(Phase.REDUCE)
-
     def _pick_task(self, candidates: Sequence[Task]) -> Task:
         """Choose one unscheduled task uniformly at random (Algorithm 1, line 6/8)."""
         index = int(self._rng.integers(0, len(candidates)))
@@ -111,7 +104,7 @@ class OfflineSRPTScheduler(Scheduler):
                 break
             if job.is_complete:
                 continue
-            candidates = list(self._candidate_tasks(job))
+            candidates = launchable_tasks(job, self.park_reduce_tasks)
             while free > 0 and candidates:
                 task = self._pick_task(candidates)
                 candidates.remove(task)

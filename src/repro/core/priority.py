@@ -6,6 +6,8 @@ workload:
 * offline (Algorithm 1): ``w_i / phi_i`` with ``phi_i`` fixed at arrival;
 * online (SRPTMS+C):     ``w_i / U_i(l)`` recomputed at every decision point.
 
+Both workloads are stage-exact (see :mod:`repro.core.effective_workload`).
+
 Larger values mean higher priority -- a heavy weight or a small remaining
 workload pushes a job to the front, which is exactly the Shortest Remaining
 Processing Time intuition generalised to weighted jobs.
@@ -15,10 +17,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.effective_workload import (
-    remaining_effective_workload,
-    total_effective_workload,
-)
 from repro.workload.job import Job, JobSpec
 
 __all__ = [
@@ -48,12 +46,12 @@ def srpt_priority(weight: float, workload: float) -> float:
 
 def offline_priority(spec: JobSpec, r: float) -> float:
     """``w_i / phi_i`` -- the static priority used by Algorithm 1."""
-    return srpt_priority(spec.weight, total_effective_workload(spec, r))
+    return srpt_priority(spec.weight, spec.effective_workload(r))
 
 
 def online_priority(job: Job, r: float) -> float:
     """``w_i / U_i(l)`` -- the dynamic priority used by SRPTMS+C."""
-    return srpt_priority(job.weight, remaining_effective_workload(job, r))
+    return srpt_priority(job.weight, job.remaining_effective_workload(r))
 
 
 def sort_specs_by_priority(specs: Sequence[JobSpec], r: float) -> List[JobSpec]:
@@ -67,6 +65,9 @@ def sort_jobs_by_remaining_priority(jobs: Sequence[Job], r: float) -> List[Job]:
     """Runtime jobs sorted by decreasing online priority (ties by job id).
 
     Ties are broken by job id so the ordering is deterministic, which both
-    the tests and the replication protocol rely on.
+    the tests and the replication protocol rely on.  This is the one SRPT
+    sort: the ``srpt`` ordering policy and :func:`~repro.core.allocation
+    .epsilon_shares` both call it.  The key is per job, so ranking a subset
+    gives the subset's jobs in their order within the full ranking.
     """
     return sorted(jobs, key=lambda job: (-online_priority(job, r), job.job_id))

@@ -40,11 +40,7 @@ from repro.policies.allocation import (
     EpsilonShareAllocation,
     GreedyAllocation,
 )
-from repro.policies.gating import (
-    has_launchable_tasks,
-    launchable_tasks,
-    schedulable_jobs,
-)
+from repro.policies.gating import launchable_tasks, schedulable_jobs
 from repro.policies.ordering import (
     FairOrdering,
     FIFOOrdering,
@@ -89,7 +85,6 @@ __all__ = [
     "make_ordering",
     "make_allocation",
     "make_redundancy",
-    "has_launchable_tasks",
     "launchable_tasks",
     "schedulable_jobs",
 ]

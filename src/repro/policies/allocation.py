@@ -4,7 +4,11 @@ One of the three axes of the policy kernel (see :mod:`repro.policies`).
 Given the ordering policy's ranking, an :class:`AllocationPolicy` decides
 how many machines each job receives and emits the *base* launch requests
 of a decision point; the redundancy policy then adds (or folds in) any
-extra copies.
+extra copies.  Every allocation considers ``psi^s(l)`` only -- the alive
+jobs with launchable unscheduled tasks
+(:func:`~repro.policies.gating.schedulable_jobs`) -- so a fully
+dispatched job is never ranked (see :meth:`OrderingPolicy.order
+<repro.policies.ordering.OrderingPolicy.order>` for why that is exact).
 
 * :class:`GreedyAllocation` -- one copy per launchable task, jobs served
   strictly in ranking order.  For *dynamic* orderings (fair sharing) the
@@ -39,11 +43,7 @@ import numpy as np
 
 from repro.core.allocation import epsilon_shares_from_ordered
 from repro.scenarios import DEFAULT_LOCALITY_WAIT
-from repro.policies.gating import (
-    has_launchable_tasks,
-    launchable_tasks,
-    schedulable_jobs,
-)
+from repro.policies.gating import launchable_tasks, schedulable_jobs
 from repro.policies.ordering import OrderingPolicy
 from repro.policies.redundancy import RedundancyPolicy
 from repro.simulation.scheduler_api import LaunchRequest, SchedulerView
@@ -129,17 +129,10 @@ class GreedyAllocation(AllocationPolicy):
         """One pass over the fixed ranking, one copy per launchable task."""
         requests: List[LaunchRequest] = []
         launchable = launchable_tasks
-        for job in ordering.order(view, view.alive_jobs):
+        jobs = schedulable_jobs(view.alive_jobs, allow_early_reduce)
+        for job in ordering.order(view, jobs):
             if free <= 0:
                 break
-            # O(1) skip on the raw counters (inlined has_launchable_tasks:
-            # this test runs once per alive job per decision point): don't
-            # build a task list for a job with nothing launchable (the
-            # common case once a job is fully dispatched).
-            if job._unscheduled_ready == 0 and not (
-                allow_early_reduce and job._unscheduled_total > 0
-            ):
-                continue
             for task in launchable(job, allow_early_reduce):
                 if free <= 0:
                     break
@@ -162,9 +155,7 @@ class GreedyAllocation(AllocationPolicy):
         """
         candidates: Dict[int, List] = {}
         jobs: Dict[int, Job] = {}
-        for job in view.alive_jobs:
-            if not has_launchable_tasks(job, allow_early_reduce):
-                continue
+        for job in schedulable_jobs(view.alive_jobs, allow_early_reduce):
             candidates[job.job_id] = launchable_tasks(job, allow_early_reduce)
             jobs[job.job_id] = job
         if not candidates:
@@ -407,13 +398,10 @@ class DelayScheduling(AllocationPolicy):
         # Note: one ranked pass even under dynamic orderings -- deferral
         # does not compose with per-machine water-filling, and the ranking
         # is refreshed every decision point anyway.
-        for job in ordering.order(view, view.alive_jobs):
+        jobs = schedulable_jobs(view.alive_jobs, allow_early_reduce)
+        for job in ordering.order(view, jobs):
             if not free_pool:
                 break
-            if job._unscheduled_ready == 0 and not (
-                allow_early_reduce and job._unscheduled_total > 0
-            ):
-                continue
             for task in launchable(job, allow_early_reduce):
                 if not free_pool:
                     break

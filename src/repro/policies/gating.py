@@ -23,14 +23,7 @@ from typing import Iterable, List
 
 from repro.workload.job import Job, Task
 
-__all__ = ["has_launchable_tasks", "launchable_tasks", "schedulable_jobs"]
-
-
-def has_launchable_tasks(job: Job, allow_early_reduce: bool = False) -> bool:
-    """O(1) counter-based test for :func:`launchable_tasks` being non-empty."""
-    if job.num_unscheduled_ready_tasks > 0:
-        return True
-    return allow_early_reduce and job.num_unscheduled_tasks > 0
+__all__ = ["launchable_tasks", "schedulable_jobs"]
 
 
 def launchable_tasks(job: Job, allow_early_reduce: bool = False) -> List[Task]:
@@ -85,9 +78,9 @@ def schedulable_jobs(
 ) -> List[Job]:
     """``psi^s(l)``: jobs with unscheduled, launchable tasks, in given order.
 
-    Filters on the raw O(1) per-job counters (inlined
-    :func:`has_launchable_tasks`; never builds task lists), so this is
-    O(jobs) per decision point regardless of job sizes.
+    A job is kept exactly when :func:`launchable_tasks` would be non-empty.
+    The test reads the raw O(1) per-job counters and never builds task
+    lists, so this is O(jobs) per decision point regardless of job sizes.
     """
     if allow_early_reduce:
         return [

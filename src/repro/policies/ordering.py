@@ -1,8 +1,9 @@
 """Ordering policies: in which order are machines offered to jobs?
 
 One of the three axes of the policy kernel (see :mod:`repro.policies`).
-An :class:`OrderingPolicy` ranks the alive jobs at a decision point; the
-allocation policy then distributes free machines over that ranking.
+An :class:`OrderingPolicy` ranks ``psi^s(l)``, the alive jobs with
+launchable unscheduled tasks, at a decision point; the allocation policy
+then distributes free machines over that ranking.
 
 Two ranking modes exist:
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
-from repro.core.priority import online_priority
+from repro.core.priority import sort_jobs_by_remaining_priority
 from repro.simulation.scheduler_api import SchedulerView
 from repro.workload.job import Job
 
@@ -39,6 +40,13 @@ class OrderingPolicy:
 
     def order(self, view: SchedulerView, jobs: Sequence[Job]) -> Sequence[Job]:
         """``jobs`` ranked for this decision point (highest priority first).
+
+        Every allocation passes ``psi^s(l)`` only
+        (:func:`~repro.policies.gating.schedulable_jobs`, in arrival order),
+        never the fully dispatched alive jobs.  An ordering must therefore
+        rank a subset exactly as it would rank those jobs within the full
+        alive set.  FIFO keeps the given order, and ``fair`` and ``srpt``
+        sort by a per-job key with a job-id tie-break, so all three do.
 
         May return the given sequence itself when it is already in policy
         order (FIFO does); callers must treat the result as read-only.
@@ -104,8 +112,11 @@ class FairOrdering(OrderingPolicy):
 class SRPTOrdering(OrderingPolicy):
     """Weighted-SRPT: rank by the online priority ``w_i / U_i(l)``.
 
-    ``U_i(l)`` is the remaining effective workload of Equation (4) with
-    standard-deviation weight ``r``.  Paired with the epsilon-share
+    ``U_i(l)`` is the stage-exact remaining effective workload of Equation
+    (4) with standard-deviation weight ``r``
+    (:meth:`Job.remaining_effective_workload
+    <repro.workload.job.Job.remaining_effective_workload>`), keyed once per
+    job of ``psi^s(l)`` per decision point.  Paired with the epsilon-share
     allocation this is the ordering of the paper's SRPTMS+C; paired with
     the greedy allocation it is plain weighted SRPT.
     """
@@ -119,10 +130,7 @@ class SRPTOrdering(OrderingPolicy):
 
     def order(self, view: SchedulerView, jobs: Sequence[Job]) -> List[Job]:
         """Jobs by decreasing online SRPT priority (ties by job id)."""
-        r = self.r
-        return sorted(
-            jobs, key=lambda job: (-online_priority(job, r), job.job_id)
-        )
+        return sort_jobs_by_remaining_priority(jobs, self.r)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SRPTOrdering(r={self.r})"

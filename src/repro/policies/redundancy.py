@@ -63,6 +63,9 @@ class RedundancyPolicy:
     def on_task_completion(self, task: Task, time: float) -> None:
         """Observation hook (estimator feeding); default: nothing."""
 
+    def on_job_completion(self, job: Job, time: float) -> None:
+        """Drop per-job state of a completed job; default: nothing."""
+
     def expand_grant(
         self,
         job: Job,
@@ -569,6 +572,10 @@ class MantriSpeculation(RedundancyPolicy):
     def on_task_completion(self, task: Task, time: float) -> None:
         """Feed the finished task's duration into the t_new estimator."""
         self.estimator.record_completion(task, time)
+
+    def on_job_completion(self, job: Job, time: float) -> None:
+        """Drop the job's samples: it has no running copy left to estimate."""
+        self.estimator.forget(job)
 
     def _speculate(self, view: SchedulerView, free: int) -> List[LaunchRequest]:
         """Spend up to ``free`` machines on duplicates, longest time left first."""

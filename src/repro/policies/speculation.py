@@ -26,7 +26,9 @@ class SpeculationEstimator:
     """Progress-based straggler estimation shared by Mantri and LATE.
 
     Duration samples are kept per ``(job, stage)``, so on a stage DAG a
-    copy is only ever compared with finished copies of its own stage.
+    copy is only ever compared with finished copies of its own stage.  A
+    job's samples are dropped when it completes (:meth:`forget`), so a
+    stream run holds samples for alive jobs only.
 
     Parameters
     ----------
@@ -91,6 +93,10 @@ class SpeculationEstimator:
         duration = winner.finish_time - winner.start_time
         recent.append(duration)
         insort(doubled, 2.0 * duration)
+
+    def forget(self, job: Job) -> None:
+        """Drop every sample of ``job`` (call once it has completed)."""
+        self._samples.pop(job.job_id, None)
 
     def recorded_durations(self, job: Job, stage: int) -> List[float]:
         """The last :attr:`max_samples` durations recorded for ``job``/``stage``."""

@@ -230,8 +230,8 @@ class SimulationEngine:
         # policy an instance attribute delegates to) left the base no-op in
         # place: the engine then skips the call entirely on its hot paths.
         # ``__func__`` sees through both class overrides and instance-level
-        # rebinding (ComposedScheduler rebinds on_task_completion when its
-        # redundancy policy ignores completions).
+        # rebinding (ComposedScheduler binds on_job_completion to its
+        # redundancy policy's hook when the policy overrides it).
         self._notify_arrival = self._resolve_hook("on_job_arrival")
         self._notify_task_completion = self._resolve_hook("on_task_completion")
         self._notify_job_completion = self._resolve_hook("on_job_completion")

@@ -215,22 +215,6 @@ class Scheduler(ABC):
         never over-requests, and the test-suite asserts this).
         """
 
-    # -- shared helpers -------------------------------------------------------------------
-
-    @staticmethod
-    def eligible_tasks(job: Job) -> List[Task]:
-        """Unscheduled tasks of ``job`` in paper order: map first, then reduce.
-
-        Reduce tasks are listed even when the map phase is incomplete; the
-        engine will park their copies (occupying machines without progress),
-        exactly as the paper's Algorithm 1 allows.  Policies that prefer not
-        to waste machines this way can filter on ``job.map_phase_complete``.
-        """
-        pending = job.unscheduled_tasks(Phase.MAP)
-        if pending:
-            return pending
-        return job.unscheduled_tasks(Phase.REDUCE)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -328,6 +312,14 @@ class ComposedScheduler(Scheduler):
         self._redundancy_finalizes = (
             redundancy_cls.finalize is not RedundancyPolicy.finalize
         )
+        # A policy with per-job state (Mantri's samples) drops it when the
+        # job completes.  Only then is the hook bound, so for every other
+        # policy the engine still sees the base no-op and skips the call.
+        if (
+            redundancy_cls.on_job_completion
+            is not RedundancyPolicy.on_job_completion
+        ):
+            self.on_job_completion = self.redundancy.on_job_completion
         # Static ordering + greedy allocation (the overwhelmingly common
         # composition) dispatches straight to the static machine walk,
         # skipping the allocate() indirection per decision point.

@@ -46,9 +46,10 @@ A stage only ever becomes *ready* (all predecessors complete), never
 un-ready, so the aggregate ``_unscheduled_ready`` counter -- unscheduled
 tasks whose stage is ready -- stays O(1) to maintain and gives the gating
 helpers an O(1) "has launchable work" test.  Consequently
-``Job.remaining_effective_workload`` (Equation (4)) and every priority
-computation built on it are O(1) per job, which is what makes the
-per-event scheduler consultations affordable at million-job scale.
+``Job.remaining_effective_workload`` (Equation (4), stage-exact) and every
+priority computation built on it cost O(stages) per job, which is what
+makes the per-event scheduler consultations affordable at million-job
+scale.
 """
 
 from __future__ import annotations
@@ -1181,7 +1182,12 @@ class Job:
         return self._active_copies
 
     def remaining_effective_workload(self, r: float) -> float:
-        """``U_i(l)`` of Equation (4), based on *unscheduled* task counts."""
+        """``U_i(l)`` of Equation (4), based on *unscheduled* task counts.
+
+        Each stage's unscheduled count is priced at that stage's own
+        ``E + r * sigma``.  A task with a running copy no longer counts: its
+        machines are accounted for separately via ``sigma_i(l)``.
+        """
         if r < 0:
             raise ValueError(f"r must be non-negative, got {r}")
         total = 0.0

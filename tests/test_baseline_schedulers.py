@@ -277,6 +277,19 @@ class TestMantri:
         jobs = [JobSpec.from_stages(job_id=i, arrival_time=2.0 * i, weight=1.0,
                                     stages=stages) for i in range(3)]
         scheduler = MantriScheduler(tick_interval=2.0, min_samples=1)
+        estimator = scheduler.estimator
+        # A completed job's samples are dropped, so read them just before.
+        recorded = {}
+        forget = estimator.forget
+
+        def snapshot_then_forget(job):
+            recorded[job.job_id] = [
+                estimator.recorded_durations(job, stage)
+                for stage in range(job.num_stages)
+            ]
+            forget(job)
+
+        estimator.forget = snapshot_then_forget
         engine = SimulationEngine(Trace(jobs), scheduler, num_machines=8, seed=0)
         engine.run()
         for job in engine._jobs:
@@ -286,9 +299,36 @@ class TestMantri:
                     for task in tasks for copy in task.copies
                     if copy.is_finished
                 ]
-                recorded = scheduler.estimator.recorded_durations(job, stage)
                 assert len(finished) == len(tasks)
-                assert sorted(recorded) == sorted(finished)
+                assert sorted(recorded[job.job_id][stage]) == sorted(finished)
+        assert estimator.recorded_durations(engine._jobs[0], 0) == []
+
+    @pytest.mark.parametrize("ordering", ["fifo", "fair"])
+    def test_stream_run_keeps_no_samples_of_completed_jobs(self, ordering):
+        # Stream mode promises bounded memory: once a job completes, nothing
+        # reads its samples again, so the estimator must not keep them.
+        from repro.policies.redundancy import MantriSpeculation
+        from repro.workload.stream import StreamSpec, stream_poisson_jobs
+
+        spec = StreamSpec(
+            factory=stream_poisson_jobs, num_jobs=300,
+            kwargs={"arrival_rate": 0.5, "mean_tasks_per_job": 4.0, "seed": 3},
+        )
+        scheduler = ComposedScheduler(
+            ordering, "greedy", MantriSpeculation(min_samples=1)
+        )
+        recorded = []
+        record_completion = scheduler.redundancy.estimator.record_completion
+
+        def counting_record(task, time):
+            recorded.append(task.job.job_id)
+            record_completion(task, time)
+
+        scheduler.redundancy.estimator.record_completion = counting_record
+        result = run_simulation(spec.build(), scheduler, num_machines=16, seed=0)
+        assert result.num_jobs == 300
+        assert len(set(recorded)) == 300
+        assert scheduler.redundancy.estimator._samples == {}
 
     def test_does_not_speculate_without_variance(self):
         trace = bulk_arrival_trace([10], mean_duration=10.0, cv=0.0)
@@ -300,7 +340,8 @@ class TestMantri:
 
 class TestLATE:
     def test_takes_no_completion_notifications(self):
-        # LATE reads no finished-copy durations; Mantri records them.
+        # LATE reads no finished-copy durations; Mantri records them and
+        # drops a job's samples when the job completes.
         from repro.simulation.engine import SimulationEngine
 
         trace = bulk_arrival_trace([3], mean_duration=10.0, cv=0.0)
@@ -308,6 +349,8 @@ class TestLATE:
         mantri = SimulationEngine(trace, MantriScheduler(), num_machines=4)
         assert late._notify_task_completion is None
         assert mantri._notify_task_completion is not None
+        assert late._notify_job_completion is None
+        assert mantri._notify_job_completion is not None
 
     def test_zero_elapsed_copies_have_no_progress_rate(self):
         # min_elapsed=0 admits copies that have not run at all: reduce

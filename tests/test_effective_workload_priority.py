@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.effective_workload import (
-    accumulated_higher_priority_workload,
-    effective_task_workload,
-    remaining_effective_workload,
-    total_effective_workload,
-)
+from repro.core.allocation import epsilon_shares
+from repro.core.effective_workload import accumulated_higher_priority_workload
 from repro.core.priority import (
     offline_priority,
     online_priority,
@@ -17,8 +15,9 @@ from repro.core.priority import (
     sort_specs_by_priority,
     srpt_priority,
 )
+from repro.policies.ordering import SRPTOrdering
 from repro.workload.distributions import Deterministic, LogNormal
-from repro.workload.job import Job, JobSpec, TaskCopy
+from repro.workload.job import Job, JobSpec, StageSpec, TaskCopy
 
 
 def make_spec(job_id=0, weight=1.0, maps=2, reduces=1, mean=10.0, std=0.0) -> JobSpec:
@@ -35,34 +34,167 @@ def make_spec(job_id=0, weight=1.0, maps=2, reduces=1, mean=10.0, std=0.0) -> Jo
 
 
 class TestEffectiveTaskWorkload:
+    """The per-task term ``E + r sigma``, read through a one-task job."""
+
     def test_formula(self):
-        assert effective_task_workload(10.0, 2.0, 3.0) == pytest.approx(16.0)
+        spec = make_spec(maps=1, reduces=0, mean=10.0, std=2.0)
+        assert spec.effective_workload(3.0) == pytest.approx(16.0)
+        assert Job.from_spec(spec).remaining_effective_workload(3.0) == (
+            pytest.approx(16.0)
+        )
 
     def test_r_zero(self):
-        assert effective_task_workload(10.0, 100.0, 0.0) == 10.0
+        spec = make_spec(maps=1, reduces=0, mean=10.0, std=100.0)
+        assert spec.effective_workload(0.0) == 10.0
+        assert Job.from_spec(spec).remaining_effective_workload(0.0) == 10.0
 
     @pytest.mark.parametrize("mean,std,r", [(-1, 0, 0), (1, -1, 0), (1, 0, -1)])
     def test_validation(self, mean, std, r):
         with pytest.raises(ValueError):
-            effective_task_workload(mean, std, r)
+            make_spec(maps=1, reduces=0, mean=mean, std=std).effective_workload(r)
 
 
 class TestTotalAndRemainingWorkload:
     def test_total_matches_spec_method(self):
+        # At arrival nothing is scheduled, so U_i equals phi_i exactly.
         spec = make_spec(maps=3, reduces=2, mean=10.0, std=2.0)
-        assert total_effective_workload(spec, 3.0) == pytest.approx(
-            spec.effective_workload(3.0)
-        )
+        job = Job.from_spec(spec)
+        assert job.remaining_effective_workload(3.0) == spec.effective_workload(3.0)
+        assert spec.effective_workload(3.0) == pytest.approx(5 * (10.0 + 3.0 * 2.0))
 
     def test_remaining_shrinks_as_tasks_are_scheduled(self):
         spec = make_spec(maps=2, reduces=1, mean=10.0)
         job = Job.from_spec(spec)
-        before = remaining_effective_workload(job, 0.0)
+        before = job.remaining_effective_workload(0.0)
         copy = TaskCopy(copy_id=0, task=job.map_tasks[0], machine_id=0,
                         launch_time=0.0, workload=10.0)
         job.map_tasks[0].add_copy(copy)
-        after = remaining_effective_workload(job, 0.0)
+        after = job.remaining_effective_workload(0.0)
         assert after == pytest.approx(before - 10.0)
+
+
+def chain_spec(job_id=0, durations=(1.0, 10.0, 100.0)) -> JobSpec:
+    """A one-task-per-stage chain whose stages run ``durations`` seconds."""
+    stages = [
+        StageSpec(f"s{index}", 1, Deterministic(duration),
+                  deps=() if index == 0 else (index - 1,))
+        for index, duration in enumerate(durations)
+    ]
+    return JobSpec.from_stages(
+        job_id=job_id, arrival_time=0.0, weight=1.0, stages=stages
+    )
+
+
+class TestStageExactWorkload:
+    """Every stage is priced at its own moments, not at stage 1's."""
+
+    def test_chain_phi_and_u_sum_every_stage(self):
+        spec = chain_spec()
+        job = Job.from_spec(spec)
+        assert spec.effective_workload(0.0) == 111.0
+        assert job.remaining_effective_workload(0.0) == 111.0
+        assert offline_priority(spec, 0.0) == 1.0 / 111.0
+        assert online_priority(job, 0.0) == 1.0 / 111.0
+
+    def test_chain_u_drops_by_the_launched_stage(self):
+        job = Job.from_spec(chain_spec())
+        task = job.stage_tasks[0][0]
+        task.add_copy(TaskCopy(copy_id=0, task=task, machine_id=0,
+                               launch_time=0.0, workload=1.0))
+        assert online_priority(job, 0.0) == 1.0 / 110.0
+
+    def test_accumulated_workload_uses_stage_exact_phi(self):
+        accumulated = accumulated_higher_priority_workload([chain_spec()], 0.0)
+        assert accumulated[0] == 111.0
+
+    def test_srpt_ranks_a_shorter_two_stage_job_ahead_of_the_chain(self):
+        # 30 s + 30 s = 60 s of work against the chain's 111 s.  Pricing the
+        # chain's later stages at stage 1's 10 s would make it 21 s and
+        # rank it first.
+        chain = Job.from_spec(chain_spec(job_id=0))
+        pair = Job.from_spec(make_spec(job_id=1, maps=1, reduces=1, mean=30.0))
+        ordered = SRPTOrdering(r=0.0).order(None, [chain, pair])
+        assert [job.job_id for job in ordered] == [1, 0]
+        assert sort_jobs_by_remaining_priority([chain, pair], 0.0) == ordered
+        shares = epsilon_shares([chain, pair], num_machines=10, epsilon=0.5, r=0.0)
+        assert shares == {1: 10, 0: 0}
+
+
+# The two-phase expressions the stage-exact methods replaced: stage 0 at
+# the map moments, every later task at the reduce (stage 1) moments.
+
+
+def two_phase_total(spec: JobSpec, r: float) -> float:
+    return spec.num_map_tasks * (
+        spec.map_duration.mean + r * spec.map_duration.std
+    ) + spec.num_reduce_tasks * (
+        spec.reduce_duration.mean + r * spec.reduce_duration.std
+    )
+
+
+def two_phase_remaining(job: Job, r: float) -> float:
+    spec = job.spec
+    return job.num_unscheduled_map_tasks * (
+        spec.map_duration.mean + r * spec.map_duration.std
+    ) + job.num_unscheduled_reduce_tasks * (
+        spec.reduce_duration.mean + r * spec.reduce_duration.std
+    )
+
+
+durations = st.one_of(
+    st.floats(min_value=0.01, max_value=1e4).map(Deterministic),
+    st.tuples(
+        st.floats(min_value=0.01, max_value=1e4),
+        st.floats(min_value=0.0, max_value=1e4),
+    ).map(lambda moments: LogNormal(*moments)),
+)
+
+
+@st.composite
+def two_stage_jobs(draw):
+    maps = draw(st.integers(min_value=0, max_value=8))
+    reduces = draw(st.integers(min_value=0 if maps else 1, max_value=8))
+    map_duration, reduce_duration = draw(durations), draw(durations)
+    weight = draw(st.floats(min_value=0.1, max_value=100.0))
+    if draw(st.booleans()):
+        spec = JobSpec(
+            job_id=0, arrival_time=0.0, weight=weight, num_map_tasks=maps,
+            num_reduce_tasks=reduces, map_duration=map_duration,
+            reduce_duration=reduce_duration,
+        )
+    else:
+        spec = JobSpec.from_stages(
+            job_id=0, arrival_time=0.0, weight=weight, stages=[
+                StageSpec("map", maps, map_duration),
+                StageSpec("reduce", reduces, reduce_duration, deps=(0,)),
+            ],
+        )
+    job = Job.from_spec(spec)
+    tasks = list(job.all_tasks())
+    launched = draw(st.lists(st.sampled_from(tasks), unique=True)) if tasks else []
+    for task in launched:
+        task.add_copy(TaskCopy(copy_id=0, task=task, machine_id=0,
+                               launch_time=0.0, workload=1.0))
+    return job
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    job=two_stage_jobs(),
+    r=st.floats(min_value=0.0, max_value=10.0) | st.sampled_from([0.0, 3.0]),
+)
+def test_two_stage_priorities_match_the_two_phase_expressions(job, r):
+    spec = job.spec
+    assert spec.effective_workload(r).hex() == two_phase_total(spec, r).hex()
+    assert job.remaining_effective_workload(r).hex() == (
+        two_phase_remaining(job, r).hex()
+    )
+    assert offline_priority(spec, r) == srpt_priority(
+        spec.weight, two_phase_total(spec, r)
+    )
+    assert online_priority(job, r) == srpt_priority(
+        job.weight, two_phase_remaining(job, r)
+    )
 
 
 class TestAccumulatedWorkload:

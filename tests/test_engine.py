@@ -9,6 +9,7 @@ import pytest
 
 from repro.cluster.stragglers import DynamicStragglers
 from repro.experiments import ExperimentConfig
+from repro.policies.gating import launchable_tasks
 from repro.policies.redundancy import PaperCloning
 from repro.scenarios import MachineFailures, ScenarioSpec, TopologySpec
 from repro.simulation.engine import SimulationEngine, SimulationError
@@ -34,7 +35,7 @@ class GreedyScheduler(Scheduler):
         free = view.num_free_machines
         requests: List[LaunchRequest] = []
         for job in sorted(view.alive_jobs, key=lambda j: j.arrival_time):
-            for task in self.eligible_tasks(job):
+            for task in launchable_tasks(job, allow_early_reduce=True):
                 if free <= 0:
                     return requests
                 requests.append(LaunchRequest(task=task, num_copies=1))
@@ -51,7 +52,7 @@ class CloningScheduler(Scheduler):
         free = view.num_free_machines
         requests: List[LaunchRequest] = []
         for job in view.alive_jobs:
-            for task in self.eligible_tasks(job):
+            for task in launchable_tasks(job, allow_early_reduce=True):
                 copies = 2 if task.phase is Phase.MAP else 1
                 copies = min(copies, free)
                 if copies <= 0:

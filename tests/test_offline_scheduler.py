@@ -89,6 +89,47 @@ class TestParkingBehaviour:
         )
         assert unparked.total_flowtime <= parked.total_flowtime
 
+    @staticmethod
+    def _chain_launch_times(park_reduce_tasks):
+        """Launch times per stage of a chain job next to a later tiny job.
+
+        The chain is s0 (1 task) -> s1 (1) -> s2 (4), 5 s per task, on 6
+        machines; a 1 s job arriving at t=7 adds a decision point while s1
+        runs.
+        """
+        from repro.simulation.engine import SimulationEngine
+        from repro.workload.distributions import Deterministic
+        from repro.workload.job import JobSpec, StageSpec
+        from repro.workload.trace import Trace
+
+        five = Deterministic(5.0)
+        chain = JobSpec.from_stages(job_id=0, arrival_time=0.0, weight=1.0, stages=[
+            StageSpec("s0", 1, five),
+            StageSpec("s1", 1, five, deps=(0,)),
+            StageSpec("s2", 4, five, deps=(1,)),
+        ])
+        tiny = JobSpec(job_id=1, arrival_time=7.0, weight=1.0, num_map_tasks=1,
+                       num_reduce_tasks=0, map_duration=Deterministic(1.0),
+                       reduce_duration=Deterministic(1.0))
+        scheduler = OfflineSRPTScheduler(park_reduce_tasks=park_reduce_tasks)
+        engine = SimulationEngine(Trace([chain, tiny]), scheduler, num_machines=6)
+        result = engine.run()
+        assert {r.job_id: r.flowtime for r in result.records} == {0: 15.0, 1: 1.0}
+        return [
+            sorted(copy.launch_time for task in tasks for copy in task.copies)
+            for tasks in engine._jobs[0].stage_tasks
+        ]
+
+    def test_parking_disabled_waits_for_every_predecessor_stage(self):
+        # s2 depends on s1, not only on stage 0: with parking off its copies
+        # launch when s1 completes at t=10, never while s1 runs.
+        assert self._chain_launch_times(False) == [[0.0], [5.0], [10.0] * 4]
+
+    def test_parking_enabled_parks_only_behind_scheduled_ready_stages(self):
+        # At t=5 the ready s1 goes first; s2 parks at the next decision
+        # point (t=7), once every ready stage is fully scheduled.
+        assert self._chain_launch_times(True) == [[0.0], [5.0], [7.0] * 4]
+
 
 class TestTheoremValidation:
     def test_deterministic_bulk_arrival_satisfies_bounds(self):

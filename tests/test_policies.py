@@ -26,7 +26,6 @@ from repro.policies import (
     SCACloning,
     SRPTOrdering,
     composition_label,
-    has_launchable_tasks,
     launchable_tasks,
     make_allocation,
     make_ordering,
@@ -257,13 +256,13 @@ class TestGating:
 
     def test_maps_gate_reduces(self):
         job = self.make_job()
-        assert has_launchable_tasks(job)
+        assert schedulable_jobs([job]) == [job]
         assert [t.phase for t in launchable_tasks(job)] == [Phase.MAP] * 2
 
     def test_no_maps_means_reduces_launchable(self):
         job = self.make_job(maps=0, reduces=2)
         # No map tasks: the map phase is trivially complete.
-        assert has_launchable_tasks(job)
+        assert schedulable_jobs([job]) == [job]
         assert [t.phase for t in launchable_tasks(job)] == [Phase.REDUCE] * 2
 
     def test_early_reduce_flag(self):
@@ -276,10 +275,10 @@ class TestGating:
                          workload=10.0)
             )
         # Maps all scheduled but incomplete: nothing launchable by default...
-        assert not has_launchable_tasks(job)
+        assert schedulable_jobs([job]) == []
         assert launchable_tasks(job) == []
         # ...but the early-reduce ablation may park reduce copies now.
-        assert has_launchable_tasks(job, allow_early_reduce=True)
+        assert schedulable_jobs([job], allow_early_reduce=True) == [job]
         assert [
             t.phase for t in launchable_tasks(job, allow_early_reduce=True)
         ] == [Phase.REDUCE] * 2

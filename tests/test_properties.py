@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.allocation import fractional_shares, integer_shares
 from repro.core.bounds import theorem1_probability, lemma1_probability
-from repro.core.effective_workload import (
-    accumulated_higher_priority_workload,
-    total_effective_workload,
-)
+from repro.core.effective_workload import accumulated_higher_priority_workload
 from repro.core.speedup import LogSpeedup, ParetoSpeedup, PowerSpeedup
 from repro.core.srptms_c import SRPTMSCScheduler
 from repro.policies.redundancy import CheckpointRedundancy
@@ -193,9 +190,9 @@ class TestTheoryProperties:
               suppress_health_check=[HealthCheck.too_slow])
     def test_accumulated_workload_dominates_own_workload(self, specs, r):
         accumulated = accumulated_higher_priority_workload(specs, r)
-        total = sum(total_effective_workload(spec, r) for spec in specs)
+        total = sum(spec.effective_workload(r) for spec in specs)
         for spec in specs:
-            own = total_effective_workload(spec, r)
+            own = spec.effective_workload(r)
             assert accumulated[spec.job_id] >= own - 1e-9
             assert accumulated[spec.job_id] <= total + 1e-9
 

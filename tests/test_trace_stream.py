@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.srptms_c import SRPTMSCScheduler
+from repro.policies.gating import launchable_tasks
 from repro.schedulers.fifo import FIFOScheduler
 from repro.simulation import ExperimentRunner, RunSpec, SchedulerSpec
 from repro.simulation.engine import SimulationEngine, SimulationError
@@ -251,7 +252,7 @@ class TestEngineStreaming:
                 requests = []
                 free = view.num_free_machines
                 for job in view.alive_jobs:
-                    for task in self.eligible_tasks(job):
+                    for task in launchable_tasks(job, allow_early_reduce=True):
                         if free <= 0:
                             return requests
                         requests.append(LaunchRequest(task=task, num_copies=1))
