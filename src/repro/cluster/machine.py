@@ -11,6 +11,7 @@ straggler model can both be expressed directly.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -38,10 +39,6 @@ class Machine:
         True while the machine is failed; a down machine hosts no copies.
     current_copy:
         The task copy occupying this machine, or ``None`` when idle.
-    busy_time:
-        Total busy time accumulated, for utilisation accounting.
-    copies_hosted:
-        Number of copies this machine has ever executed (incl. killed clones).
     failures:
         Number of failures this machine has suffered.
     """
@@ -52,8 +49,6 @@ class Machine:
         "slowdown",
         "is_down",
         "current_copy",
-        "busy_time",
-        "copies_hosted",
         "failures",
     )
 
@@ -64,14 +59,14 @@ class Machine:
         slowdown: float = 1.0,
         is_down: bool = False,
         current_copy: Optional["TaskCopy"] = None,
-        busy_time: float = 0.0,
-        copies_hosted: int = 0,
         failures: int = 0,
     ) -> None:
         if machine_id < 0:
             raise ValueError(f"machine_id must be >= 0, got {machine_id}")
-        if speed <= 0:
-            raise ValueError(f"machine speed must be positive, got {speed}")
+        if not 0 < speed < math.inf:  # False for NaN too
+            raise ValueError(
+                f"machine speed must be positive and finite, got {speed}"
+            )
         if slowdown < 1.0:
             raise ValueError(f"slowdown must be >= 1, got {slowdown}")
         self.machine_id = machine_id
@@ -79,8 +74,6 @@ class Machine:
         self.slowdown = slowdown
         self.is_down = is_down
         self.current_copy = current_copy
-        self.busy_time = busy_time
-        self.copies_hosted = copies_hosted
         self.failures = failures
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -116,17 +109,13 @@ class Machine:
                 f"machine {self.machine_id} is already running a copy"
             )
         self.current_copy = copy
-        self.copies_hosted += 1
 
-    def release(self, elapsed: float = 0.0) -> "TaskCopy":
+    def release(self) -> "TaskCopy":
         """Free the machine and return the copy that was occupying it."""
         if self.current_copy is None:
             raise ValueError(f"machine {self.machine_id} is already free")
         copy = self.current_copy
         self.current_copy = None
-        if elapsed < 0:
-            raise ValueError(f"elapsed busy time must be >= 0, got {elapsed}")
-        self.busy_time += elapsed
         return copy
 
     def processing_time(self, workload: float) -> float:

@@ -191,13 +191,13 @@ class ClusterState:
             self._rack_running[self._rack_of[machine_id]] += 1
         return machine
 
-    def release(self, copy: TaskCopy, elapsed: float = 0.0) -> Machine:
+    def release(self, copy: TaskCopy) -> Machine:
         """Free the machine occupied by ``copy``."""
         machine_id = self.machine_of(copy)
         if machine_id is None:
             raise ValueError("copy is not placed on any machine")
         machine = self._machines[machine_id]
-        machine.release(elapsed=elapsed)
+        machine.release()
         self._free_ids.append(machine_id)
         if copy.task.stage == 0:
             self._map_running -= 1

@@ -60,15 +60,21 @@ relaunches exhaust it, one fused top-up per launch request -- each
 call, and nothing else draws from the engine RNG inside one.  By the
 RNG-consumption contract of :meth:`repro.workload.distributions
 .DurationDistribution.sample_batch` both are bit-identical to per-task
-draws.  All events at one timestamp are drained as a single batch before
-the scheduler is consulted, and the static FIFO+greedy composition takes
-a gated engine-inlined decision walk (see :meth:`SimulationEngine
+draws.  In a static run a launch request also queues a single finish
+entry, for its earliest-finishing copy: the clones it races are killed
+when that copy's task completes, so their entries could never fire (see
+:meth:`SimulationEngine._launch_copies`), and a static paper-cloning run
+queues about one finish entry per task, not one per copy.  All events at
+one timestamp are drained as a single batch before the scheduler is
+consulted, and the static FIFO+greedy composition takes a gated
+engine-inlined decision walk (see :meth:`SimulationEngine
 ._resolve_fast_lane`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -135,8 +141,12 @@ class SimulationEngine:
     ) -> None:
         if num_machines <= 0:
             raise ValueError(f"num_machines must be positive, got {num_machines}")
-        if machine_speed <= 0:
-            raise ValueError(f"machine_speed must be positive, got {machine_speed}")
+        if not 0 < machine_speed < math.inf:  # False for NaN too
+            raise ValueError(
+                f"machine_speed must be positive and finite, got {machine_speed}"
+            )
+        if max_time is not None and not max_time >= 0:  # False for NaN too
+            raise ValueError(f"max_time must be None or >= 0, got {max_time}")
         self.trace = trace
         self.scheduler = scheduler
         self.scenario = scenario
@@ -516,7 +526,6 @@ class SimulationEngine:
                                         job._copies_launched += 1
                                         free_ids.pop()
                                         machine.current_copy = copy
-                                        machine.copies_hosted += 1
                                         if stage == 0:
                                             cluster._map_running += 1
                                         else:
@@ -736,9 +745,7 @@ class SimulationEngine:
         # on its own machine); Task.phase avoided -- stage 0 is the map
         # phase.
         machine_id = copy.machine_id
-        machine = cluster._machines[machine_id]
-        machine.current_copy = None
-        machine.busy_time += elapsed
+        cluster._machines[machine_id].current_copy = None
         cluster._free_ids.append(machine_id)
         if stage == 0:
             cluster._map_running -= 1
@@ -754,21 +761,25 @@ class SimulationEngine:
             # The ``num_active`` clones still occupy machines: kill and
             # release them in copy order (inlined TaskCopy.kill; the task's
             # completion_time is already set, so no unscheduled re-entry
-            # fires), then move the counters once.
+            # fires), then move the counters once.  Their times are added
+            # to the waste one by one, in copy order, and stored once.
+            machines = cluster._machines
+            push_free = cluster._free_ids.append
+            wasted_work = result.wasted_work
             for clone in task.copies:
                 if clone.finish_time is None and clone.killed_at is None:
                     clone.killed_at = now
-                    clone_elapsed = 0.0 if clone.start_time is None else now - clone.start_time
                     machine_id = clone.machine_id
-                    machine = cluster._machines[machine_id]
-                    machine.current_copy = None
-                    machine.busy_time += clone_elapsed
-                    cluster._free_ids.append(machine_id)
+                    machines[machine_id].current_copy = None
+                    push_free(machine_id)
                     if topology:
                         cluster._rack_running[self._rack_of[machine_id]] -= 1
                     if dynamic:
                         self._running.pop(machine_id, None)
-                    result.wasted_work += clone_elapsed
+                    if clone.start_time is not None:
+                        # A parked clone adds 0.0, which leaves the sum as is.
+                        wasted_work += now - clone.start_time
+            result.wasted_work = wasted_work
             task._num_active = 0
             job._active_copies -= num_active
             if stage == 0:
@@ -941,7 +952,7 @@ class SimulationEngine:
                 self._parked -= 1
             elapsed = copy.elapsed(self.now)
             copy.kill(self.now)
-            self.cluster.release(copy, elapsed=elapsed)
+            self.cluster.release(copy)
             entry = self._running.pop(machine_id, None)
             if self._checkpoint_interval is not None and elapsed > 0.0:
                 self._checkpoint_killed_copy(copy, entry, elapsed)
@@ -1161,8 +1172,19 @@ class SimulationEngine:
 
         Truncation to the free pool (the excess counts as ``over_requests``),
         the stage-buffer top-up and the task, job, cluster and result
-        counters happen once per request; machine, duration, copy and
-        finish event are per copy.
+        counters happen once per request; machine, duration and copy are
+        per copy.
+
+        Finish entries: a dynamic run queues one per started copy, since a
+        failure or a rate change may invalidate any of them.  A static run
+        queues one per request, for the started copy that finishes first
+        (the first in launch order on a tie).  Its other copies cannot
+        finish: their finish times are fixed at launch, and only their
+        task's completion -- at or before that entry -- can end them, by
+        killing them.  Sequence numbers are still drawn in push order, so
+        every entry that can fire keeps its place in the ``(time, priority,
+        sequence)`` order.  Parked copies get their entries on unparking
+        (:meth:`_unblock_parked_copies`).
         """
         cluster = self.cluster
         free_ids = cluster._free_ids
@@ -1181,22 +1203,30 @@ class SimulationEngine:
             # the refills its copies would trigger fuse into one draw.
             buffer = self._refill_workloads(task, n - len(buffer))
         topology = self._topology_active
+        dynamic = self._dynamic
         ready = job._stage_ready[stage]
         now = self.now
         machines = cluster._machines
         entries = self._events._entries
         sequence = self._sequence
+        copy_ids = self._copy_ids
+        add_copy = task.copies.append
+        # Resume from the last checkpoint: each copy's fresh draw keeps RNG
+        # consumption identical across policies; the saved work is then
+        # deducted (with a tiny floor so the copy stays schedulable).
+        saved = task.checkpoint_work
+        resume = self._checkpoint_interval is not None and saved > 0.0
+        if resume:
+            result.checkpoint_resumes += n
+        earliest = None
+        earliest_finish = 0.0
         for _ in range(n):
             if topology:
                 self._place_for_locality(task)
             machine_id = free_ids.pop()
             raw_workload = buffer.pop()
-            if self._checkpoint_interval is not None and task.checkpoint_work > 0.0:
-                # Resume from the last checkpoint: the fresh draw keeps RNG
-                # consumption identical across policies; the saved work is then
-                # deducted (with a tiny floor so the copy stays schedulable).
-                raw_workload = max(raw_workload - task.checkpoint_work, 1e-9)
-                result.checkpoint_resumes += 1
+            if resume:
+                raw_workload = max(raw_workload - saved, 1e-9)
             machine = machines[machine_id]
             # Inlined Machine.processing_time / effective_speed: a machine on
             # the free list is up, so only the slowdown branch remains (the
@@ -1223,7 +1253,7 @@ class SimulationEngine:
             # per-copy halves of Task.add_copy and ClusterState.place (a
             # free-listed machine is up and idle, covering Machine.assign).
             copy = TaskCopy.__new__(TaskCopy)
-            copy.copy_id = next(self._copy_ids)
+            copy.copy_id = next(copy_ids)
             copy.task = task
             copy.machine_id = machine_id
             copy.launch_time = now
@@ -1232,9 +1262,8 @@ class SimulationEngine:
             copy.killed_at = None
             copy.work = raw_workload
             copy.remote_penalty = penalty
-            task.copies.append(copy)
+            add_copy(copy)
             machine.current_copy = copy
-            machine.copies_hosted += 1
             if not ready:
                 # Parked: occupies the machine, progresses only once every
                 # predecessor stage completes (reduce-behind-map).
@@ -1244,13 +1273,20 @@ class SimulationEngine:
             # Inlined TaskCopy.start and EventHeap.push_finish: a fresh copy
             # is unstarted and at version 0, so the bump lands on 1.
             copy.start_time = now
-            if self._dynamic:
+            copy.finish_version = 1
+            finish = now + duration
+            if dynamic:
                 rate = machine.effective_speed
                 if penalty != 1.0:
                     rate /= penalty
                 self._running[machine_id] = _RunningCopy(copy, raw_workload, now, rate)
-            copy.finish_version = 1
-            heappush(entries, (now + duration, 0, next(sequence), copy, 1))
+                heappush(entries, (finish, 0, next(sequence), copy, 1))
+            elif earliest is None or finish < earliest_finish:
+                earliest = copy
+                earliest_finish = finish
+        if earliest is not None:
+            # The request's one finish entry in a static run (see above).
+            heappush(entries, (earliest_finish, 0, next(sequence), earliest, 1))
         # The counters, once per request.  A copy of a task already holding a
         # machine is redundant (a clone or a speculative duplicate); the
         # replacement of a failure-killed copy is not.

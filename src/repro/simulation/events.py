@@ -42,6 +42,16 @@ drain drop the superseded one when it reaches the head, exactly like the
 finish event of a killed clone.  Stale entries therefore never reach an
 event handler, never form an event batch on their own, and never cause a
 scheduler consultation.
+
+Which copies have a finish entry depends on the run.  In a dynamic run
+(machine failures or slowdowns) every started copy has one, since a
+failure or a rate change can invalidate any of them.  In a static run a
+launch request queues one entry only, for its earliest-finishing started
+copy (the first in launch order on a tie): a started copy's finish time is
+fixed at launch, and only its task's completion can end it, so the
+request's other copies would be killed before their entries could fire.
+A parked copy gets its entry when its stage becomes ready, one per copy
+in every run.
 """
 
 from __future__ import annotations
@@ -233,8 +243,9 @@ class EventHeap:
         Bumping ``copy.finish_version`` invalidates any queued finish entry
         of the same copy -- this is the decrease-key operation used when a
         machine's effective rate changes mid-run.  The copy itself is the
-        entry payload (no :class:`Event` allocation; this runs once per
-        launched copy).
+        entry payload (no :class:`Event` allocation).  Launches push their
+        entries inline instead; this serves unparked and re-estimated
+        copies.
         """
         version = copy.finish_version + 1
         copy.finish_version = version

@@ -453,7 +453,10 @@ class TaskCopy:
     finish_version:
         Version of the copy's currently valid finish event
         (engine-managed).  A queued finish event with a smaller version is
-        stale.
+        stale.  A started copy may have no queued entry at all: in a
+        static run only the earliest-finishing copy of each launch request
+        gets one (see :meth:`repro.simulation.engine.SimulationEngine
+        ._launch_copies`).
     remote_penalty:
         Remote-read slowdown factor priced into this copy's rate: 1.0 for
         a copy on its task's preferred rack (or when no topology is

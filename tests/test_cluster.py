@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster.machine import Machine
@@ -42,11 +44,9 @@ class TestMachine:
         copy = make_copy(job.map_tasks[0], 0)
         machine.assign(copy)
         assert not machine.is_free
-        assert machine.copies_hosted == 1
-        released = machine.release(elapsed=4.0)
+        released = machine.release()
         assert released is copy
         assert machine.is_free
-        assert machine.busy_time == 4.0
 
     def test_double_assign_rejected(self):
         machine = Machine(machine_id=0)
@@ -59,13 +59,6 @@ class TestMachine:
         with pytest.raises(ValueError):
             Machine(machine_id=0).release()
 
-    def test_release_rejects_negative_elapsed(self):
-        machine = Machine(machine_id=0)
-        job = make_job()
-        machine.assign(make_copy(job.map_tasks[0], 0))
-        with pytest.raises(ValueError):
-            machine.release(elapsed=-1.0)
-
     def test_processing_time_scales_with_speed(self):
         assert Machine(machine_id=0, speed=2.0).processing_time(10.0) == 5.0
         with pytest.raises(ValueError):
@@ -74,8 +67,9 @@ class TestMachine:
     def test_validation(self):
         with pytest.raises(ValueError):
             Machine(machine_id=-1)
-        with pytest.raises(ValueError):
-            Machine(machine_id=0, speed=0.0)
+        for speed in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Machine(machine_id=0, speed=speed)
 
 
 class TestClusterState:
@@ -98,7 +92,7 @@ class TestClusterState:
         assert cluster.num_running(Phase.REDUCE) == 0
         assert cluster.machine_of(copy) == machine_id
         cluster.check_invariants()
-        cluster.release(copy, elapsed=3.0)
+        cluster.release(copy)
         assert cluster.num_free == 2
         assert cluster.num_running(Phase.MAP) == 0
         assert cluster.machine_of(copy) is None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from heapq import heappush
 from typing import List, Sequence
 
 import numpy as np
@@ -12,6 +14,7 @@ from repro.experiments import ExperimentConfig
 from repro.policies.gating import launchable_tasks
 from repro.policies.redundancy import PaperCloning
 from repro.scenarios import MachineFailures, ScenarioSpec, TopologySpec
+from repro.simulation import engine as engine_module
 from repro.simulation.engine import SimulationEngine, SimulationError
 from repro.simulation.events import Event, EventType
 from repro.simulation.scheduler_api import (
@@ -364,6 +367,62 @@ def test_clone_heavy_fingerprints_are_pinned(google_config, composition, branch)
     assert result.fingerprint() == CLONE_FINGERPRINTS[composition, branch]
 
 
+class TestFinishEntryTraffic:
+    """Finish entries queued: one per launch request in a static run, one
+    per started copy under machine failures.
+
+    Pushes are counted by wrapping the engine module's ``heappush``.
+    """
+
+    @staticmethod
+    def _count_finish_pushes(monkeypatch):
+        pushes = []
+
+        def counting_push(heap, entry):
+            if entry[1] == EventType.COPY_FINISH:
+                pushes.append(entry)
+            heappush(heap, entry)
+
+        monkeypatch.setattr(engine_module, "heappush", counting_push)
+        return pushes
+
+    @staticmethod
+    def _engine(google_config, **kwargs):
+        config, trace = google_config
+        scheduler = ComposedScheduler("srpt", "share", "clone", epsilon=0.6, r=3.0, seed=2)
+        return SimulationEngine(trace, scheduler, config.machines, seed=5, **kwargs)
+
+    def test_static_run_pushes_one_entry_per_launch_request(
+        self, google_config, monkeypatch
+    ):
+        engine = self._engine(google_config)
+        launch = engine._launch_copies
+        started_requests = []
+
+        def counting_launch(task, n):
+            before = len(task.copies)
+            launch(task, n)
+            if any(copy.start_time is not None for copy in task.copies[before:]):
+                started_requests.append(task)
+
+        engine._launch_copies = counting_launch
+        pushes = self._count_finish_pushes(monkeypatch)
+        result = engine.run()
+        assert result.redundant_copies_launched > 0
+        assert len(pushes) == len(started_requests) < result.total_copies
+        assert not engine._events
+
+    def test_failure_run_pushes_one_entry_per_started_copy(
+        self, google_config, monkeypatch
+    ):
+        engine = self._engine(google_config, scenario=FAILURES)
+        pushes = self._count_finish_pushes(monkeypatch)
+        result = engine.run()
+        assert result.redundant_copies_launched > 0
+        assert result.copies_killed_by_failure > 0
+        assert len(pushes) == result.total_copies
+
+
 class TestRobustness:
     def test_stuck_scheduler_raises(self):
         trace = single_job_trace()
@@ -408,9 +467,23 @@ class TestRobustness:
         trace = single_job_trace()
         with pytest.raises(ValueError):
             SimulationEngine(trace, GreedyScheduler(), num_machines=0)
-        with pytest.raises(ValueError):
-            SimulationEngine(trace, GreedyScheduler(), num_machines=1,
-                             machine_speed=0.0)
+        # A NaN speed would make every flowtime NaN, an infinite one every
+        # copy take zero time.
+        for speed in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="machine_speed"):
+                SimulationEngine(trace, GreedyScheduler(), num_machines=1,
+                                 machine_speed=speed)
+        # A NaN max_time would turn the guard off, a negative one raise
+        # only at the first event.
+        for max_time in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="max_time"):
+                SimulationEngine(trace, GreedyScheduler(), num_machines=1,
+                                 max_time=max_time)
+
+    def test_infinite_max_time_sets_no_limit(self):
+        result = SimulationEngine(single_job_trace(), GreedyScheduler(),
+                                  num_machines=4, max_time=math.inf).run()
+        assert result.num_jobs == 1
 
     def test_check_invariants_mode(self):
         trace = uniform_trace(3, tasks_per_job=2, reduce_tasks_per_job=1,
