@@ -283,8 +283,11 @@ class DelayScheduling(AllocationPolicy):
 
     The policy keeps the engine alive across pure-deferral decisions by
     publishing the earliest pending deadline through ``tick_interval``
-    (``dynamic_tick`` contract); deadlines are monotone (first-seen time
-    plus a constant), so the engine's pending tick is never too late.
+    (``dynamic_tick`` contract).  The engine pushes a tick for a deadline
+    that falls before its pending one -- a LATE or Mantri tick composed
+    with this policy, or this policy's own poll of a task every free
+    machine had blacklisted -- so a deferred task is revisited exactly at
+    its deadline.
 
     With no active topology the walk degenerates to exactly the greedy
     allocation, which keeps ``topology=None`` runs bit-identical.

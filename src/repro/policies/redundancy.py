@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.speedup import ParetoSpeedup, SpeedupFunction
-from repro.policies.speculation import SpeculationEstimator
+from repro.policies.speculation import SpeculationEstimator, _check_count
 from repro.simulation.scheduler_api import LaunchRequest, SchedulerView
 from repro.workload.job import Job, Phase, Task
 
@@ -44,6 +45,18 @@ __all__ = [
     "LATESpeculation",
     "MantriSpeculation",
 ]
+
+
+def _check_tick_interval(tick_interval: Optional[float]) -> None:
+    """Reject a speculation cadence other than ``None`` or a positive finite time.
+
+    The engine ignores a zero, negative or NaN interval, so such a value
+    would silently turn speculation ticks off.
+    """
+    if tick_interval is not None and not 0 < tick_interval < math.inf:
+        raise ValueError(
+            f"tick_interval must be None or positive and finite, got {tick_interval}"
+        )
 
 
 class RedundancyPolicy:
@@ -143,9 +156,9 @@ class CheckpointRedundancy(RedundancyPolicy):
 
     def __init__(self, *, interval: float = 5.0) -> None:
         super().__init__()
-        if interval <= 0:
+        if not 0 < interval < math.inf:  # False for NaN too
             raise ValueError(
-                f"checkpoint interval must be positive, got {interval}"
+                f"checkpoint interval must be positive and finite, got {interval}"
             )
         #: The engine discovers this attribute (via the composed scheduler)
         #: and enables the checkpoint-resume kill path.
@@ -194,10 +207,7 @@ class PaperCloning(RedundancyPolicy):
         local_clones_only: bool = False,
     ) -> None:
         super().__init__()
-        if max_copies_per_task < 0:
-            raise ValueError(
-                f"max_copies_per_task must be >= 0, got {max_copies_per_task}"
-            )
+        _check_count("max_copies_per_task", max_copies_per_task, 0)
         self.enabled = enabled
         self.max_copies_per_task = max_copies_per_task
         self.local_clones_only = local_clones_only
@@ -335,10 +345,7 @@ class SCACloning(RedundancyPolicy):
         max_copies_per_task: int = 8,
     ) -> None:
         super().__init__()
-        if max_copies_per_task < 1:
-            raise ValueError(
-                f"max_copies_per_task must be >= 1, got {max_copies_per_task}"
-            )
+        _check_count("max_copies_per_task", max_copies_per_task, 1)
         self.speedup = speedup if speedup is not None else ParetoSpeedup(alpha=2.0)
         self.max_copies_per_task = max_copies_per_task
 
@@ -475,6 +482,7 @@ class LATESpeculation(RedundancyPolicy):
             raise ValueError(
                 f"speculative_cap must be in (0, 1], got {speculative_cap}"
             )
+        _check_tick_interval(tick_interval)
         self.slow_task_percentile = slow_task_percentile
         self.speculative_cap = speculative_cap
         self.tick_interval = tick_interval
@@ -482,31 +490,64 @@ class LATESpeculation(RedundancyPolicy):
             min_progress=min_progress, min_elapsed=min_elapsed, min_samples=1
         )
 
+    def _candidates(self, view: SchedulerView) -> List[tuple]:
+        """Sort keys of the copies LATE may duplicate, in machine order.
+
+        One loop over the running copies.  A copy is estimable once its
+        elapsed time is positive and at least ``min_elapsed`` (parked and
+        just started copies have no progress rate); ``progress = min(1,
+        elapsed / workload)`` and ``rate = progress / elapsed``.  The
+        threshold percentile ranks the rate of every estimable copy, so
+        all of them are collected.  A copy can become a candidate only at
+        ``min_progress`` or more and as its task's only active copy (at
+        most one duplicate per task); only those at or below the threshold
+        then pay for ``time_left = elapsed * (1 - progress) / progress``.
+        Each key is ``(-time_left, job arrival index, stage, task index,
+        copy id, task)``.
+        """
+        now = view.time
+        min_elapsed = self.estimator.min_elapsed
+        min_progress = self.estimator.min_progress
+        rates: List[float] = []
+        add_rate = rates.append
+        possible: List[tuple] = []
+        for copy in view.running_copies():
+            start = copy.start_time
+            if start is None:
+                continue
+            elapsed = now - start
+            if elapsed < min_elapsed or elapsed == 0.0:
+                continue
+            progress = elapsed / copy.workload
+            if progress > 1.0:
+                progress = 1.0
+            rate = progress / elapsed
+            add_rate(rate)
+            if progress >= min_progress and copy.task._num_active < 2:
+                possible.append((rate, elapsed, progress, copy))
+        if not possible:
+            return []
+        threshold = _linear_percentile(rates, self.slow_task_percentile)
+        candidates: List[tuple] = []
+        for rate, elapsed, progress, copy in possible:
+            if rate > threshold:
+                continue
+            task = copy.task
+            candidates.append(
+                (-(elapsed * (1.0 - progress) / progress), task.job.arrival_index,
+                 task.stage, task.index, copy.copy_id, task)
+            )
+        return candidates
+
     def _speculate(self, view: SchedulerView, free: int) -> List[LaunchRequest]:
         if free <= 0:
             return []
         budget = min(free, int(self.speculative_cap * view.num_machines))
         if budget <= 0:
             return []
-        estimates = self.estimator.estimate(view)
-        if not estimates:
-            return []
-        threshold = _linear_percentile(
-            [entry[0] for entry in estimates], self.slow_task_percentile
-        )
-        candidates: List[tuple] = []
-        for rate, time_left, _, copy in estimates:
-            if time_left is None or rate > threshold:
-                continue
-            task = copy.task
-            # A one-copy task is listed once: no duplicate set is needed.
-            if task.num_active_copies >= 2:
-                continue
-            candidates.append(
-                (-time_left, task.job.arrival_index, task.stage, task.index,
-                 copy.copy_id, task)
-            )
+        candidates = self._candidates(view)
         candidates.sort()
+        # A task has one candidate at most: no duplicate set is needed.
         requests = [
             LaunchRequest(task=entry[-1], num_copies=1)
             for entry in candidates[:budget]
@@ -556,10 +597,8 @@ class MantriSpeculation(RedundancyPolicy):
         super().__init__()
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        if max_copies_per_task < 2:
-            raise ValueError(
-                f"max_copies_per_task must be at least 2, got {max_copies_per_task}"
-            )
+        _check_count("max_copies_per_task", max_copies_per_task, 2)
+        _check_tick_interval(tick_interval)
         self.delta = delta
         self.max_copies_per_task = max_copies_per_task
         self.tick_interval = tick_interval
@@ -582,14 +621,13 @@ class MantriSpeculation(RedundancyPolicy):
         if free <= 0:
             return []
         delta = self.delta
-        max_copies = self.max_copies_per_task
         scored: List[tuple] = []
-        for _, time_left, probability, copy in self.estimator.estimate(view):
-            if probability is None or probability <= delta:
+        for time_left, probability, copy in self.estimator.straggler_estimates(
+            view, self.max_copies_per_task
+        ):
+            if probability <= delta:
                 continue
             task = copy.task
-            if task.num_active_copies >= max_copies:
-                continue
             scored.append(
                 (-time_left, task.job.arrival_index, task.stage, task.index,
                  copy.copy_id, task)

@@ -1,16 +1,20 @@
 """Progress-based straggler estimation shared by the speculation policies.
 
-:class:`SpeculationEstimator` estimates a running copy's progress rate,
-remaining time (``t_rem``) and straggler probability purely from
-observable signals (progress scores and the durations of already finished
-copies), never from the simulator's hidden workloads.  It sits beside the
-redundancy policies that consume it (Mantri and LATE speculation).
+:class:`SpeculationEstimator` holds the progress thresholds both
+speculation policies read and the finished-copy durations Mantri compares
+against, and runs Mantri's straggler pass.  Every estimate comes purely
+from observable signals (progress scores and the durations of already
+finished copies), never from the simulator's hidden workloads.  LATE's
+pass lives on :class:`~repro.policies.redundancy.LATESpeculation`: it
+reads no samples, only the two progress thresholds.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import deque
+from numbers import Integral
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.simulation.scheduler_api import SchedulerView
@@ -18,12 +22,20 @@ from repro.workload.job import Job, Task, TaskCopy
 
 __all__ = ["SpeculationEstimator"]
 
-#: One :meth:`SpeculationEstimator.estimate` entry (see there).
-Estimate = Tuple[float, Optional[float], Optional[float], TaskCopy]
+
+def _check_count(name: str, value: int, minimum: int) -> None:
+    """Reject a count knob (a copy cap, a sample count) below ``minimum`` or not an integer.
+
+    Floats (NaN and infinities included) and bools are rejected even when
+    they compare in range: the comparisons that read a count would treat
+    2.5 as 3, and NaN or infinity as no limit at all.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class SpeculationEstimator:
-    """Progress-based straggler estimation shared by Mantri and LATE.
+    """Progress thresholds for Mantri and LATE, and Mantri's straggler pass.
 
     Duration samples are kept per ``(job, stage)``, so on a stage DAG a
     copy is only ever compared with finished copies of its own stage.  A
@@ -59,10 +71,11 @@ class SpeculationEstimator:
     ) -> None:
         if not 0.0 < min_progress < 1.0:
             raise ValueError(f"min_progress must be in (0, 1), got {min_progress}")
-        if min_elapsed < 0:
-            raise ValueError(f"min_elapsed must be >= 0, got {min_elapsed}")
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {min_samples}")
+        if not 0 <= min_elapsed < math.inf:  # False for NaN too
+            raise ValueError(
+                f"min_elapsed must be non-negative and finite, got {min_elapsed}"
+            )
+        _check_count("min_samples", min_samples, 1)
         self.min_progress = min_progress
         self.min_elapsed = min_elapsed
         self.min_samples = min_samples
@@ -104,28 +117,46 @@ class SpeculationEstimator:
         entry = None if stages is None else stages[stage]
         return [] if entry is None else list(entry[0])
 
-    def estimate(self, view: SchedulerView) -> List[Estimate]:
-        """``(rate, time_left, probability, copy)`` per running copy, machine order.
+    def straggler_estimates(
+        self, view: SchedulerView, max_copies: int
+    ) -> List[Tuple[float, float, TaskCopy]]:
+        """``(time_left, probability, copy)`` per copy Mantri may duplicate, machine order.
 
-        One pass per decision point.  A copy gets an entry once its elapsed
-        time is positive and at least ``min_elapsed`` (parked and just
-        started copies have no progress rate).  ``progress = min(1,
-        elapsed / workload)`` is the score a MapReduce framework reports;
-        ``rate = progress / elapsed``; ``time_left = elapsed * (1 -
-        progress) / progress`` (``t_rem``), ``None`` below ``min_progress``.
+        Mantri's pass, one per decision point.  Two structural checks come
+        before any float work: the copy's task holds fewer than
+        ``max_copies`` active copies, and its ``(job, stage)`` has at least
+        ``min_samples`` recorded durations.  A copy failing either has no
+        straggler probability, so it is skipped unread; while no alive job
+        has samples the pass reads no copy at all.  The rest is estimated
+        as before: the elapsed time must be positive and at least
+        ``min_elapsed`` (parked and just started copies have no progress
+        rate), ``progress = min(1, elapsed / workload)`` is the score a
+        MapReduce framework reports and must reach ``min_progress``, and
+        ``time_left = elapsed * (1 - progress) / progress`` is ``t_rem``.
         ``probability`` is Mantri's ``P(t_rem > 2 * t_new)`` with ``t_new``
-        drawn from the copy's ``(job, stage)`` samples, i.e. the fraction
-        of samples ``d`` with ``2 d < t_rem``; ``None`` without a
-        ``time_left`` or before ``min_samples`` samples.
+        drawn from the stage's samples, i.e. the fraction of samples ``d``
+        with ``2 d < t_rem``.
         """
+        samples = self._samples
+        if not samples:
+            return []
         now = view.time
         min_elapsed = self.min_elapsed
         min_progress = self.min_progress
         min_samples = self.min_samples
-        samples = self._samples
-        estimates: List[Estimate] = []
-        append = estimates.append
+        estimates: List[Tuple[float, float, TaskCopy]] = []
         for copy in view.running_copies():
+            task = copy.task
+            stages = samples.get(task.job.spec.job_id)
+            if stages is None:
+                continue
+            entry = stages[task.stage]
+            if entry is None or task._num_active >= max_copies:
+                continue
+            doubled = entry[1]
+            count = len(doubled)
+            if count < min_samples:
+                continue
             start = copy.start_time
             if start is None:
                 continue
@@ -135,19 +166,10 @@ class SpeculationEstimator:
             progress = elapsed / copy.workload
             if progress > 1.0:
                 progress = 1.0
-            time_left = probability = None
-            if progress >= min_progress:
-                time_left = elapsed * (1.0 - progress) / progress
-                if samples:
-                    task = copy.task
-                    stages = samples.get(task.job.spec.job_id)
-                    if stages is not None:
-                        entry = stages[task.stage]
-                        if entry is not None:
-                            doubled = entry[1]
-                            count = len(doubled)
-                            if count >= min_samples:
-                                probability = bisect_left(doubled, time_left) / count
-            append((progress / elapsed, time_left, probability, copy))
+            if progress < min_progress:
+                continue
+            time_left = elapsed * (1.0 - progress) / progress
+            estimates.append(
+                (time_left, bisect_left(doubled, time_left) / count, copy)
+            )
         return estimates
-

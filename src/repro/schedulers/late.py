@@ -55,7 +55,7 @@ class LATEScheduler(ComposedScheduler):
 
     @property
     def estimator(self) -> SpeculationEstimator:
-        """The progress-based time-left estimator feeding the rule."""
+        """The progress thresholds (``min_progress``, ``min_elapsed``) the rule reads."""
         return self.redundancy.estimator
 
     @property

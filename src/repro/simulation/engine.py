@@ -92,9 +92,11 @@ from repro.workload.trace import Trace
 
 __all__ = ["SimulationEngine", "SimulationError"]
 
-#: Plain-int arrival priority for the inlined arrival push (see
-#: :meth:`SimulationEngine._push_next_arrival`).
+#: Plain-int priorities for the inlined arrival and tick pushes (see
+#: :meth:`SimulationEngine._push_next_arrival` and
+#: :meth:`SimulationEngine._maybe_schedule_tick`).
 _ARRIVAL_PRIORITY = int(EventType.JOB_ARRIVAL)
+_TICK_PRIORITY = int(EventType.TICK)
 
 #: What the engine accepts as a workload: an in-memory trace or a lazy stream.
 TraceLike = Union[Trace, TraceStream]
@@ -370,6 +372,7 @@ class SimulationEngine:
         total_jobs = self._total_jobs
         arrival_priority = int(EventType.JOB_ARRIVAL)
         finish_priority = int(EventType.COPY_FINISH)
+        tick_priority = _TICK_PRIORITY
 
         # The same-timestamp batch drain (see repro.simulation.events):
         # pop the earliest live entry, handle it, then pop and handle every
@@ -382,12 +385,11 @@ class SimulationEngine:
         # entries at that time in (priority, sequence) order.  Stale finish
         # entries (killed or re-estimated copies) are dropped at the head
         # and never handled.  Entries are raw
-        # ``(time, priority, sequence, payload, version)`` tuples: the two
-        # dominant kinds carry their payload directly (one TaskCopy per
-        # finish, one Job per arrival) and dispatch straight to their
-        # handlers with no Event object in sight; everything else (machine
-        # events, ticks) carries an :class:`Event` payload handled by
-        # :meth:`_handle_event`.
+        # ``(time, priority, sequence, payload, version)`` tuples: finishes
+        # and arrivals carry their payload directly (one TaskCopy per
+        # finish, one Job per arrival) and ticks carry none, so all three
+        # are handled here with no Event object in sight; machine events
+        # carry an :class:`Event` payload handled by :meth:`_handle_event`.
         while True:
             # Pop the earliest live entry, dropping stale finish entries
             # (killed or re-estimated copies) at the head.
@@ -419,6 +421,13 @@ class SimulationEngine:
                 elif priority == arrival_priority:
                     pump()
                     handle_arrival(entry[3])
+                elif priority == tick_priority:
+                    # A tick is only a decision point.  A superseded tick
+                    # (an earlier wake-up was pushed after it) still is
+                    # one, but leaves the pending wake-up in force so that
+                    # no second tick chain starts.
+                    if entry[0] == self._next_tick:
+                        self._next_tick = None
                 else:
                     handle(entry[3])
                 # Drain the rest of this timestamp's batch (stale finish
@@ -638,8 +647,6 @@ class SimulationEngine:
             self._handle_slowdown_start(event.machine_id)
         elif event.event_type is EventType.MACHINE_SLOWDOWN_END:
             self._handle_slowdown_end(event.machine_id)
-        elif event.event_type is EventType.TICK:
-            self._next_tick = None
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unknown event type {event.event_type}")
 
@@ -1311,16 +1318,31 @@ class SimulationEngine:
             self._parked += n
 
     def _maybe_schedule_tick(self) -> None:
+        """Queue the wake-up the scheduler asks for, unless one comes sooner.
+
+        The scheduler's ``tick_interval`` is read after every decision
+        point.  A pending tick at or before ``now + tick_interval`` already
+        serves the request.  An earlier request is pushed too -- a delay
+        scheduling deadline that falls before a pending LATE or Mantri
+        tick, or before the poll of a task every free machine had
+        blacklisted -- and the later tick it supersedes stays queued (see
+        the tick branch of :meth:`_run`).  A tick entry has no payload.
+        """
         interval = self.scheduler.tick_interval
         if interval is None or interval <= 0:
             return
         if not self._alive:
             return
-        if self._next_tick is not None and self._next_tick > self.now:
+        now = self.now
+        tick_time = now + interval
+        pending = self._next_tick
+        if pending is not None and now < pending <= tick_time:
             return
-        tick_time = self.now + interval
         self._next_tick = tick_time
-        self._push(Event.tick(tick_time, next(self._sequence)))
+        heappush(
+            self._events._entries,
+            (tick_time, _TICK_PRIORITY, next(self._sequence), None, 0),
+        )
 
     def _check_progress_possible(self) -> None:
         """Detect a stuck simulation: pending work, free machines, no way forward.

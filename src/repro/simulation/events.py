@@ -12,12 +12,23 @@ The heap (:class:`EventHeap`) stores plain ``(time, priority, sequence,
 payload, version)`` tuples so every comparison during sift-up/down happens
 at C speed -- and the two per-job event kinds (arrivals, copy finishes)
 carry their :class:`~repro.workload.job.Job` / :class:`~repro.workload.job
-.TaskCopy` payload *directly* in the tuple, so the hot path never
-allocates an :class:`Event` at all.  ``Event`` objects still exist as the
-payload of the rare event kinds (machine failures/repairs, slowdown
-transitions, ticks) and for tests and analysis code (they define
-``__lt__`` for direct sorting); the uniqueness of ``sequence`` guarantees
-tuple comparisons never reach the payload slot.
+.TaskCopy` payload *directly* in the tuple, while a tick carries none (it
+only wakes the scheduler), so neither the hot path nor a ticking policy
+ever allocates an :class:`Event`.  ``Event`` objects still exist as the
+payload of the rare machine events (failures/repairs, slowdown
+transitions) and for tests and analysis code (they define ``__lt__`` for
+direct sorting); the uniqueness of ``sequence`` guarantees tuple
+comparisons never reach the payload slot.
+
+Ticks
+-----
+After every decision point the engine reads the scheduler's
+``tick_interval`` and queues a tick at ``now + tick_interval`` unless a
+pending tick comes no later.  An earlier request supersedes the pending
+tick without removing it: the superseded tick still fires, as one more
+decision point, but does not re-arm the wake-up, so exactly one tick
+chain runs (see :meth:`~repro.simulation.engine.SimulationEngine
+._maybe_schedule_tick`).
 
 Same-timestamp batches
 ----------------------
@@ -200,9 +211,9 @@ _TICK = int(EventType.TICK)
 
 #: A heap entry: ``(time, priority, sequence, payload, version)``.  The
 #: payload is a :class:`~repro.workload.job.Job` for arrivals, a
-#: :class:`~repro.workload.job.TaskCopy` for copy finishes, and an
-#: :class:`Event` for everything else; ``version`` is the finish-event
-#: version (0 for all other kinds).
+#: :class:`~repro.workload.job.TaskCopy` for copy finishes, ``None`` for a
+#: tick, and an :class:`Event` for the machine events; ``version`` is the
+#: finish-event version (0 for all other kinds).
 HeapEntry = Tuple[float, int, int, object, int]
 
 

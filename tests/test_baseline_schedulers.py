@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.schedulers import (
@@ -108,7 +110,7 @@ class TestSRPT:
 
 
 class _StubView:
-    """The two view members the estimator reads: the clock and the copies."""
+    """The two view members the speculation passes read: the clock and the copies."""
 
     def __init__(self, time, copies):
         self.time = time
@@ -126,15 +128,34 @@ def _finished_copy(task, copy_id, start, duration):
     return copy
 
 
-class TestSpeculationEstimator:
+def _running_copy(task, copy_id, start, workload):
+    copy = TaskCopy(copy_id, task, machine_id=copy_id, launch_time=start,
+                    workload=workload, start_time=start)
+    task.add_copy(copy)
+    return copy
+
+
+def _map_job(num_map_tasks):
+    """A map-only job outside any engine, stamped as the first arrival."""
+    from repro.workload.job import Job
+
+    job = Job.from_spec(JobSpec(
+        job_id=0, arrival_time=0.0, weight=1.0, num_map_tasks=num_map_tasks,
+        num_reduce_tasks=0, map_duration=Deterministic(10.0),
+        reduce_duration=Deterministic(10.0),
+    ))
+    job.arrival_index = 0
+    return job
+
+
+class TestLATECandidates:
     def test_remaining_time_extrapolates_progress(self):
         from repro.simulation.engine import SimulationEngine
 
-        estimator = SpeculationEstimator(min_progress=0.05, min_elapsed=0.0,
-                                         min_samples=1)
+        late = LATESpeculation(min_progress=0.05, min_elapsed=0.0)
 
         class Probe(Scheduler):
-            """Launches every pending map task; records estimates per tick."""
+            """Launches every pending map task; records LATE's candidates per tick."""
 
             tick_interval = 4.0
 
@@ -142,7 +163,7 @@ class TestSpeculationEstimator:
                 self.seen = []
 
             def schedule(self, view):
-                self.seen.append((view.time, estimator.estimate(view)))
+                self.seen.append((view.time, late._candidates(view)))
                 return [LaunchRequest(task) for job in view.alive_jobs
                         for task in job.unscheduled_tasks(Phase.MAP)]
 
@@ -152,58 +173,98 @@ class TestSpeculationEstimator:
         probe = Probe()
         engine = SimulationEngine(Trace([spec]), probe, num_machines=1)
         engine.run()
-        copy = engine._jobs[0].map_tasks[0].copies[0]
+        task = engine._jobs[0].map_tasks[0]
+        [copy] = task.copies
         # Launched at t=0 (nothing running yet), ticks at 4 and 8, done at 10.
         assert [time for time, _ in probe.seen] == [0.0, 4.0, 8.0]
         assert probe.seen[0][1] == []
-        for time, estimates in probe.seen[1:]:
-            [(rate, time_left, probability, estimated)] = estimates
-            assert estimated is copy
-            assert rate == pytest.approx(0.1)
-            assert time_left == pytest.approx(10.0 - time)
-            assert probability is None  # no sample was ever recorded
-        # After the run nothing is running, so nothing is estimated.
-        assert estimator.estimate(engine._view) == []
+        for time, candidates in probe.seen[1:]:
+            # The one copy is its own rate percentile, so it is a candidate.
+            [(negative_left, arrival, stage, index, copy_id, candidate)] = candidates
+            assert -negative_left == pytest.approx(10.0 - time)
+            assert (arrival, stage, index, copy_id) == (0, 0, 0, copy.copy_id)
+            assert candidate is task
+        # After the run nothing is running, so nothing is a candidate.
+        assert late._candidates(engine._view) == []
 
-    def test_straggler_probability_requires_samples(self):
-        from repro.workload.job import Job
-
-        estimator = SpeculationEstimator(min_samples=3)
-        spec = JobSpec(job_id=0, arrival_time=0.0, weight=1.0, num_map_tasks=4,
-                       num_reduce_tasks=0, map_duration=Deterministic(10.0),
-                       reduce_duration=Deterministic(10.0))
-        job = Job.from_spec(spec)
+    def test_threshold_ranks_copies_that_cannot_be_candidates(self):
+        # At t=10 a copy below min_progress and the two copies of one task
+        # can never be candidates, yet their rates still set the
+        # percentile; a copy with no elapsed time has no rate at all.
+        late = LATESpeculation(min_progress=0.25, min_elapsed=1.0)
+        job = _map_job(5)
         tasks = job.map_tasks
-        running = TaskCopy(9, tasks[3], machine_id=9, launch_time=0.0,
-                           workload=20.0, start_time=0.0)
-        tasks[3].add_copy(running)
+        slow = _running_copy(tasks[0], 0, 0.0, 500.0)     # rate 0.002, progress 0.02
+        twin_a = _running_copy(tasks[1], 1, 0.0, 40.0)    # progress 0.25, two copies
+        twin_b = _running_copy(tasks[1], 2, 0.0, 40.0)
+        eligible = _running_copy(tasks[2], 3, 0.0, 30.0)  # progress 1/3, rate 1/30
+        fast = _running_copy(tasks[3], 4, 0.0, 20.0)      # progress 0.5, rate 0.05
+        fresh = _running_copy(tasks[4], 5, 10.0, 20.0)    # elapsed 0: no rate
+        view = _StubView(10.0, [slow, twin_a, twin_b, eligible, fast, fresh])
+        # Rates 0.002, 0.025, 0.025, 1/30, 0.05: the 25th percentile is
+        # 0.025, below the eligible copy's rate, so nothing qualifies ...
+        assert late._candidates(view) == []
+        # ... but with a higher percentile the eligible copy does.
+        late.slow_task_percentile = 75.0
+        [entry] = late._candidates(view)
+        assert entry[-1] is tasks[2]
+        assert -entry[0] == pytest.approx(20.0)
+
+    def test_no_copy_at_min_progress_returns_nothing(self):
+        late = LATESpeculation(min_progress=0.5, min_elapsed=0.0)
+        job = _map_job(2)
+        copies = [_running_copy(task, i, 0.0, 100.0)
+                  for i, task in enumerate(job.map_tasks)]
+        assert late._candidates(_StubView(40.0, copies)) == []
+        [first, second] = late._candidates(_StubView(50.0, copies))
+        assert first[-1] is job.map_tasks[0] and second[-1] is job.map_tasks[1]
+
+
+class TestStragglerEstimates:
+    def test_straggler_probability_requires_samples(self):
+        estimator = SpeculationEstimator(min_samples=3)
+        job = _map_job(4)
+        tasks = job.map_tasks
         # elapsed 5 of 20: progress 0.25, time left 5 * 0.75 / 0.25 = 15.
+        running = _running_copy(tasks[3], 9, 0.0, 20.0)
         view = _StubView(5.0, [running])
+        assert estimator.straggler_estimates(view, 2) == []
         assert estimator.recorded_durations(job, 0) == []
         for index, duration in enumerate((4.0, 10.0)):
             _finished_copy(tasks[index], index, 0.0, duration)
             estimator.record_completion(tasks[index], duration)
-        [(_, time_left, probability, _)] = estimator.estimate(view)
-        assert time_left == 15.0
-        assert probability is None  # 2 < min_samples
+        # 2 < min_samples: the copy has no straggler probability.
+        assert estimator.straggler_estimates(view, 2) == []
         _finished_copy(tasks[2], 2, 0.0, 8.0)
         estimator.record_completion(tasks[2], 8.0)
-        [(_, time_left, probability, _)] = estimator.estimate(view)
+        [(time_left, probability, estimated)] = estimator.straggler_estimates(view, 2)
+        assert estimated is running
+        assert time_left == 15.0
         # Samples d with 2 d < 15: only the 4 s one.
         assert probability == pytest.approx(1 / 3)
         assert estimator.recorded_durations(job, 0) == [4.0, 10.0, 8.0]
         assert estimator.recorded_durations(job, 1) == []
 
-    def test_sample_window_keeps_the_most_recent_durations(self):
-        from repro.workload.job import Job
+    def test_copies_at_the_copy_cap_are_skipped(self):
+        estimator = SpeculationEstimator(min_samples=1)
+        job = _map_job(3)
+        tasks = job.map_tasks
+        _finished_copy(tasks[0], 0, 0.0, 1.0)
+        estimator.record_completion(tasks[0], 1.0)
+        single = _running_copy(tasks[1], 1, 0.0, 20.0)
+        pair = [_running_copy(tasks[2], 2 + i, 0.0, 20.0) for i in range(2)]
+        view = _StubView(5.0, [single, *pair])
+        # A cap of 2 leaves only the task one copy below it ...
+        assert [c for _, _, c in estimator.straggler_estimates(view, 2)] == [single]
+        # ... a cap of 3 lists the pair's copies too, in machine order.
+        assert [c for _, _, c in estimator.straggler_estimates(view, 3)] == [
+            single, *pair
+        ]
 
+    def test_sample_window_keeps_the_most_recent_durations(self):
         estimator = SpeculationEstimator(min_samples=1)
         cap = estimator.max_samples
-        spec = JobSpec(job_id=0, arrival_time=0.0, weight=1.0,
-                       num_map_tasks=cap + 11, num_reduce_tasks=0,
-                       map_duration=Deterministic(10.0),
-                       reduce_duration=Deterministic(10.0))
-        job = Job.from_spec(spec)
+        job = _map_job(cap + 11)
         *done, last = job.map_tasks
         durations = [float((7 * i) % 23 + 1) for i in range(len(done))]
         for index, (task, duration) in enumerate(zip(done, durations)):
@@ -211,23 +272,33 @@ class TestSpeculationEstimator:
             estimator.record_completion(task, duration)
         kept = durations[-cap:]
         assert estimator.recorded_durations(job, 0) == kept
-        running = TaskCopy(999, last, machine_id=999, launch_time=0.0,
-                           workload=100.0, start_time=0.0)
-        last.add_copy(running)
+        running = _running_copy(last, 999, 0.0, 100.0)
         for now in (10.0, 30.0, 60.0, 75.0, 90.0):
-            [(_, time_left, probability, _)] = estimator.estimate(
-                _StubView(now, [running])
+            [(time_left, probability, _)] = estimator.straggler_estimates(
+                _StubView(now, [running]), 2
             )
             hits = sum(1 for duration in kept if 2.0 * duration < time_left)
             assert probability == hits / cap
 
-    def test_validation(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"min_progress": 0.0},
+            {"min_progress": math.nan},
+            {"min_elapsed": -1.0},
+            {"min_elapsed": math.nan},
+            {"min_elapsed": math.inf},
+            {"min_samples": 0},
+            {"min_samples": 2.5},
+            {"min_samples": 3.0},
+            {"min_samples": math.nan},
+            {"min_samples": True},
+        ],
+        ids=repr,
+    )
+    def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            SpeculationEstimator(min_progress=0.0)
-        with pytest.raises(ValueError):
-            SpeculationEstimator(min_elapsed=-1.0)
-        with pytest.raises(ValueError):
-            SpeculationEstimator(min_samples=0)
+            SpeculationEstimator(**kwargs)
 
 
 class TestMantri:

@@ -25,6 +25,7 @@ from repro.simulation.scheduler_api import (
 )
 from repro.workload.distributions import Deterministic, DurationDistribution, Exponential
 from repro.workload.generators import uniform_trace
+from repro.workload.google_trace import GoogleTraceConfig, GoogleTraceGenerator
 from repro.workload.job import JobSpec, Phase
 from repro.workload.trace import Trace
 
@@ -527,6 +528,115 @@ class TestEvents:
         early = Event.tick(1.0, 5)
         late = Event.copy_finish(2.0, 1, copy=None)
         assert sorted([late, early])[0] is early
+
+
+class _WakeUpProbe(GreedyScheduler):
+    """The greedy test scheduler, asking for a scripted wake-up after each decision.
+
+    ``wake_ups`` maps a decision time to the ``tick_interval`` requested
+    after that decision; every other decision asks for ``cadence``.
+    """
+
+    def __init__(self, wake_ups, cadence: float = 5.0) -> None:
+        self.wake_ups = wake_ups
+        self.cadence = cadence
+        self.tick_interval = cadence
+        self.decision_times: List[float] = []
+
+    def schedule(self, view: SchedulerView) -> Sequence[LaunchRequest]:
+        self.decision_times.append(view.time)
+        self.tick_interval = self.wake_ups.get(view.time, self.cadence)
+        return super().schedule(view)
+
+
+class TestTicks:
+    """Tick entries carry no payload, and the earliest requested wake-up wins."""
+
+    def test_static_late_run_constructs_no_event(self, google_config, monkeypatch):
+        constructed = []
+        init = Event.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(args)
+            init(self, *args, **kwargs)
+
+        ticks = []
+
+        def recording_push(heap, entry):
+            if entry[1] == EventType.TICK:
+                ticks.append(entry)
+            heappush(heap, entry)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        monkeypatch.setattr(engine_module, "heappush", recording_push)
+        config, trace = google_config
+        scheduler = ComposedScheduler("srpt", "greedy", "late", r=3.0)
+        result = SimulationEngine(trace, scheduler, config.machines, seed=5).run()
+        assert result.num_jobs == trace.num_jobs
+        assert ticks and all(entry[3] is None for entry in ticks)
+        assert constructed == []
+
+    def test_earlier_wake_up_supersedes_the_pending_tick(self):
+        # Two long single-task jobs arrive at 0 and 1.  After the decision
+        # at 1 the scheduler asks for a wake-up 2 s later, before the tick
+        # pending at 5: the tick at 3 is pushed and restarts the 5 s
+        # cadence.  The superseded tick at 5 is still a decision point, but
+        # starts no second chain (no decisions at 10, 15, ...).
+        specs = [
+            JobSpec(job_id=i, arrival_time=float(i), weight=1.0, num_map_tasks=1,
+                    num_reduce_tasks=0, map_duration=Deterministic(30.0),
+                    reduce_duration=Deterministic(1.0))
+            for i in range(2)
+        ]
+        scheduler = _WakeUpProbe({1.0: 2.0})
+        SimulationEngine(Trace(specs), scheduler, num_machines=2).run()
+        # Job 0 finishes at 30 and job 1 at 31, which ends the run.
+        assert scheduler.decision_times == [
+            0.0, 1.0, 3.0, 5.0, 8.0, 13.0, 18.0, 23.0, 28.0, 30.0
+        ]
+
+    @pytest.mark.parametrize(
+        "redundancy, scale, machines, failures",
+        [
+            # A deadline before the pending 5 s LATE or Mantri tick.
+            ("late", 0.0005, 12, None),
+            ("mantri", 0.0005, 12, None),
+            # A deadline before the poll delay scheduling itself set one
+            # wait ahead, for a task every free machine had blacklisted.
+            ("none", 0.003, 30, MachineFailures(rate=1e-3, mean_repair=20.0)),
+        ],
+        ids=["late", "mantri", "none-failures"],
+    )
+    def test_delay_wake_up_is_never_dropped(self, redundancy, scale, machines, failures):
+        # Delay scheduling asks to revisit a deferred task at its deadline.
+        # Whenever it asked for a wake-up, the next decision point must
+        # come no later.
+        trace = GoogleTraceGenerator(GoogleTraceConfig(scale=scale)).generate(
+            seed=1 if failures is None else 8
+        )
+        scheduler = ComposedScheduler("srpt", "delay", redundancy, r=3.0)
+        allocation = scheduler.allocation
+        decide = scheduler.schedule
+        decisions = []  # (time, wake-up delay the allocation asked for)
+
+        def logged(view):
+            requests = decide(view)
+            decisions.append((view.time, allocation.tick_interval))
+            return requests
+
+        scheduler.schedule = logged
+        scenario = ScenarioSpec(
+            topology=TopologySpec(racks=4, remote_slowdown=1.5), failures=failures
+        )
+        SimulationEngine(trace, scheduler, num_machines=machines, seed=1,
+                         scenario=scenario).run()
+        assert any(wake is not None for _, wake in decisions)
+        late = [
+            (time, wake, next_time)
+            for (time, wake), (next_time, _) in zip(decisions, decisions[1:])
+            if wake is not None and next_time > time + wake
+        ]
+        assert late == []
 
 
 class _DecisionLog(ComposedScheduler):

@@ -10,6 +10,9 @@ process pool, and under adversity scenarios.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core.srptms_c import SRPTMSCScheduler
@@ -49,6 +52,7 @@ from repro.simulation import (
     run_simulation,
 )
 from repro.simulation.scheduler_api import ComposedScheduler
+from repro.study import study_from_toml
 from repro.workload.generators import bulk_arrival_trace
 from repro.workload.job import Job, JobSpec, Phase
 from repro.workload.distributions import Deterministic, LogNormal
@@ -340,6 +344,64 @@ class TestCompositionRegistry:
         assert scheduler.name == "srpt+share+late"
         # Speculation policies carry their tick interval to the engine.
         assert scheduler.tick_interval == 5.0
+
+
+class TestRedundancyKnobValidation:
+    """Out-of-range knobs fail at construction instead of changing the run."""
+
+    @pytest.mark.parametrize("tick_interval", [0.0, -5.0, -math.inf])
+    @pytest.mark.parametrize("policy", [LATESpeculation, MantriSpeculation])
+    def test_tick_interval_must_be_positive(self, policy, tick_interval):
+        # The engine ignores such an interval, which silently turned
+        # speculation ticks off.
+        with pytest.raises(ValueError, match="tick_interval"):
+            policy(tick_interval=tick_interval)
+        assert policy(tick_interval=None).tick_interval is None
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, math.nan, math.inf, True])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda v: MantriSpeculation(max_copies_per_task=v),
+                         id="mantri-cap"),
+            pytest.param(lambda v: MantriSpeculation(min_samples=v),
+                         id="mantri-min-samples"),
+            pytest.param(lambda v: PaperCloning(max_copies_per_task=v), id="clone-cap"),
+            pytest.param(lambda v: SRPTMSCScheduler(max_copies_per_task=v),
+                         id="srptms-c-cap"),
+            pytest.param(lambda v: SCACloning(max_copies_per_task=v), id="sca-cap"),
+        ],
+    )
+    def test_counts_must_be_integers(self, build, value):
+        # NaN or infinity removed the copy cap, 2.5 acted as 3 (and crashed
+        # SRPTMS+C inside numpy), and a NaN min_samples stopped Mantri.
+        with pytest.raises(ValueError, match="must be an integer"):
+            build(value)
+
+    def test_counts_accept_numpy_integers(self):
+        mantri = MantriSpeculation(max_copies_per_task=np.int64(3), min_samples=np.int64(2))
+        assert mantri.max_copies_per_task == 3
+        assert PaperCloning(max_copies_per_task=np.int64(0)).max_copies_per_task == 0
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            '{ name = "LATE", tick_interval = nan }',
+            '{ name = "LATE", tick_interval = 0.0 }',
+            '{ name = "Mantri", min_elapsed = nan }',
+            '{ name = "Mantri", max_copies_per_task = 2.5 }',
+            '{ name = "Mantri", min_samples = nan }',
+            '{ name = "SRPTMS+C", max_copies_per_task = 2.5 }',
+            '{ name = "SCA", max_copies_per_task = inf }',
+        ],
+    )
+    def test_spec_file_scheduler_tables_are_checked(self, table):
+        study = study_from_toml(
+            f'[study]\nname = "bad"\nscale = 0.002\nseeds = [0]\nschedulers = [{table}]\n'
+        )
+        [spec] = study.compile()
+        with pytest.raises(ValueError):
+            spec.scheduler.build()
 
 
 class TestComposedGrid:

@@ -11,6 +11,11 @@ import pytest
 from repro.cluster.stragglers import DynamicStragglers
 from repro.policies.allocation import DelayScheduling
 from repro.policies.ordering import SRPTOrdering
+from repro.policies.redundancy import (
+    CheckpointRedundancy,
+    LATESpeculation,
+    MantriSpeculation,
+)
 from repro.scenarios import (
     BimodalSpeeds,
     MachineFailures,
@@ -212,6 +217,18 @@ class TestStudyConstruction:
                          id="nan-locality-wait"),
             pytest.param(lambda: DelayScheduling(locality_wait=math.inf),
                          id="inf-locality-wait"),
+            pytest.param(lambda: LATESpeculation(tick_interval=math.nan),
+                         id="nan-late-tick-interval"),
+            pytest.param(lambda: MantriSpeculation(tick_interval=math.inf),
+                         id="inf-mantri-tick-interval"),
+            pytest.param(lambda: LATESpeculation(min_elapsed=math.inf),
+                         id="inf-late-min-elapsed"),
+            pytest.param(lambda: MantriSpeculation(min_elapsed=math.nan),
+                         id="nan-mantri-min-elapsed"),
+            pytest.param(lambda: CheckpointRedundancy(interval=math.nan),
+                         id="nan-checkpoint-interval"),
+            pytest.param(lambda: CheckpointRedundancy(interval=math.inf),
+                         id="inf-checkpoint-interval"),
         ],
     )
     def test_non_finite_knob_rejected_at_construction(self, build):
