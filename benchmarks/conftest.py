@@ -1,15 +1,16 @@
 """Shared configuration for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables or figures on the
-scaled synthetic Google trace.  The resulting report text is printed (so
-``pytest benchmarks/ --benchmark-only -s`` shows the reproduced numbers)
-and written to ``benchmarks/results/<name>.txt`` so the outputs survive
-in the repository after a run.
+Every figure, table and ablation benchmark regenerates one of the paper's
+artefacts on the scaled synthetic Google trace and checks its shape.  The
+resulting report text is printed (so ``pytest benchmarks -s`` shows the
+reproduced numbers) and written to ``benchmarks/results/<name>.txt``,
+which is committed: a run that renders a report differently leaves the
+tree dirty.  Nothing here is timed; the repo benchmark (``perfbench/``)
+is the one timer.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
@@ -18,10 +19,6 @@ from repro.experiments import ExperimentConfig
 from repro.study.presets import STUDY_PRESETS
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-#: Where the timing benchmarks write their JSON.  Untracked, so a test run
-#: leaves the committed baselines in ``RESULTS_DIR`` as they are;
-#: re-baselining is an explicit copy (README "Performance gate").
-MEASURED_DIR = pathlib.Path(__file__).resolve().parent.parent / ".benchmarks"
 
 #: Configuration shared by the parameter sweeps.  Two replications keep the
 #: sweep shapes stable (a single seed is too noisy for the Figure 1 interior
@@ -37,15 +34,6 @@ def save_report(name: str, text: str) -> None:
     """Persist a rendered report and echo it to stdout."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
-    path.write_text(text + "\n")
-    print(f"\n{text}\n[saved to {path}]")
-
-
-def save_report_json(name: str, payload: dict) -> None:
-    """Persist a machine-readable report (``.benchmarks/<name>.json``)."""
-    MEASURED_DIR.mkdir(exist_ok=True)
-    path = MEASURED_DIR / f"{name}.json"
-    text = json.dumps(payload, indent=2, sort_keys=True)
     path.write_text(text + "\n")
     print(f"\n{text}\n[saved to {path}]")
 

@@ -10,8 +10,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.comparison import ComparisonTable
 from repro.core.srptms_c import SRPTMSCScheduler
 from repro.experiments import ExperimentConfig
@@ -27,8 +25,7 @@ ABLATION_CONFIG = ExperimentConfig(scale=0.015, seeds=(0,))
 SLOW_QUARTER = ScenarioSpec(speeds=BimodalSpeeds(slow_fraction=0.25, slow_speed=0.25))
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_cloning_under_stragglers(benchmark):
+def test_ablation_cloning_under_stragglers():
     """SRPTMS+C with cloning should beat SRPTMS (no cloning) when a quarter
     of the machines are 4x slow -- the regime cloning is designed for."""
 
@@ -46,21 +43,18 @@ def test_ablation_cloning_under_stragglers(benchmark):
             )
         return ComparisonTable.from_results(results)
 
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    table = run()
     save_report("ablation_cloning", table.render(baseline="SRPTMS (no cloning)"))
     with_clones = table.row("SRPTMS+C").mean_flowtime
     without = table.row("SRPTMS (no cloning)").mean_flowtime
     assert with_clones < without
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_extra_baselines(benchmark):
+def test_ablation_extra_baselines():
     """Extended Figure 6: all seven policies on the same scaled trace."""
     preset = STUDY_PRESETS["figure6"]
     study = preset.build(ABLATION_CONFIG, include_extra=True)
-    results = benchmark.pedantic(
-        preset.run, args=(study, ABLATION_CONFIG), rounds=1, iterations=1
-    )
+    results = preset.run(study, ABLATION_CONFIG)
     table = ComparisonTable.from_results(
         {
             name: ReplicatedResult(name, cell.results)

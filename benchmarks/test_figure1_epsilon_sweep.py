@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.study.presets import STUDY_PRESETS
 
 from .conftest import SWEEP_CONFIG, save_report
@@ -11,13 +9,10 @@ from .conftest import SWEEP_CONFIG, save_report
 EPSILONS = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-@pytest.mark.benchmark(group="figure1")
-def test_figure1_epsilon_sweep(benchmark):
+def test_figure1_epsilon_sweep():
     preset = STUDY_PRESETS["figure1"]
     study = preset.build(SWEEP_CONFIG, epsilons=EPSILONS)
-    results = benchmark.pedantic(
-        preset.run, args=(study, SWEEP_CONFIG), rounds=1, iterations=1
-    )
+    results = preset.run(study, SWEEP_CONFIG)
     save_report("figure1", preset.render(results, study))
 
     # Shape check (paper: interior minimum near 0.6): a mid-range epsilon

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.study.presets import STUDY_PRESETS
 
 from .conftest import SWEEP_CONFIG, save_report
@@ -11,13 +9,10 @@ from .conftest import SWEEP_CONFIG, save_report
 R_VALUES = (1, 2, 3, 5, 8, 10)
 
 
-@pytest.mark.benchmark(group="figure2")
-def test_figure2_r_sweep(benchmark):
+def test_figure2_r_sweep():
     preset = STUDY_PRESETS["figure2"]
     study = preset.build(SWEEP_CONFIG, r_values=R_VALUES)
-    results = benchmark.pedantic(
-        preset.run, args=(study, SWEEP_CONFIG), rounds=1, iterations=1
-    )
+    results = preset.run(study, SWEEP_CONFIG)
     save_report("figure2", preset.render(results, study))
 
     # Shape check (paper: the curves are nearly flat in r because within-job

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.study.presets import STUDY_PRESETS
 
 from .conftest import SWEEP_CONFIG, save_report
@@ -11,13 +9,10 @@ from .conftest import SWEEP_CONFIG, save_report
 FRACTIONS = (0.5, 0.6667, 0.8333, 1.0)
 
 
-@pytest.mark.benchmark(group="figure3")
-def test_figure3_machines_sweep(benchmark):
+def test_figure3_machines_sweep():
     preset = STUDY_PRESETS["figure3"]
     study = preset.build(SWEEP_CONFIG, machine_fractions=FRACTIONS)
-    results = benchmark.pedantic(
-        preset.run, args=(study, SWEEP_CONFIG), rounds=1, iterations=1
-    )
+    results = preset.run(study, SWEEP_CONFIG)
     report = preset.render(results, study)
     save_report("figure3", report)
 

@@ -2,22 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.study.presets import STUDY_PRESETS
 
 from .conftest import save_report
 
 
-@pytest.mark.benchmark(group="figure4")
-def test_figure4_small_job_cdf(benchmark, comparison_results):
+def test_figure4_small_job_cdf(comparison_results):
     study, results = comparison_results
-    report = benchmark.pedantic(
-        STUDY_PRESETS["figure4"].render,
-        args=(results, study),
-        rounds=1,
-        iterations=1,
-    )
+    report = STUDY_PRESETS["figure4"].render(results, study)
     save_report("figure4", report)
 
     # Shape check (paper: SRPTMS+C completes the largest fraction of jobs

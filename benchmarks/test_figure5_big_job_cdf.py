@@ -2,22 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.study.presets import STUDY_PRESETS
 
 from .conftest import save_report
 
 
-@pytest.mark.benchmark(group="figure5")
-def test_figure5_big_job_cdf(benchmark, comparison_results):
+def test_figure5_big_job_cdf(comparison_results):
     study, results = comparison_results
-    report = benchmark.pedantic(
-        STUDY_PRESETS["figure5"].render,
-        args=(results, study),
-        rounds=1,
-        iterations=1,
-    )
+    report = STUDY_PRESETS["figure5"].render(results, study)
     save_report("figure5", report)
 
     # Shape check (paper: SRPTMS+C completes at least as large a fraction of

@@ -2,23 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.comparison import percentage_improvement
 from repro.study.presets import STUDY_PRESETS
 
 from .conftest import save_report
 
 
-@pytest.mark.benchmark(group="figure6")
-def test_figure6_scheduler_comparison(benchmark, comparison_results):
+def test_figure6_scheduler_comparison(comparison_results):
     study, results = comparison_results
-    report = benchmark.pedantic(
-        STUDY_PRESETS["figure6"].render,
-        args=(results, study),
-        rounds=1,
-        iterations=1,
-    )
+    report = STUDY_PRESETS["figure6"].render(results, study)
     save_report("figure6", report)
 
     # Shape check (paper: SRPTMS+C reduces both averages relative to Mantri,

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments import ExperimentConfig
 from repro.study.presets import STUDY_PRESETS, offline_bound_reports
 
 from .conftest import save_report
 
 
-@pytest.mark.benchmark(group="offline-bound")
-def test_offline_bound_validation(benchmark):
+def test_offline_bound_validation():
     config = ExperimentConfig(scale=0.02, seeds=(0,))
     preset = STUDY_PRESETS["offline-bound"]
     study = preset.build(
@@ -19,9 +16,7 @@ def test_offline_bound_validation(benchmark):
         job_sizes=(2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 30, 40, 60, 80, 120),
         num_machines=40,
     )
-    results = benchmark.pedantic(
-        preset.run, args=(study, config), rounds=1, iterations=1
-    )
+    results = preset.run(study, config)
     save_report("offline_bound", preset.render(results, study))
     reports = offline_bound_reports(results, study)
 

@@ -1,174 +1,49 @@
-"""Perf smoke test: serial vs pooled execution of a replicated sweep.
+"""Serial vs pooled execution of a replicated sweep: the same results, run cold.
 
-Times a 10-replication figure-1-style sweep (SRPTMS+C at one epsilon on the
-scaled synthetic Google trace) executed by :class:`ExperimentRunner` with
-``workers=1`` and with a 4-worker pool, checks the two are bit-identical,
-and writes the wall-clock numbers to ``.benchmarks/BENCH_runner.json``.
+The ten-replication figure-1-style sweep of :mod:`benchmarks.pool_speedup`
+(SRPTMS+C at one epsilon on the scaled synthetic Google trace) runs through
+:class:`ExperimentRunner` with ``workers=1`` and with a four-worker pool.
+The two must be bit-identical, and each must prove it ran cold: every spec
+executed in the engine, none served from a cache.
 
-Honesty rule: a pool on a single usable CPU cannot speed anything up, so
-when ``usable_cpus == 1`` the report records ``"degenerate": true`` and
-makes **no** speedup claim (no ``speedup`` key at all) instead of
-committing a meaningless ~1.0x figure.  The >= 2x speedup assertion only
-applies when the machine actually has at least four usable CPUs.
+A second test exercises the runner's batched pool dispatch: many small
+specs shipped to the pool as whole batches (one IPC round-trip per batch),
+with the per-worker dispatch distribution counted.
 
-A second benchmark exercises the runner's batched pool dispatch: many
-small specs shipped to the pool as whole batches (one IPC round-trip per
-batch), with the per-worker dispatch distribution recorded in the report.
-
-Both sections also record ``engine_runs``/``cache_hits`` counted through
-the runner's ``on_result`` callback and assert the timed sweeps ran cold:
-a warm-cache replay would otherwise report engine "throughput" the engine
-never produced, silently disarming the perf-regression gate.
+Nothing here is timed.  The pool's speedup check runs outside tier-1:
+``python -m benchmarks.pool_speedup``.
 """
 
 from __future__ import annotations
 
-import json
-import time
+from repro.simulation import ExperimentRunner
 
-from repro.core.srptms_c import SRPTMSCScheduler
-from repro.experiments import ExperimentConfig
-from repro.simulation import ExperimentRunner, RunSpec, SchedulerSpec, default_workers
-
-from .conftest import MEASURED_DIR, save_report_json
-
-#: Replication seeds of the timed sweep (the paper's ten-repetition protocol).
-SEEDS = tuple(range(10))
-POOL_WORKERS = 4
+from .pool_speedup import POOL_WORKERS, cold_run, sweep_specs
 
 
-def _sweep_specs(seeds=SEEDS) -> list:
-    config = ExperimentConfig(scale=0.01, seeds=tuple(seeds))
-    base = RunSpec(
-        trace=config.trace_source(),
-        scheduler=SchedulerSpec(
-            SRPTMSCScheduler, {"epsilon": config.epsilon, "r": 0.0}
-        ),
-        num_machines=config.machines,
-    )
-    return [base.with_seed(seed) for seed in seeds]
-
-
-def _timed_run(workers: int, specs: list):
-    # Count real engine executions through the streaming callback: a
-    # timing that was served from a warm cache would claim a "speedup"
-    # the engine never earned, so every timed run must prove itself cold
-    # (engine_runs == len(specs), cache_hits == 0) before the perf gate
-    # (tools/check_bench_regression.py) is allowed to believe it.
-    counters = {"engine_runs": 0, "cache_hits": 0}
-
-    def tally(spec, result, cache_hit):
-        counters["cache_hits" if cache_hit else "engine_runs"] += 1
-
-    runner = ExperimentRunner(workers=workers, on_result=tally)
-    started = time.perf_counter()
-    results = runner.run(specs)
-    elapsed = time.perf_counter() - started
-    assert counters == {"engine_runs": len(specs), "cache_hits": 0}, (
-        f"timed sweep was not cold: {counters} for {len(specs)} specs"
-    )
-    assert runner.last_dispatch_stats["cache_hits"] == 0
-    return elapsed, results, runner
-
-
-def _merge_into_report(section: str, payload: dict) -> None:
-    """Add ``section`` to BENCH_runner.json, keeping other sections intact."""
-    path = MEASURED_DIR / "BENCH_runner.json"
-    report = json.loads(path.read_text()) if path.exists() else {}
-    report[section] = payload
-    save_report_json("BENCH_runner", report)
-
-
-def test_runner_parallel_speedup():
-    specs = _sweep_specs()
-    serial_seconds, serial_results, _ = _timed_run(1, specs)
-    parallel_seconds, parallel_results, _ = _timed_run(POOL_WORKERS, specs)
-
-    # Correctness first: the pool must reproduce the serial results bit for bit.
+def test_runner_pool_matches_serial_and_runs_cold():
+    specs = sweep_specs()
+    _, serial_results, _ = cold_run(1, specs)
+    _, pooled_results, _ = cold_run(POOL_WORKERS, specs)
     assert [r.fingerprint() for r in serial_results] == [
-        r.fingerprint() for r in parallel_results
+        r.fingerprint() for r in pooled_results
     ]
-
-    cpus = default_workers()
-    if cpus >= POOL_WORKERS and parallel_seconds > serial_seconds / 2.0:
-        # A transient spike on a shared/busy machine can ruin one pooled
-        # timing; re-time once and keep the better measurement before
-        # judging the speedup.
-        retry_seconds, _, _ = _timed_run(POOL_WORKERS, specs)
-        parallel_seconds = min(parallel_seconds, retry_seconds)
-
-    payload = {
-        "sweep": "figure1-style, SRPTMS+C epsilon=0.6 r=0, scale=0.01",
-        "replications": len(SEEDS),
-        "pool_workers": POOL_WORKERS,
-        "usable_cpus": cpus,
-        "serial_seconds": round(serial_seconds, 3),
-        "parallel_seconds": round(parallel_seconds, 3),
-        # Cold-run proof: the timed sweeps executed every spec in the
-        # engine (asserted in _timed_run); a warm-cache run can't sneak
-        # an inflated figure past the regression gate.
-        "engine_runs": len(specs),
-        "cache_hits": 0,
-    }
-    if cpus == 1:
-        # One usable CPU: the pooled timing is pure overhead, a "speedup"
-        # figure would be noise dressed up as a claim.
-        payload["degenerate"] = True
-    else:
-        speedup = (
-            serial_seconds / parallel_seconds
-            if parallel_seconds > 0
-            else float("inf")
-        )
-        payload["speedup"] = round(speedup, 3)
-    _merge_into_report("pool_speedup", payload)
-
-    if cpus >= POOL_WORKERS:
-        speedup = payload["speedup"]
-        assert speedup >= 2.0, (
-            f"expected >= 2x speedup with {POOL_WORKERS} workers on {cpus} CPUs, "
-            f"got {speedup:.2f}x ({serial_seconds:.2f}s serial vs "
-            f"{parallel_seconds:.2f}s parallel)"
-        )
 
 
 def test_runner_batched_dispatch():
     # 20 small runs, batched 5-per-dispatch: 4 batches total instead of 20
     # pool tasks, each crossing the process boundary as one pickle.
-    specs = _sweep_specs(seeds=range(20))
+    specs = sweep_specs(seeds=range(20))
     serial_results = ExperimentRunner(workers=1).run(specs)
 
-    runner = ExperimentRunner(workers=POOL_WORKERS, chunksize=5)
-    started = time.perf_counter()
-    batched_results = runner.run(specs)
-    batched_seconds = time.perf_counter() - started
+    _, batched_results, runner = cold_run(POOL_WORKERS, specs, chunksize=5)
 
     assert [r.fingerprint() for r in serial_results] == [
         r.fingerprint() for r in batched_results
     ]
     stats = runner.last_dispatch_stats
+    assert stats["batch_size"] == 5
     assert stats["batches"] == 4
     assert sum(stats["per_worker"].values()) == stats["batches"]
-    # Same honesty rule as the speedup section: the batched timing must
-    # be a cold run, not a cache replay.
     assert stats["cache_hits"] == 0
     assert runner.last_run_stats["executed"] == len(specs)
-
-    _merge_into_report(
-        "batched_dispatch",
-        {
-            "sweep": "figure1-style, SRPTMS+C epsilon=0.6 r=0, scale=0.01",
-            "runs": len(specs),
-            "pool_workers": POOL_WORKERS,
-            "usable_cpus": default_workers(),
-            "batch_size": stats["batch_size"],
-            "batches": stats["batches"],
-            # PIDs are run-dependent; commit the distribution, not the ids.
-            "per_worker_batches": sorted(
-                stats["per_worker"].values(), reverse=True
-            ),
-            "engine_runs": len(specs),
-            "cache_hits": stats["cache_hits"],
-            "wall_seconds": round(batched_seconds, 3),
-        },
-    )

@@ -9,8 +9,6 @@ misbehave -- the regime the scenario subsystem exists to study.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments import ExperimentConfig
 from repro.study.presets import STUDY_PRESETS
 
@@ -22,15 +20,12 @@ SPEED_SPREADS = (0.0, 0.5)
 FAILURE_RATES = (0.0, 1e-4)
 
 
-@pytest.mark.benchmark(group="scenario-sweep")
-def test_scenario_sweep_smoke(benchmark):
+def test_scenario_sweep_smoke():
     preset = STUDY_PRESETS["scenario-sweep"]
     study = preset.build(
         SWEEP_SCALE_CONFIG, speed_spreads=SPEED_SPREADS, failure_rates=FAILURE_RATES
     )
-    results = benchmark.pedantic(
-        preset.run, args=(study, SWEEP_SCALE_CONFIG), rounds=1, iterations=1
-    )
+    results = preset.run(study, SWEEP_SCALE_CONFIG)
     save_report("scenario_sweep", preset.render(results, study))
 
     assert results.coordinates("scenario") == ["base", "hetero:0.5", "failure:0.0001"]

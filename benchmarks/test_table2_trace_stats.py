@@ -11,13 +11,12 @@ from repro.workload.google_trace import TABLE_II_TARGETS
 from .conftest import save_report
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_trace_statistics(benchmark):
+def test_table2_trace_statistics():
     # Full-scale trace generation (no simulation), so the per-task statistics
     # are compared against the paper's at the published trace size.
     config = ExperimentConfig(scale=1.0, seeds=(0,))
     preset = STUDY_PRESETS["table2"]
-    report = benchmark.pedantic(preset.report, args=(config,), rounds=1, iterations=1)
+    report = preset.report(config)
     save_report("table2", report)
 
     stats = table2_statistics(preset.build(config))

@@ -188,13 +188,6 @@ class PaperCloning(RedundancyPolicy):
     max_copies_per_task:
         Safety cap on simultaneous copies of one task (0 = uncapped, the
         paper's setting).
-    local_clones_only:
-        When True and a rack topology is active, leftover-machine cloning
-        (the :meth:`finalize` pass) only clones tasks whose preferred rack
-        has a free machine -- a clone that would run remotely is priced at
-        the remote-read slowdown and rarely wins the race, so this sweeps
-        the local-vs-remote cloning trade-off in the policy grid.  Ignored
-        on flat clusters, so ``topology=None`` runs stay bit-identical.
     """
 
     name = "clone"
@@ -204,13 +197,11 @@ class PaperCloning(RedundancyPolicy):
         *,
         enabled: bool = True,
         max_copies_per_task: int = 0,
-        local_clones_only: bool = False,
     ) -> None:
         super().__init__()
         _check_count("max_copies_per_task", max_copies_per_task, 0)
         self.enabled = enabled
         self.max_copies_per_task = max_copies_per_task
-        self.local_clones_only = local_clones_only
 
     def _copies_for(self, task: Task, desired: int) -> int:
         """Apply the cloning switch and the optional per-task copy cap."""
@@ -280,36 +271,14 @@ class PaperCloning(RedundancyPolicy):
         """
         if shares_expanded or free <= 0 or not planned or not self.enabled:
             return planned
-        # Locality-restricted cloning: only tasks with a free slot on their
-        # preferred rack receive extra copies.  target_indices stays None on
-        # flat clusters (and by default), keeping the historical path -- and
-        # its RNG draws -- untouched.
-        target_indices: Optional[List[int]] = None
-        if self.local_clones_only and view.topology_active:
-            target_indices = [
-                index
-                for index, request in enumerate(planned)
-                if view.locality_hint(request.task)
-            ]
-            if not target_indices:
-                return planned
-        count = len(planned) if target_indices is None else len(target_indices)
+        count = len(planned)
         base_copies = free // count
         extras = free - base_copies * count
         extra_indices = set(
             int(i) for i in rng.choice(count, size=extras, replace=False)
         ) if extras > 0 else set()
-        if target_indices is not None:
-            # Re-key the per-target spread onto positions in `planned`.
-            extra_indices = {target_indices[i] for i in extra_indices}
-            targets = set(target_indices)
-        else:
-            targets = None
         requests: List[LaunchRequest] = []
         for index, request in enumerate(planned):
-            if targets is not None and index not in targets:
-                requests.append(request)
-                continue
             desired = request.num_copies + base_copies + (
                 1 if index in extra_indices else 0
             )

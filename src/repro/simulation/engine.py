@@ -370,7 +370,7 @@ class SimulationEngine:
             and self._checkpoint_interval is None
         )
         total_jobs = self._total_jobs
-        arrival_priority = int(EventType.JOB_ARRIVAL)
+        arrival_priority = _ARRIVAL_PRIORITY
         finish_priority = int(EventType.COPY_FINISH)
         tick_priority = _TICK_PRIORITY
 
@@ -633,13 +633,9 @@ class SimulationEngine:
         )
 
     def _handle_event(self, event: Event) -> None:
-        # Dispatch by frequency: completions dominate (one per copy),
-        # arrivals come second (one per job); everything else is rare.
-        if event.event_type is EventType.COPY_FINISH:
-            self._handle_copy_finish(event.copy, event.version)
-        elif event.event_type is EventType.JOB_ARRIVAL:
-            self._handle_arrival(event.job)
-        elif event.event_type is EventType.MACHINE_FAILURE:
+        # Only machine events carry an Event; _run handles finishes,
+        # arrivals and ticks inline.
+        if event.event_type is EventType.MACHINE_FAILURE:
             self._handle_machine_failure(event.machine_id)
         elif event.event_type is EventType.MACHINE_REPAIR:
             self._handle_machine_repair(event.machine_id)

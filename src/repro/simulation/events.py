@@ -14,11 +14,10 @@ at C speed -- and the two per-job event kinds (arrivals, copy finishes)
 carry their :class:`~repro.workload.job.Job` / :class:`~repro.workload.job
 .TaskCopy` payload *directly* in the tuple, while a tick carries none (it
 only wakes the scheduler), so neither the hot path nor a ticking policy
-ever allocates an :class:`Event`.  ``Event`` objects still exist as the
+ever allocates an :class:`Event`.  ``Event`` objects exist only as the
 payload of the rare machine events (failures/repairs, slowdown
-transitions) and for tests and analysis code (they define ``__lt__`` for
-direct sorting); the uniqueness of ``sequence`` guarantees tuple
-comparisons never reach the payload slot.
+transitions); the uniqueness of ``sequence`` guarantees tuple comparisons
+never reach the payload slot.
 
 Ticks
 -----
@@ -69,9 +68,9 @@ from __future__ import annotations
 
 import enum
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.workload.job import Job, TaskCopy
+from repro.workload.job import TaskCopy
 
 __all__ = ["EventType", "Event", "EventHeap"]
 
@@ -89,18 +88,13 @@ class EventType(enum.IntEnum):
 
 
 class Event:
-    """One schedulable event (see the module docstring for the ordering)."""
+    """A machine event: failure, repair, or the start or end of a slowdown.
 
-    __slots__ = (
-        "time",
-        "priority",
-        "sequence",
-        "event_type",
-        "job",
-        "copy",
-        "machine_id",
-        "version",
-    )
+    The payload of its heap entry (see the module docstring for the
+    ordering); arrivals, copy finishes and ticks need no object.
+    """
+
+    __slots__ = ("time", "priority", "sequence", "event_type", "machine_id")
 
     def __init__(
         self,
@@ -108,54 +102,19 @@ class Event:
         priority: int,
         sequence: int,
         event_type: EventType,
-        job: Optional[Job] = None,
-        copy: Optional[TaskCopy] = None,
-        machine_id: Optional[int] = None,
-        version: int = 0,
+        machine_id: int,
     ) -> None:
         self.time = time
         self.priority = priority
         self.sequence = sequence
         self.event_type = event_type
-        self.job = job
-        self.copy = copy
         self.machine_id = machine_id
-        #: Finish-event version (see module docstring); 0 for other types.
-        self.version = version
-
-    def __lt__(self, other: "Event") -> bool:
-        """Order by ``(time, priority, sequence)`` -- the heap contract."""
-        return (self.time, self.priority, self.sequence) < (
-            other.time,
-            other.priority,
-            other.sequence,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Event({self.event_type.name}, t={self.time}, "
-            f"seq={self.sequence}, version={self.version})"
+            f"seq={self.sequence}, machine={self.machine_id})"
         )
-
-    @classmethod
-    def arrival(cls, time: float, sequence: int, job: Job) -> "Event":
-        """A job entering the cluster."""
-        return cls(time, _JOB_ARRIVAL, sequence, EventType.JOB_ARRIVAL, job)
-
-    @classmethod
-    def copy_finish(
-        cls, time: float, sequence: int, copy: TaskCopy, version: int = 0
-    ) -> "Event":
-        """A task copy running to completion on its machine."""
-        return cls(
-            time, _COPY_FINISH, sequence, EventType.COPY_FINISH, None, copy,
-            None, version,
-        )
-
-    @classmethod
-    def tick(cls, time: float, sequence: int) -> "Event":
-        """A periodic wake-up requested by the scheduler."""
-        return cls(time, _TICK, sequence, EventType.TICK)
 
     @classmethod
     def machine_failure(cls, time: float, sequence: int, machine_id: int) -> "Event":
@@ -202,11 +161,9 @@ class Event:
         )
 
 
-#: Plain-int priorities, bound once (IntEnum -> int conversion per event
-#: creation is measurable on the hot path).
+#: Plain-int finish priority, bound once (IntEnum -> int conversion per
+#: push is measurable on the hot path).
 _COPY_FINISH = int(EventType.COPY_FINISH)
-_JOB_ARRIVAL = int(EventType.JOB_ARRIVAL)
-_TICK = int(EventType.TICK)
 
 
 #: A heap entry: ``(time, priority, sequence, payload, version)``.  The
@@ -244,8 +201,7 @@ class EventHeap:
     def push(self, event: Event) -> None:
         """Insert ``event``; its ``sequence`` must already be assigned."""
         heapq.heappush(
-            self._entries,
-            (event.time, event.priority, event.sequence, event, event.version),
+            self._entries, (event.time, event.priority, event.sequence, event, 0)
         )
 
     def push_finish(self, copy: TaskCopy, time: float, sequence: int) -> None:

@@ -126,24 +126,6 @@ class SchedulerView:
         """
         return list(self._engine.cluster._free_ids)
 
-    def locality_hint(self, task: Task) -> Optional[bool]:
-        """Whether ``task`` could launch on its preferred rack right now.
-
-        ``None`` when no topology is active (placement has no locality
-        dimension), otherwise True iff some free machine sits on the
-        task's preferred rack.  Redundancy policies use this to steer
-        clones towards local slots.
-        """
-        engine = self._engine
-        if not engine._topology_active:
-            return None
-        preferred = task.preferred_rack
-        rack_of = engine._rack_of
-        for machine_id in engine.cluster._free_ids:
-            if rack_of[machine_id] == preferred:
-                return True
-        return False
-
     # -- jobs ---------------------------------------------------------------------
 
     @property

@@ -473,6 +473,11 @@ class WorkloadRef:
             data = dict(value)
             kind = data.pop("kind", None)
             label = data.pop("label", "")
+            for key, knob in data.items():
+                # Before any run: a NaN or infinite knob would run a NaN
+                # (or a silently different) workload, or fail mid-run.
+                if isinstance(knob, float) and not math.isfinite(knob):
+                    raise ValueError(f"workload {key} must be finite, got {knob}")
             if kind == "google":
                 unknown = set(data) - {"scale", "trace_seed", "within_job_cv"}
                 if unknown:
@@ -710,7 +715,7 @@ class Study:
             )
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-        for knob in ("scale", "epsilon", "r"):
+        for knob in ("scale", "epsilon", "r", "within_job_cv"):
             if not math.isfinite(getattr(self, knob)):
                 raise ValueError(f"{knob} must be finite, got {getattr(self, knob)}")
         for axis in ("workload", "scenario", "scheduler"):

@@ -117,8 +117,10 @@ class GoogleTraceConfig:
             raise ValueError(f"num_jobs must be positive, got {self.num_jobs}")
         if not 0.0 <= self.reduce_fraction < 1.0:
             raise ValueError("reduce_fraction must lie in [0, 1)")
-        if self.within_job_cv < 0:
-            raise ValueError("within_job_cv must be non-negative")
+        if not (math.isfinite(self.within_job_cv) and self.within_job_cv >= 0):
+            raise ValueError(
+                f"within_job_cv must be finite and non-negative, got {self.within_job_cv}"
+            )
         if self.min_task_duration <= 0:
             raise ValueError("min_task_duration must be positive")
         if self.max_task_duration <= self.min_task_duration:

@@ -40,6 +40,7 @@ fingerprint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
@@ -158,6 +159,13 @@ class StreamSpec:
 # ------------------------------------------------------------------ factories
 
 
+def _check_finite(**knobs: float) -> None:
+    """Reject a NaN or infinite float knob, naming it."""
+    for name, value in knobs.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _chunk_sizes(num_jobs: int, chunk_size: int) -> Iterator[int]:
     """Sizes of successive sampling chunks covering ``num_jobs``."""
     if chunk_size <= 0:
@@ -188,6 +196,7 @@ def stream_uniform_jobs(
     per-job footprint is one ``JobSpec``.  This is the workhorse of the
     million-job throughput benchmarks.
     """
+    _check_finite(mean_duration=mean_duration, inter_arrival=inter_arrival, weight=weight)
     if num_jobs <= 0:
         raise ValueError(f"num_jobs must be positive, got {num_jobs}")
     if tasks_per_job <= 0:
@@ -236,6 +245,12 @@ def stream_poisson_jobs(
     per parameter per chunk) and the cumulative arrival clock is threaded
     across chunks, so memory stays O(``chunk_size``) for any ``num_jobs``.
     """
+    _check_finite(
+        arrival_rate=arrival_rate,
+        mean_tasks_per_job=mean_tasks_per_job,
+        mean_duration=mean_duration,
+        cv=cv,
+    )
     if num_jobs <= 0:
         raise ValueError(f"num_jobs must be positive, got {num_jobs}")
     if arrival_rate <= 0:
@@ -296,6 +311,12 @@ def stream_dag_chain_jobs(
     Arrivals are Poisson; all sampling is chunked and seed-pure per the
     stream-factory contract.
     """
+    _check_finite(
+        arrival_rate=arrival_rate,
+        mean_tasks_per_round=mean_tasks_per_round,
+        mean_duration=mean_duration,
+        cv=cv,
+    )
     if num_jobs <= 0:
         raise ValueError(f"num_jobs must be positive, got {num_jobs}")
     if num_rounds < 1:
@@ -364,6 +385,12 @@ def stream_dag_diamond_jobs(
     around a per-job mean.  Arrivals are Poisson; all sampling is chunked
     and seed-pure per the stream-factory contract.
     """
+    _check_finite(
+        arrival_rate=arrival_rate,
+        mean_tasks_per_branch=mean_tasks_per_branch,
+        mean_duration=mean_duration,
+        cv=cv,
+    )
     if num_jobs <= 0:
         raise ValueError(f"num_jobs must be positive, got {num_jobs}")
     if fan_out < 1:
@@ -438,6 +465,7 @@ def stream_heavy_tail_jobs(
     ``[min_tasks, max_tasks]``; durations are log-normal around a per-job
     mean.
     """
+    _check_finite(arrival_rate=arrival_rate, alpha=alpha, mean_duration=mean_duration, cv=cv)
     if num_jobs <= 0:
         raise ValueError(f"num_jobs must be positive, got {num_jobs}")
     if arrival_rate <= 0:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from heapq import heappush
+from heapq import heappop, heappush
+from types import SimpleNamespace
 from typing import List, Sequence
 
 import numpy as np
@@ -16,7 +17,7 @@ from repro.policies.redundancy import PaperCloning
 from repro.scenarios import MachineFailures, ScenarioSpec, TopologySpec
 from repro.simulation import engine as engine_module
 from repro.simulation.engine import SimulationEngine, SimulationError
-from repro.simulation.events import Event, EventType
+from repro.simulation.events import Event, EventHeap, EventType
 from repro.simulation.scheduler_api import (
     ComposedScheduler,
     LaunchRequest,
@@ -513,21 +514,25 @@ class TestStragglerInjection:
 
 
 class TestEvents:
+    """Heap entries are ``(time, priority, sequence, payload, version)`` tuples,
+    pushed with the priorities the engine and ``EventHeap.push_finish`` use."""
+
     def test_event_ordering_same_time(self):
-        finish = Event.copy_finish(5.0, 1, copy=None)
-        arrival = Event.arrival(5.0, 0, job=None)
-        tick = Event.tick(5.0, 2)
-        ordered = sorted([tick, arrival, finish])
-        assert [e.event_type for e in ordered] == [
+        heap = EventHeap()
+        heappush(heap._entries, (5.0, engine_module._TICK_PRIORITY, 0, None, 0))
+        heappush(heap._entries, (5.0, engine_module._ARRIVAL_PRIORITY, 1, None, 0))
+        heap.push_finish(SimpleNamespace(finish_version=0), 5.0, 2)
+        assert [heappop(heap._entries)[1] for _ in range(3)] == [
             EventType.COPY_FINISH,
             EventType.JOB_ARRIVAL,
             EventType.TICK,
         ]
 
     def test_event_ordering_by_time(self):
-        early = Event.tick(1.0, 5)
-        late = Event.copy_finish(2.0, 1, copy=None)
-        assert sorted([late, early])[0] is early
+        heap = EventHeap()
+        heap.push_finish(SimpleNamespace(finish_version=0), 2.0, 1)
+        heappush(heap._entries, (1.0, engine_module._TICK_PRIORITY, 5, None, 0))
+        assert heappop(heap._entries)[:2] == (1.0, EventType.TICK)
 
 
 class _WakeUpProbe(GreedyScheduler):

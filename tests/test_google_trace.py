@@ -58,6 +58,8 @@ class TestConfig:
             {"num_jobs": 0},
             {"reduce_fraction": 1.0},
             {"within_job_cv": -0.1},
+            {"within_job_cv": float("inf")},
+            {"within_job_cv": float("nan")},
             {"min_task_duration": 0.0},
             {"max_task_duration": 10.0},
             {"mean_task_duration": 5.0},

@@ -152,6 +152,16 @@ class TestEndpoints:
         assert excinfo.value.status == 400
         assert "invalid study spec" in str(excinfo.value)
 
+    def test_non_finite_workload_knob_is_400(self, client):
+        spec = (
+            '{"study": {"name": "x", "workloads": [{"kind": "stream", '
+            '"factory": "poisson", "num_jobs": 20, "mean_duration": NaN}]}}'
+        )
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert "mean_duration must be finite" in str(excinfo.value)
+
     def test_toml_submission_by_content_type(self, service, client):
         toml = (
             '[study]\nname = "toml-smoke"\nschedulers = ["FIFO"]\nseeds = [0]\n'

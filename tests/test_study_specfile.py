@@ -144,6 +144,30 @@ class TestStrictness:
                 ]}}
             )
 
+    @pytest.mark.parametrize(
+        "workload, knob",
+        [
+            ({"kind": "stream", "factory": "poisson", "num_jobs": 20,
+              "mean_duration": float("nan")}, "mean_duration"),
+            ({"kind": "stream", "factory": "poisson", "num_jobs": 20,
+              "arrival_rate": float("inf")}, "arrival_rate"),
+            ({"kind": "stream", "factory": "dag_chain", "num_jobs": 20,
+              "cv": float("-inf")}, "cv"),
+            ({"kind": "google", "within_job_cv": float("inf")}, "within_job_cv"),
+            ({"kind": "google", "within_job_cv": float("nan")}, "within_job_cv"),
+        ],
+    )
+    def test_non_finite_workload_knob_rejected(self, workload, knob):
+        with pytest.raises(StudySpecError, match=f"workload {knob} must be finite"):
+            study_from_dict({"study": {"name": "x", "workloads": [workload]}})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_within_job_cv_rejected(self, value):
+        # Used to die in trace generation: ZeroDivisionError for inf, an
+        # unrelated calibration error for NaN.
+        with pytest.raises(StudySpecError, match="within_job_cv must be finite"):
+            study_from_dict({"study": {"name": "x", "within_job_cv": value}})
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(StudySpecError, match="unknown scalar axis"):
             study_from_dict({"study": {"name": "x", "axes": {"bogus": [1.0]}}})
@@ -191,6 +215,24 @@ class TestSweepCli:
     def test_scenario_flags_rejected_for_sweep(self, spec_path):
         with pytest.raises(SystemExit, match="scenario"):
             main(["sweep", "--spec", spec_path, "--scenario", "failures"])
+
+    def test_non_finite_workload_knob_fails_before_any_run(self, tmp_path, capsys):
+        # Used to exit 0 with nan in every flowtime column, and to store
+        # that result in the cache for warm replays.
+        path = tmp_path / "nan.json"
+        study = {
+            "name": "nan", "schedulers": ["FIFO"], "seeds": [0], "machines": 4,
+            "workloads": [{"kind": "stream", "factory": "poisson", "num_jobs": 20,
+                           "mean_duration": float("nan")}],
+        }
+        path.write_text(json.dumps({"study": study}))
+        cache = tmp_path / "cache"
+        csv_path = tmp_path / "out.csv"
+        with pytest.raises(SystemExit, match="mean_duration must be finite"):
+            main(["sweep", "--spec", str(path), "--cache-dir", str(cache),
+                  "--csv", str(csv_path)])
+        assert not csv_path.exists()
+        assert not cache.exists() or not any(p.is_file() for p in cache.rglob("*"))
 
     def test_invalid_spec_is_clean_error(self, tmp_path):
         path = tmp_path / "bad.json"

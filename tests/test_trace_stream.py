@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.srptms_c import SRPTMSCScheduler
@@ -16,6 +18,8 @@ from repro.workload.job import JobSpec
 from repro.workload.stream import (
     StreamSpec,
     TraceStream,
+    stream_dag_chain_jobs,
+    stream_dag_diamond_jobs,
     stream_heavy_tail_jobs,
     stream_poisson_jobs,
     stream_uniform_jobs,
@@ -58,6 +62,32 @@ class TestStreamSpec:
 
     def test_cache_key_reflects_arguments(self):
         assert poisson_spec(seed=1).cache_key() != poisson_spec(seed=2).cache_key()
+
+
+#: Every float knob of every stream factory.
+FLOAT_KNOBS = [
+    (stream_uniform_jobs, knob) for knob in ("mean_duration", "inter_arrival", "weight")
+] + [
+    (factory, knob)
+    for factory, tasks in (
+        (stream_poisson_jobs, "mean_tasks_per_job"),
+        (stream_dag_chain_jobs, "mean_tasks_per_round"),
+        (stream_dag_diamond_jobs, "mean_tasks_per_branch"),
+        (stream_heavy_tail_jobs, "alpha"),
+    )
+    for knob in ("arrival_rate", tasks, "mean_duration", "cv")
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "factory, knob", FLOAT_KNOBS, ids=[f"{f.__name__}-{k}" for f, k in FLOAT_KNOBS]
+)
+def test_factories_reject_non_finite_float_knobs(factory, knob, value):
+    # NaN durations or rates used to run to completion with NaN flowtimes,
+    # and an infinite arrival rate ran a different workload without a word.
+    with pytest.raises(ValueError, match=f"^{knob} must be"):
+        next(iter(factory(4, **{knob: value})))
 
 
 class TestTraceStream:
