@@ -1,7 +1,9 @@
 """Cluster occupancy bookkeeping.
 
 :class:`ClusterState` tracks which machines are free, busy or down, which
-task copy runs where, and the per-phase machine counts ``M(t)`` (map) and
+task copy runs where (a static run's kept copy sits on the machines of its
+launch request's other copies too, see :class:`~repro.workload.job
+.TaskCopy`), and the per-phase machine counts ``M(t)`` (map) and
 ``R(t)`` (reduce) that appear in constraints (1h)-(1j) of the paper's
 optimisation program.  Machines may carry *individual* speeds (heterogeneous
 scenarios); all speed queries go through :meth:`speed_of` rather than a
@@ -274,9 +276,26 @@ class ClusterState:
             assert machine.is_free, "down machine still hosts a copy"
             assert machine.machine_id not in self._free_ids, "down machine in free list"
         for machine in busy_machines:
+            # A busy machine holds its copy's own machine id, or exactly
+            # one of a kept copy's other machines (whose own machine then
+            # holds it too).
             copy = machine.current_copy
             assert copy is not None
-            assert copy.machine_id == machine.machine_id, "copy/machine id mismatch"
+            machine_id = machine.machine_id
+            others = copy.other_machines
+            if copy.machine_id != machine_id:
+                assert others is not None and others.count(machine_id) == 1, (
+                    "copy/machine id mismatch"
+                )
+                assert (
+                    self._machines[copy.machine_id].current_copy is copy
+                ), "kept copy left its own machine"
+            elif others is not None:
+                assert machine_id not in others, "kept copy listed twice"
+                for other in others:
+                    assert (
+                        self._machines[other].current_copy is copy
+                    ), "a kept copy's other machine was freed alone"
         if self._rack_of is not None:
             recount = [0] * len(self._rack_running)
             for machine in busy_machines:

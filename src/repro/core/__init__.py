@@ -9,7 +9,7 @@
 * :mod:`repro.core.bounds` -- Lemma 1 / Theorem 1 / Remark 2 quantities.
 """
 
-from repro.core.allocation import epsilon_shares, fractional_shares, integer_shares
+from repro.core.allocation import epsilon_shares, fractional_shares, ranked_shares
 from repro.core.bounds import (
     empirical_competitive_ratio,
     lemma1_probability,
@@ -57,8 +57,8 @@ __all__ = [
     "online_priority",
     "sort_specs_by_priority",
     "sort_jobs_by_remaining_priority",
+    "ranked_shares",
     "fractional_shares",
-    "integer_shares",
     "epsilon_shares",
     "lemma1_probability",
     "theorem1_probability",

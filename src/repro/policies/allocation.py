@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.allocation import epsilon_shares_from_ordered
+from repro.core.allocation import ranked_shares
 from repro.scenarios import DEFAULT_LOCALITY_WAIT
 from repro.policies.gating import launchable_tasks, schedulable_jobs
 from repro.policies.ordering import OrderingPolicy
@@ -130,7 +130,10 @@ class GreedyAllocation(AllocationPolicy):
         requests: List[LaunchRequest] = []
         launchable = launchable_tasks
         jobs = schedulable_jobs(view.alive_jobs, allow_early_reduce)
-        for job in ordering.order(view, jobs):
+        if len(jobs) > 1:
+            # A one-job ranking is that job under every ordering.
+            jobs = ordering.order(view, jobs)
+        for job in jobs:
             if free <= 0:
                 break
             for task in launchable(job, allow_early_reduce):
@@ -230,34 +233,29 @@ class EpsilonShareAllocation(AllocationPolicy):
         jobs = schedulable_jobs(view.alive_jobs, allow_early_reduce)
         if not jobs:
             return [], 0
-        # Rank once and feed the same ordering to the sharing rule instead
-        # of re-sorting inside an epsilon_shares() call.
-        ordered = ordering.order(view, jobs)
-        shares = epsilon_shares_from_ordered(
-            [(job.job_id, job.weight) for job in ordered],
-            view.num_machines,
-            self.epsilon,
+        if len(jobs) > 1:
+            # A one-job ranking is that job under every ordering.
+            jobs = ordering.order(view, jobs)
+        shares, _ = ranked_shares(
+            [job.spec.weight for job in jobs], view.num_machines, self.epsilon
         )
-
         requests: List[LaunchRequest] = []
         used_total = 0
-        for job in ordered:
+        expand_grant = redundancy.expand_grant
+        for job, share in zip(jobs, shares):
             if available <= 0:
                 break
-            share = shares.get(job.job_id, 0)
-            if share <= 0:
+            # Non-preemptive: a job already holding its share (a zero share
+            # included) receives nothing new.
+            grant = share - job._active_copies
+            if grant <= 0:
                 continue
-            occupied = job.num_running_copies
-            newly_available = share - occupied
-            if newly_available <= 0:
-                # Non-preemptive: the job already holds at least its share.
-                continue
-            grant = min(newly_available, available)
-            candidates = launchable_tasks(job, allow_early_reduce)
-            job_requests, used = redundancy.expand_grant(
-                job, candidates, grant, rng
+            if grant > available:
+                grant = available
+            job_requests, used = expand_grant(
+                job, launchable_tasks(job, allow_early_reduce), grant, rng
             )
-            requests.extend(job_requests)
+            requests += job_requests
             available -= used
             used_total += used
         return requests, used_total

@@ -203,13 +203,36 @@ class PaperCloning(RedundancyPolicy):
         self.enabled = enabled
         self.max_copies_per_task = max_copies_per_task
 
-    def _copies_for(self, task: Task, desired: int) -> int:
+    def _capped(self, counts: List[int], tasks: Sequence[Task]) -> List[int]:
         """Apply the cloning switch and the optional per-task copy cap."""
-        copies = desired if self.enabled else 1
-        if self.max_copies_per_task > 0:
-            existing = task.num_active_copies
-            copies = min(copies, max(0, self.max_copies_per_task - existing))
-        return copies
+        if not self.enabled:
+            counts = [1] * len(counts)
+        cap = self.max_copies_per_task
+        if cap > 0:
+            counts = [
+                min(copies, max(0, cap - task._num_active))
+                for copies, task in zip(counts, tasks)
+            ]
+        return counts
+
+    @staticmethod
+    def _spread(
+        counts: List[int], machines: int, rng: np.random.Generator
+    ) -> List[int]:
+        """Add ``machines`` copies to ``counts`` as evenly as possible.
+
+        Every entry gets ``machines // len(counts)``, and one more goes to
+        each entry of a random subset of the right size, so no task
+        systematically lags behind with fewer clones.
+        """
+        count = len(counts)
+        base_copies = machines // count
+        extras = machines - base_copies * count
+        counts = [copies + base_copies for copies in counts]
+        if extras > 0:
+            for index in rng.choice(count, size=extras, replace=False).tolist():
+                counts[index] += 1
+        return counts
 
     def expand_grant(
         self,
@@ -226,33 +249,20 @@ class PaperCloning(RedundancyPolicy):
         if not candidates or machines <= 0:
             return [], 0
         count = len(candidates)
-        requests: List[LaunchRequest] = []
-        used = 0
-        if machines >= count:
-            # Enough machines for every unscheduled task: clone to use them all.
-            base_copies = machines // count
-            extras = machines - base_copies * count
-            # Give the extra copies to a random subset so no task systematically
-            # lags behind with fewer clones.
-            extra_indices = set(
-                int(i)
-                for i in rng.choice(count, size=extras, replace=False)
-            ) if extras > 0 else set()
-            for index, task in enumerate(candidates):
-                desired = base_copies + (1 if index in extra_indices else 0)
-                copies = self._copies_for(task, desired)
-                if copies <= 0:
-                    continue
-                requests.append(LaunchRequest(task=task, num_copies=copies))
-                used += copies
-                self.copies_launched += copies - 1
-        else:
+        if machines < count:
             # Fewer machines than tasks: launch a random subset, one copy each.
-            chosen = rng.choice(count, size=machines, replace=False)
-            for index in sorted(int(i) for i in chosen):
-                task = candidates[index]
-                requests.append(LaunchRequest(task=task, num_copies=1))
-                used += 1
+            chosen = rng.choice(count, size=machines, replace=False).tolist()
+            chosen.sort()
+            return [LaunchRequest(candidates[index]) for index in chosen], machines
+        # Enough machines for every unscheduled task: clone to use them all.
+        counts = self._capped(self._spread([0] * count, machines, rng), candidates)
+        requests = [
+            LaunchRequest(task, copies)
+            for task, copies in zip(candidates, counts)
+            if copies > 0
+        ]
+        used = sum(counts)
+        self.copies_launched += used - len(requests)
         return requests, used
 
     def finalize(
@@ -271,18 +281,10 @@ class PaperCloning(RedundancyPolicy):
         """
         if shares_expanded or free <= 0 or not planned or not self.enabled:
             return planned
-        count = len(planned)
-        base_copies = free // count
-        extras = free - base_copies * count
-        extra_indices = set(
-            int(i) for i in rng.choice(count, size=extras, replace=False)
-        ) if extras > 0 else set()
+        counts = self._spread([request.num_copies for request in planned], free, rng)
+        counts = self._capped(counts, [request.task for request in planned])
         requests: List[LaunchRequest] = []
-        for index, request in enumerate(planned):
-            desired = request.num_copies + base_copies + (
-                1 if index in extra_indices else 0
-            )
-            copies = self._copies_for(request.task, desired)
+        for request, copies in zip(planned, counts):
             if copies <= 0:
                 continue
             self.copies_launched += max(0, copies - request.num_copies)

@@ -64,10 +64,12 @@ draws.  In a static run a launch request also queues a single finish
 entry, for its earliest-finishing copy: the clones it races are killed
 when that copy's task completes, so their entries could never fire (see
 :meth:`SimulationEngine._launch_copies`), and a static paper-cloning run
-queues about one finish entry per task, not one per copy.  All events at
-one timestamp are drained as a single batch before the scheduler is
-consulted, and the static FIFO+greedy composition takes a gated
-engine-inlined decision walk (see :meth:`SimulationEngine
+queues about one finish entry per task, not one per copy.  On a ready
+stage that copy is the request's only copy object; the clones are the
+machines it records, freed after its own at the task's completion.  All
+events at one timestamp are drained as a single batch before the
+scheduler is consulted, and the static FIFO+greedy composition takes a
+gated engine-inlined decision walk (see :meth:`SimulationEngine
 ._resolve_fast_lane`).
 """
 
@@ -522,6 +524,7 @@ class SimulationEngine:
                                         copy.killed_at = None
                                         copy.work = raw_workload
                                         copy.remote_penalty = 1.0
+                                        copy.other_machines = None
                                         num_active = task._num_active
                                         if num_active:
                                             result.redundant_copies_launched += 1
@@ -762,26 +765,44 @@ class SimulationEngine:
 
         if num_active:
             # The ``num_active`` clones still occupy machines: kill and
-            # release them in copy order (inlined TaskCopy.kill; the task's
-            # completion_time is already set, so no unscheduled re-entry
-            # fires), then move the counters once.  Their times are added
-            # to the waste one by one, in copy order, and stored once.
+            # release them in launch order (inlined TaskCopy.kill; the
+            # task's completion_time is already set, so no unscheduled
+            # re-entry fires), then move the counters once.  Their times
+            # are added to the waste one by one, in launch order, and
+            # stored once.  A kept copy's other copies (see _launch_copies)
+            # hold its ``other_machines`` and sit at its place in that
+            # order; they all started with it.
             machines = cluster._machines
             push_free = cluster._free_ids.append
             wasted_work = result.wasted_work
             for clone in task.copies:
                 if clone.finish_time is None and clone.killed_at is None:
                     clone.killed_at = now
-                    machine_id = clone.machine_id
+                    if clone.other_machines is None:
+                        machine_id = clone.machine_id
+                        machines[machine_id].current_copy = None
+                        push_free(machine_id)
+                        if topology:
+                            cluster._rack_running[self._rack_of[machine_id]] -= 1
+                        if dynamic:
+                            self._running.pop(machine_id, None)
+                        if clone.start_time is not None:
+                            # A parked clone adds 0.0, which leaves the sum as is.
+                            wasted_work += now - clone.start_time
+                        continue
+                    held = clone.machine_ids
+                elif clone is copy and copy.other_machines is not None:
+                    # The winner's own machine is free already.
+                    held = copy.other_machines
+                else:
+                    continue
+                lost = now - clone.start_time
+                for machine_id in held:
                     machines[machine_id].current_copy = None
                     push_free(machine_id)
                     if topology:
                         cluster._rack_running[self._rack_of[machine_id]] -= 1
-                    if dynamic:
-                        self._running.pop(machine_id, None)
-                    if clone.start_time is not None:
-                        # A parked clone adds 0.0, which leaves the sum as is.
-                        wasted_work += now - clone.start_time
+                    wasted_work += lost
             result.wasted_work = wasted_work
             task._num_active = 0
             job._active_copies -= num_active
@@ -1175,19 +1196,26 @@ class SimulationEngine:
 
         Truncation to the free pool (the excess counts as ``over_requests``),
         the stage-buffer top-up and the task, job, cluster and result
-        counters happen once per request; machine, duration and copy are
-        per copy.
+        counters happen once per request.  Placement, the workload pop, the
+        duration, the rack counters and the copy id are per copy, in launch
+        order.
 
-        Finish entries: a dynamic run queues one per started copy, since a
-        failure or a rate change may invalidate any of them.  A static run
-        queues one per request, for the started copy that finishes first
-        (the first in launch order on a tie).  Its other copies cannot
-        finish: their finish times are fixed at launch, and only their
-        task's completion -- at or before that entry -- can end them, by
-        killing them.  Sequence numbers are still drawn in push order, so
-        every entry that can fire keeps its place in the ``(time, priority,
-        sequence)`` order.  Parked copies get their entries on unparking
-        (:meth:`_unblock_parked_copies`).
+        A static run (no failures, no slowdowns) queues one finish entry
+        per request on a ready stage, for the copy that finishes first (the
+        first in launch order on a tie), and that *kept* copy is the only
+        copy object the request builds.  Its other copies cannot finish:
+        their finish times are fixed at launch, and only their task's
+        completion -- at or before the kept copy's entry -- can end them,
+        by killing them.  So they are recorded as the machines they hold
+        (``TaskCopy.other_machines``, in launch order, with the kept copy's
+        own place as ``launch_position``), and each of those machines'
+        ``current_copy`` is the kept copy; :meth:`_handle_copy_finish`
+        frees them.  A dynamic run builds every copy and queues an entry
+        per started copy, since a failure or a rate change may invalidate
+        any of them.  Parked copies are built one by one and get their
+        entries on unparking (:meth:`_unblock_parked_copies`).  Sequence
+        numbers are drawn in push order, so every entry that can fire
+        keeps its place in the ``(time, priority, sequence)`` order.
         """
         cluster = self.cluster
         free_ids = cluster._free_ids
@@ -1208,6 +1236,7 @@ class SimulationEngine:
         topology = self._topology_active
         dynamic = self._dynamic
         ready = job._stage_ready[stage]
+        grouped = n > 1 and ready and not dynamic
         now = self.now
         machines = cluster._machines
         entries = self._events._entries
@@ -1221,9 +1250,9 @@ class SimulationEngine:
         resume = self._checkpoint_interval is not None and saved > 0.0
         if resume:
             result.checkpoint_resumes += n
-        earliest = None
+        held: List[int] = []
         earliest_finish = 0.0
-        for _ in range(n):
+        for index in range(n):
             if topology:
                 self._place_for_locality(task)
             machine_id = free_ids.pop()
@@ -1252,11 +1281,26 @@ class SimulationEngine:
                     duration *= penalty
                     result.remote_launches += 1
                 cluster._rack_running[rack] += 1
+            copy_id = next(copy_ids)
+            if grouped:
+                # Only the machine is kept, and the copy's fields while it
+                # finishes first.
+                held.append(machine_id)
+                finish = now + duration
+                if index == 0 or finish < earliest_finish:
+                    earliest_finish = finish
+                    kept_index = index
+                    kept_id = copy_id
+                    kept_machine = machine_id
+                    kept_duration = duration
+                    kept_work = raw_workload
+                    kept_penalty = penalty
+                continue
             # Inlined TaskCopy construction (its checks cannot fire), and the
             # per-copy halves of Task.add_copy and ClusterState.place (a
             # free-listed machine is up and idle, covering Machine.assign).
             copy = TaskCopy.__new__(TaskCopy)
-            copy.copy_id = next(copy_ids)
+            copy.copy_id = copy_id
             copy.task = task
             copy.machine_id = machine_id
             copy.launch_time = now
@@ -1265,6 +1309,7 @@ class SimulationEngine:
             copy.killed_at = None
             copy.work = raw_workload
             copy.remote_penalty = penalty
+            copy.other_machines = None
             add_copy(copy)
             machine.current_copy = copy
             if not ready:
@@ -1277,19 +1322,35 @@ class SimulationEngine:
             # is unstarted and at version 0, so the bump lands on 1.
             copy.start_time = now
             copy.finish_version = 1
-            finish = now + duration
             if dynamic:
                 rate = machine.effective_speed
                 if penalty != 1.0:
                     rate /= penalty
                 self._running[machine_id] = _RunningCopy(copy, raw_workload, now, rate)
-                heappush(entries, (finish, 0, next(sequence), copy, 1))
-            elif earliest is None or finish < earliest_finish:
-                earliest = copy
-                earliest_finish = finish
-        if earliest is not None:
-            # The request's one finish entry in a static run (see above).
-            heappush(entries, (earliest_finish, 0, next(sequence), earliest, 1))
+            # A static run gets here for a single-copy request only.
+            heappush(entries, (now + duration, 0, next(sequence), copy, 1))
+        if grouped:
+            # The request's one copy object and one finish entry (see above).
+            copy = TaskCopy.__new__(TaskCopy)
+            copy.copy_id = kept_id
+            copy.task = task
+            copy.machine_id = kept_machine
+            copy.launch_time = now
+            copy.workload = kept_duration
+            copy.start_time = now
+            copy.finish_time = None
+            copy.killed_at = None
+            copy.work = kept_work
+            copy.finish_version = 1
+            copy.remote_penalty = kept_penalty
+            del held[kept_index]
+            copy.other_machines = held
+            copy.launch_position = kept_index
+            add_copy(copy)
+            machines[kept_machine].current_copy = copy
+            for machine_id in held:
+                machines[machine_id].current_copy = copy
+            heappush(entries, (earliest_finish, 0, next(sequence), copy, 1))
         # The counters, once per request.  A copy of a task already holding a
         # machine is redundant (a clone or a speculative duplicate); the
         # replacement of a failure-killed copy is not.

@@ -143,6 +143,11 @@ class SchedulerView:
     def running_copies(self) -> List[TaskCopy]:
         """All copies occupying machines (blocked ones too), in machine order.
 
+        One entry per busy machine: the copy it holds.  A static run's
+        multi-copy launch request builds one copy object, which sits on
+        every machine of the request, so that object appears once per
+        machine (see :class:`~repro.workload.job.TaskCopy`); only clone
+        policies issue such requests, and none of them reads this view.
         Policies that break exact ties in job order sort by ``(job.arrival_index,
         task.stage, task.index, copy.copy_id)``.
         """

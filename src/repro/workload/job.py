@@ -58,6 +58,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.workload.checks import check_count, check_real
 from repro.workload.distributions import DurationDistribution
 
 __all__ = ["Phase", "TaskStatus", "StageSpec", "JobSpec", "Job", "Task", "TaskCopy"]
@@ -117,8 +118,7 @@ class StageSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("stage name must be non-empty")
-        if self.num_tasks < 0:
-            raise ValueError(f"stage {self.name!r}: num_tasks must be >= 0")
+        check_count(f"stage {self.name!r}: num_tasks", self.num_tasks)
         if len(set(self.deps)) != len(self.deps):
             raise ValueError(f"stage {self.name!r}: duplicate dependencies")
 
@@ -272,12 +272,10 @@ class JobSpec:
     stages: Optional[Tuple[StageSpec, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
-        if self.weight <= 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
-        if self.num_map_tasks < 0 or self.num_reduce_tasks < 0:
-            raise ValueError("task counts must be non-negative")
+        check_real("arrival_time", self.arrival_time)
+        check_real("weight", self.weight, positive=True)
+        check_count("num_map_tasks", self.num_map_tasks)
+        check_count("num_reduce_tasks", self.num_reduce_tasks)
         if self.num_map_tasks + self.num_reduce_tasks == 0:
             raise ValueError(f"job {self.job_id} has no tasks")
         if self.stages is not None:
@@ -438,6 +436,17 @@ class JobSpec:
 class TaskCopy:
     """One physical copy (the original or a clone) of a task on a machine.
 
+    In a static run (no failures, no slowdowns) a launch request of
+    several copies on a ready stage builds one object only: its *kept*
+    copy, the copy that finishes first (the first in launch order on a
+    tie).  Its task completes at that finish or earlier, and completion
+    kills the request's other copies, so they never finish; they are
+    recorded as the machines they hold (``other_machines``), and each of
+    those machines' ``current_copy`` is the kept copy.  Such an object
+    stands for :attr:`num_copies` copies.  The engine alone launches, kills
+    and frees it (see :meth:`repro.simulation.engine.SimulationEngine
+    ._launch_copies`); :meth:`finish` and :meth:`kill` act on one copy.
+
     Attributes
     ----------
     start_time:
@@ -462,6 +471,16 @@ class TaskCopy:
         a copy on its task's preferred rack (or when no topology is
         active), the scenario's ``remote_slowdown`` otherwise.  Fixed at
         launch -- the copy's data does not move.
+    other_machines:
+        ``None``, or, on a kept copy, the machines of its launch request's
+        other copies in launch order.  They started with the kept copy and
+        end with it: freed at its task's completion, each adding its time
+        since the start to the wasted work.
+    launch_position:
+        How many of ``other_machines`` were launched before the kept copy
+        (its place in the request's launch order).  The kept copy's
+        ``copy_id`` is the id it drew there: the request consumed one id
+        per copy.
     """
 
     __slots__ = (
@@ -476,6 +495,8 @@ class TaskCopy:
         "work",
         "finish_version",
         "remote_penalty",
+        "other_machines",
+        "launch_position",
     )
 
     def __init__(
@@ -491,6 +512,8 @@ class TaskCopy:
         work: Optional[float] = None,
         finish_version: int = 0,
         remote_penalty: float = 1.0,
+        other_machines: Optional[List[int]] = None,
+        launch_position: int = 0,
     ) -> None:
         if workload <= 0:
             raise ValueError(f"copy workload must be positive, got {workload}")
@@ -507,6 +530,8 @@ class TaskCopy:
         self.work = work
         self.finish_version = finish_version
         self.remote_penalty = remote_penalty
+        self.other_machines = other_machines
+        self.launch_position = launch_position
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -514,6 +539,21 @@ class TaskCopy:
             f"machine_id={self.machine_id}, launch_time={self.launch_time}, "
             f"workload={self.workload})"
         )
+
+    @property
+    def num_copies(self) -> int:
+        """Copies this object stands for: 1, plus its ``other_machines``."""
+        others = self.other_machines
+        return 1 if others is None else 1 + len(others)
+
+    @property
+    def machine_ids(self) -> List[int]:
+        """The machines of the copies this object stands for, in launch order."""
+        others = self.other_machines
+        if others is None:
+            return [self.machine_id]
+        position = self.launch_position
+        return others[:position] + [self.machine_id] + others[position:]
 
     @property
     def is_finished(self) -> bool:
@@ -594,9 +634,13 @@ class Task:
     """One logical task ``delta_i^{c,j}`` of one stage.
 
     A task may have several :class:`TaskCopy` instances running at once;
-    it completes when the first of them completes.  The active-copy count
-    is maintained incrementally (see the module docstring) so that
-    ``is_scheduled`` / ``num_active_copies`` are O(1).
+    it completes when the first of them completes.  ``copies`` lists the
+    copy objects in launch order; in a static run a multi-copy launch
+    request adds one object, its kept copy, which stands for the request's
+    other copies too (:attr:`TaskCopy.num_copies`).  The active-copy count
+    counts copies, not objects, and is maintained incrementally (see the
+    module docstring) so that ``is_scheduled`` / ``num_active_copies`` are
+    O(1).
 
     ``checkpoint_work`` is the raw work durably saved by the checkpoint
     redundancy policy: when a failure kills a copy, the engine rounds the
@@ -636,7 +680,9 @@ class Task:
         self.checkpoint_work = 0.0
         self.preferred_rack: Optional[int] = None
         self._num_active = (
-            sum(1 for copy in self.copies if copy.is_active) if self.copies else 0
+            sum(copy.num_copies for copy in self.copies if copy.is_active)
+            if self.copies
+            else 0
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -685,12 +731,12 @@ class Task:
 
     @property
     def active_copies(self) -> List[TaskCopy]:
-        """Copies currently occupying machines."""
+        """Copy objects currently occupying machines (a kept copy once)."""
         return [copy for copy in self.copies if copy.is_active]
 
     @property
     def num_active_copies(self) -> int:
-        """Number of copies currently occupying machines (O(1))."""
+        """Copies currently occupying machines, a kept copy's others included (O(1))."""
         return self._num_active
 
     @property
@@ -821,7 +867,8 @@ class Job:
                     if task._num_active == 0:
                         self._unscheduled[stage] += 1
                 self._active_copies += task._num_active
-                self._copies_launched += len(task.copies)
+                for copy in task.copies:
+                    self._copies_launched += copy.num_copies
         completion = self._stage_completion
         self._stage_ready = [
             all(completion[dep] is not None for dep in self._stages[s].deps)

@@ -215,3 +215,56 @@ class TestClusterFailureState:
         assert machine.effective_speed == 0.5
         machine.is_down = True
         assert machine.effective_speed == 0.0
+
+
+class TestKeptCopyInvariants:
+    """A static run's kept copy holds its own machine and its request's others."""
+
+    @staticmethod
+    def place_group(cluster, machine_ids, position):
+        # The engine's layout: one copy object on every machine of the request.
+        task = make_job().map_tasks[0]
+        own = machine_ids[position]
+        others = machine_ids[:position] + machine_ids[position + 1:]
+        copy = TaskCopy(copy_id=position, task=task, machine_id=own,
+                        launch_time=0.0, workload=10.0, start_time=0.0,
+                        other_machines=others, launch_position=position)
+        for machine_id in machine_ids:
+            cluster._free_ids.remove(machine_id)
+            cluster.machine(machine_id).current_copy = copy
+        cluster._map_running += len(machine_ids)
+        return copy
+
+    def test_every_machine_of_a_kept_copy_is_accepted(self):
+        cluster = ClusterState(5)
+        copy = self.place_group(cluster, [4, 1, 3], position=1)
+        cluster.check_invariants()
+        assert copy.num_copies == 3
+        assert copy.machine_ids == [4, 1, 3]
+
+    def test_a_machine_the_kept_copy_does_not_list_is_rejected(self):
+        cluster = ClusterState(5)
+        copy = self.place_group(cluster, [4, 1, 3], position=1)
+        cluster._free_ids.remove(0)
+        cluster.machine(0).current_copy = copy
+        cluster._map_running += 1
+        with pytest.raises(AssertionError, match="copy/machine id mismatch"):
+            cluster.check_invariants()
+
+    def test_an_other_machine_freed_alone_is_rejected(self):
+        cluster = ClusterState(5)
+        self.place_group(cluster, [4, 1, 3], position=1)
+        cluster.machine(3).current_copy = None
+        cluster._free_ids.append(3)
+        cluster._map_running -= 1
+        with pytest.raises(AssertionError, match="freed alone"):
+            cluster.check_invariants()
+
+    def test_a_kept_copy_without_its_own_machine_is_rejected(self):
+        cluster = ClusterState(5)
+        self.place_group(cluster, [4, 1, 3], position=1)
+        cluster.machine(1).current_copy = None
+        cluster._free_ids.append(1)
+        cluster._map_running -= 1
+        with pytest.raises(AssertionError, match="left its own machine"):
+            cluster.check_invariants()

@@ -277,10 +277,15 @@ class TestLaunchRequestFusion:
         assert result.redundant_copies_launched == 5
         assert result.over_requests == 0
         assert dist.draws == [1, 5]
-        # The copies carry the draws in draw order, as six size-1 draws would.
-        copies = engine._jobs[0].stage_tasks[0][0].copies
+        # The copies carry the draws in draw order, as six size-1 draws
+        # would.  The request builds one copy object, the copy that finishes
+        # first on these identical machines -- the least work -- with the
+        # id and launch position of its draw, holding all six machines.
+        [copy] = engine._jobs[0].stage_tasks[0][0].copies
         expected = Exponential(10.0).sample_list(np.random.default_rng(4), 6)
-        assert [copy.work for copy in copies] == expected
+        assert copy.work == min(expected)
+        assert copy.copy_id == copy.launch_position == expected.index(min(expected))
+        assert sorted(copy.machine_ids) == list(range(6))
 
     def test_request_larger_than_free_pool_is_truncated_once(self):
         dist = CountingDistribution(Exponential(10.0))

@@ -26,6 +26,8 @@ total copy count).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.srptms_c import SRPTMSCScheduler
@@ -68,6 +70,8 @@ class InvariantCheckingScheduler(Scheduler):
         # Recount the active copies from the alive jobs' tasks (independent
         # of the machines, which the view reads them from) and require the
         # view to report exactly that set.
+        # A kept copy of a static multi-copy request is resident on every
+        # machine of its request, so it is counted once per machine.
         occupied = [
             copy
             for job in view.alive_jobs
@@ -76,14 +80,16 @@ class InvariantCheckingScheduler(Scheduler):
             if copy.is_active
         ]
         running = view.running_copies()
-        assert len(running) == len(occupied) and set(running) == set(occupied), (
-            f"running-copy view disagrees with a task rescan at t={view.time}"
-        )
+        assert Counter(running) == Counter(
+            {copy: copy.num_copies for copy in occupied}
+        ), f"running-copy view disagrees with a task rescan at t={view.time}"
 
         # At most one active copy per machine, and occupancy must agree
         # with the free-machine count (down machines are neither free nor
         # occupied).
-        machine_ids = [copy.machine_id for copy in occupied]
+        machine_ids = [
+            machine_id for copy in occupied for machine_id in copy.machine_ids
+        ]
         assert len(machine_ids) == len(set(machine_ids)), (
             f"two active copies share a machine at t={view.time}"
         )
@@ -152,7 +158,7 @@ def test_engine_invariants_on_random_traces(make_scheduler, trace_seed):
         assert job.is_complete
         for task in job.all_tasks():
             assert task.is_completed
-            total_copies += len(task.copies)
+            total_copies += sum(copy.num_copies for copy in task.copies)
 
             finished = [copy for copy in task.copies if copy.is_finished]
             killed = [copy for copy in task.copies if copy.is_killed]
@@ -162,7 +168,9 @@ def test_engine_invariants_on_random_traces(make_scheduler, trace_seed):
 
             # Task completion time is the earliest-finishing copy's finish
             # time: the winner finished then, and no killed copy could have
-            # finished earlier.
+            # finished earlier.  (A kept copy is the earliest of its own
+            # request by construction; tests/test_finish_entry_equivalence.py
+            # pins that against copies built one by one.)
             winner = finished[0]
             assert task.completion_time == winner.finish_time
             for clone in killed:
@@ -183,8 +191,15 @@ def test_engine_invariants_on_random_traces(make_scheduler, trace_seed):
                             >= job.map_phase_completion_time - 1e-9
                         )
 
+            # The copies a kept copy stands for ran exactly as long as it did.
             useful += sum(copy.elapsed(result.makespan) for copy in finished)
-            wasted += sum(copy.elapsed(result.makespan) for copy in killed)
+            wasted += sum(
+                (copy.num_copies - 1) * copy.elapsed(result.makespan)
+                for copy in finished
+            )
+            wasted += sum(
+                copy.num_copies * copy.elapsed(result.makespan) for copy in killed
+            )
 
     # The engine's work accounting matches the copy history.
     assert total_copies == result.total_copies

@@ -1,15 +1,18 @@
-"""Differential lockdown of one finish entry per launch request.
+"""Differential lockdown of one finish entry and one copy object per launch request.
 
 In a static run (no machine failures, no slowdowns) ``SimulationEngine
 ._launch_copies`` queues one finish entry per launch request: the entry of
 the request's earliest-finishing started copy, the first in launch order
 on a tie.  A task ends when its first copy finishes, which kills the rest,
 and in a static run nothing else can end a started copy, so the copies
-without an entry never fire.  Dynamic runs keep one entry per started
-copy.
+without an entry never fire.  On a ready stage that kept copy is also the
+request's only ``TaskCopy``: the other copies are the machines it records
+(``TaskCopy.other_machines``), freed after the winner's machine in launch
+order at the task's completion.  Dynamic runs keep one entry and one
+object per started copy, and parked copies stay one object each.
 
-``ReferenceEngine`` keeps the earlier launch path: one entry per started
-copy in every run.  Both engines must give byte-identical
+``ReferenceEngine`` keeps the earlier launch path: one copy object and one
+entry per started copy in every run.  Both engines must give byte-identical
 :class:`~repro.simulation.metrics.SimulationResult` fingerprints, with the
 copy counters and the work totals (by ``float.hex``) checked on their own
 as well, over every named composition plus four clone-heavy or
@@ -30,6 +33,11 @@ nothing.  Letting the last tied copy win changes the result of several
 changes several straggler and failure cases.  The failure rate is 5x
 ``FAILURES`` in ``tests/test_engine.py``: these traces last about 100 s,
 and at 2e-4 no failure would hit a running copy.
+
+The multi-copy compositions in static runs are also compared on the free
+list after every task completion and on each task's winning copy, which
+sees a tie broken the other way on identical machines, a machine freed
+out of order and a copy id drawn once per request.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from repro.simulation.scheduler_api import ComposedScheduler
 from repro.workload.distributions import Deterministic
 from repro.workload.google_trace import GoogleTraceConfig, GoogleTraceGenerator
 from repro.workload.job import JobSpec, TaskCopy
-from repro.workload.stream import stream_dag_chain_jobs
+from repro.workload.stream import StreamSpec, stream_dag_chain_jobs, stream_poisson_jobs
 from repro.workload.trace import Trace
 
 # --------------------------------------------------------------- reference
@@ -110,6 +118,7 @@ class ReferenceEngine(SimulationEngine):
             copy.killed_at = None
             copy.work = raw_workload
             copy.remote_penalty = penalty
+            copy.other_machines = None
             task.copies.append(copy)
             machine.current_copy = copy
             if not ready:
@@ -194,14 +203,55 @@ COMPOSITIONS = sorted(
 )
 
 
-def _engine(engine_cls, composition, scenario, early, name):
-    trace, machines = workload(name)
+class FreeListProbe:
+    """Records the free list and the winning copy at every task completion."""
+
+    def _handle_copy_finish(self, copy, version=0):
+        super()._handle_copy_finish(copy, version)
+        self.free_lists.append((self.now, tuple(self.cluster._free_ids)))
+        self.winners.append(
+            (copy.copy_id, copy.machine_id, copy.work.hex(), copy.workload.hex())
+        )
+
+
+class ProbedEngine(FreeListProbe, SimulationEngine):
+    pass
+
+
+class ProbedReference(FreeListProbe, ReferenceEngine):
+    pass
+
+
+def _probed(engine_cls, composition, scenario, early, trace, machines):
     ordering, allocation, redundancy = composition.split("+")
     scheduler = ComposedScheduler(
         ordering, allocation, redundancy, epsilon=0.6, r=1.0, seed=3,
         allow_early_reduce=early,
     )
-    return engine_cls(trace, scheduler, machines, seed=5, scenario=SCENARIOS[scenario])
+    engine = engine_cls(trace, scheduler, machines, seed=5, scenario=SCENARIOS[scenario])
+    engine.free_lists = []
+    engine.winners = []
+    return engine
+
+
+def _engine(engine_cls, composition, scenario, early, name):
+    trace, machines = workload(name)
+    return _probed(engine_cls, composition, scenario, early, trace, machines)
+
+
+def assert_same_run(new, reference):
+    """Identical results, free lists and winners after every completion, and ids."""
+    a, b = new.run(), reference.run()
+    assert a.fingerprint() == b.fingerprint()
+    assert a.total_copies == b.total_copies
+    assert a.redundant_copies_launched == b.redundant_copies_launched
+    assert a.over_requests == b.over_requests
+    assert a.useful_work.hex() == b.useful_work.hex()
+    assert a.wasted_work.hex() == b.wasted_work.hex()
+    assert new.free_lists == reference.free_lists
+    assert new.winners == reference.winners
+    assert next(new._copy_ids) == next(reference._copy_ids)
+    return a
 
 
 @pytest.mark.parametrize("early", [False, True], ids=["gated", "early"])
@@ -211,20 +261,69 @@ def _engine(engine_cls, composition, scenario, early, name):
 def test_one_entry_per_request_matches_per_copy_reference(
     name, scenario, composition, early
 ):
-    new = _engine(SimulationEngine, composition, scenario, early, name).run()
-    reference = _engine(ReferenceEngine, composition, scenario, early, name).run()
-    assert new.num_jobs == len(workload(name)[0])
-    assert new.fingerprint() == reference.fingerprint()
-    assert new.total_copies == reference.total_copies
-    assert new.redundant_copies_launched == reference.redundant_copies_launched
-    assert new.over_requests == reference.over_requests
-    assert new.useful_work.hex() == reference.useful_work.hex()
-    assert new.wasted_work.hex() == reference.wasted_work.hex()
+    new = _engine(ProbedEngine, composition, scenario, early, name)
+    reference = _engine(ProbedReference, composition, scenario, early, name)
+    assert assert_same_run(new, reference).num_jobs == len(workload(name)[0])
+    # Each task's copy objects are its reference copies, with the other
+    # copies of every static ready-stage request folded into its kept copy.
+    for job, ref_job in zip(new._jobs, reference._jobs):
+        for task, ref_task in zip(job.all_tasks(), ref_job.all_tasks()):
+            ids = {copy.copy_id: copy for copy in ref_task.copies}
+            assert sum(copy.num_copies for copy in task.copies) == len(ids)
+            for copy in task.copies:
+                twin = ids[copy.copy_id]
+                assert copy.machine_id == twin.machine_id
+                assert copy.work.hex() == twin.work.hex()
+                assert copy.start_time == twin.start_time
+                first = copy.copy_id
+                if copy.other_machines is not None:
+                    assert scenario in STATIC
+                    first -= copy.launch_position
+                assert copy.machine_ids == [
+                    ids[i].machine_id for i in range(first, first + copy.num_copies)
+                ]
+
+
+#: The compositions whose launch requests carry several copies.
+MULTI_COPY = (
+    "srpt+share+clone", "srpt+share+sca", "fair+greedy+sca",
+    "fifo+greedy+clone", "srpt+greedy+clone", "srpt+delay+clone",
+)
+
+
+@pytest.mark.parametrize("composition", MULTI_COPY)
+@pytest.mark.parametrize("scenario", list(STATIC))
+def test_stream_mode_matches_per_copy_reference(scenario, composition):
+    spec = StreamSpec(
+        stream_poisson_jobs, num_jobs=25,
+        kwargs=dict(arrival_rate=0.5, mean_tasks_per_job=3.0, mean_duration=6.0, seed=2),
+    )
+    new = _probed(ProbedEngine, composition, scenario, False, spec.build(), 10)
+    reference = _probed(ProbedReference, composition, scenario, False, spec.build(), 10)
+    assert assert_same_run(new, reference).redundant_copies_launched > 0
+    assert new._jobs == [] and not new._alive
+
+
+@pytest.mark.parametrize("composition", MULTI_COPY)
+def test_all_tie_requests_keep_their_first_copy(composition):
+    # Deterministic durations on identical machines: every copy of a request
+    # finishes at once, so the first one launched is kept, and its machine
+    # is freed before the others, which follow in launch order.
+    trace, machines = workload("deterministic")
+    new = _probed(ProbedEngine, composition, "none", False, trace, machines)
+    reference = _probed(ProbedReference, composition, "none", False, trace, machines)
+    assert_same_run(new, reference)
+    kept = [
+        copy for job in new._jobs for task in job.all_tasks()
+        for copy in task.copies if copy.other_machines
+    ]
+    assert kept and all(copy.launch_position == 0 for copy in kept)
 
 
 def test_cases_reach_exact_ties_failure_kills_and_parked_copies():
-    """The grid above exercises every situation the rule must get right."""
-    engine = _engine(SimulationEngine, "srpt+share+clone", "bimodal", False, "google")
+    """The grids above exercise every situation the rules must get right."""
+    # The reference builds every copy, so a request's ties are visible.
+    engine = _engine(ReferenceEngine, "srpt+share+clone", "bimodal", False, "google")
     launch = engine._launch_copies
     tied_requests = []
 

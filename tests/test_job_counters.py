@@ -34,10 +34,15 @@ def scanned_counters(job: Job) -> dict:
         "incomplete_reduce": sum(
             1 for t in job.reduce_tasks if not t.is_completed
         ),
+        # A kept copy of a static multi-copy request stands for its
+        # request's other copies too.
         "active_copies": sum(
-            sum(1 for c in t.copies if c.is_active) for t in job.all_tasks()
+            sum(c.num_copies for c in t.copies if c.is_active)
+            for t in job.all_tasks()
         ),
-        "copies_launched": sum(len(t.copies) for t in job.all_tasks()),
+        "copies_launched": sum(
+            sum(c.num_copies for c in t.copies) for t in job.all_tasks()
+        ),
     }
 
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.workload.distributions import Deterministic, LogNormal
-from repro.workload.job import Job, JobSpec, Phase, Task, TaskCopy, TaskStatus
+from repro.workload.job import Job, JobSpec, Phase, StageSpec, Task, TaskCopy, TaskStatus
 
 
 def make_spec(**overrides) -> JobSpec:
@@ -65,6 +68,45 @@ class TestJobSpec:
     def test_validation(self, overrides):
         with pytest.raises(ValueError):
             make_spec(**overrides)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weight", math.nan),
+            ("weight", math.inf),
+            ("arrival_time", math.inf),
+            ("arrival_time", math.nan),
+            ("num_map_tasks", 2.5),
+            ("num_map_tasks", math.nan),
+            ("num_map_tasks", 2.0),
+            ("num_reduce_tasks", True),
+            ("num_reduce_tasks", 1.5),
+        ],
+    )
+    def test_non_finite_and_non_integral_numbers_name_their_field(self, field, value):
+        # Each of these used to construct, and then ran with a NaN flowtime
+        # or failed inside the engine (a float task count, a NaN weight in
+        # the share rounding), or ran a bool as one task.
+        with pytest.raises(ValueError, match=field):
+            make_spec(**{field: value})
+
+    def test_numpy_integer_task_counts_are_accepted(self):
+        spec = make_spec(num_map_tasks=np.int64(3), num_reduce_tasks=np.int32(0))
+        assert spec.total_tasks == 3
+
+    def test_stage_task_count_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="num_tasks"):
+            StageSpec(name="map", num_tasks=2.5, duration=Deterministic(1.0))
+        with pytest.raises(ValueError, match="num_tasks"):
+            StageSpec(name="map", num_tasks=True, duration=Deterministic(1.0))
+
+    def test_from_stages_rejects_a_non_finite_weight(self):
+        stages = [StageSpec(name="map", num_tasks=2, duration=Deterministic(1.0))]
+        for weight in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="weight"):
+                JobSpec.from_stages(
+                    job_id=0, arrival_time=0.0, weight=weight, stages=stages
+                )
 
 
 class TestJobConstruction:

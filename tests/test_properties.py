@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import fractional_shares, integer_shares
+from repro.core.allocation import fractional_shares, ranked_shares
 from repro.core.bounds import theorem1_probability, lemma1_probability
 from repro.core.effective_workload import accumulated_higher_priority_workload
 from repro.core.speedup import LogSpeedup, ParetoSpeedup, PowerSpeedup
@@ -73,11 +73,9 @@ class TestAllocationProperties:
            epsilon=st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=60, deadline=None)
     def test_integer_shares_sum_to_m(self, pairs, machines, epsilon):
-        fractional = fractional_shares(pairs, machines, epsilon)
-        order = [job_id for job_id, _ in pairs]
-        integers = integer_shares(fractional, order, machines)
-        assert sum(integers.values()) == machines
-        assert all(value >= 0 for value in integers.values())
+        integers, _ = ranked_shares([weight for _, weight in pairs], machines, epsilon)
+        assert sum(integers) == machines
+        assert all(value >= 0 for value in integers)
 
     @given(pairs=job_weight_lists(), machines=st.integers(min_value=1, max_value=200))
     @settings(max_examples=40, deadline=None)
