@@ -24,7 +24,9 @@ The package is organised as:
   every paper table/figure is a preset in
   :data:`~repro.study.presets.STUDY_PRESETS`;
 * :mod:`repro.experiments` -- :class:`~repro.experiments.ExperimentConfig`
-  and the plain-text report renderers.
+  and the plain-text report renderers;
+* :mod:`repro.checks` -- the one rule per numeric knob, which every
+  constructor that takes a user knob calls.
 
 Quickstart::
 

@@ -70,6 +70,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from repro.checks import check_count, check_range
 from repro.cluster.stragglers import DynamicStragglers
 from repro.experiments import ExperimentConfig
 from repro.experiments.report import render_resultset
@@ -364,10 +365,7 @@ def _compose_scenario(args: argparse.Namespace) -> Optional[ScenarioSpec]:
     speeds = base.speeds
     normalize = base.normalize_mean_speed
     if args.speed_spread is not None:
-        if not 0.0 <= args.speed_spread < 1.0:
-            raise SystemExit(
-                f"--speed-spread must lie in [0, 1), got {args.speed_spread}"
-            )
+        check_range("--speed-spread", args.speed_spread, 0, 1, closed="left")
         if args.speed_spread == 0.0:
             speeds, normalize = None, False
         else:
@@ -414,8 +412,7 @@ def _compose_scenario(args: argparse.Namespace) -> Optional[ScenarioSpec]:
             "--racks N with N > 1"
         )
     if args.racks is not None:
-        if args.racks < 1:
-            raise SystemExit(f"--racks must be >= 1, got {args.racks}")
+        check_count("--racks", args.racks, 1)
         if args.racks == 1:
             topology = None
         else:
@@ -512,7 +509,7 @@ _FIGURE_ONLY_FLAGS = ("scale", "seeds", "epsilon", "r", "machines")
 
 def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Execute a spec-file study: load, run, print, export."""
-    from repro.study import StudySpecError, load_study
+    from repro.study import load_study
 
     if args.spec is None:
         raise SystemExit("'sweep' needs --spec FILE (a .toml or .json study spec)")
@@ -529,7 +526,9 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         )
     try:
         study = load_study(args.spec)
-    except StudySpecError as exc:
+        # Compiling runs every constructor's knob checks before any run.
+        study.compile()
+    except (TypeError, ValueError) as exc:  # a StudySpecError is a ValueError
         raise SystemExit(f"invalid study spec: {exc}") from None
     results = study.run(
         workers=_workers_from_args(args),

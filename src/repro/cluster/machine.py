@@ -11,8 +11,9 @@ straggler model can both be expressed directly.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, TYPE_CHECKING
+
+from repro.checks import check_count, check_range, check_real
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.workload.job import TaskCopy
@@ -61,14 +62,9 @@ class Machine:
         current_copy: Optional["TaskCopy"] = None,
         failures: int = 0,
     ) -> None:
-        if machine_id < 0:
-            raise ValueError(f"machine_id must be >= 0, got {machine_id}")
-        if not 0 < speed < math.inf:  # False for NaN too
-            raise ValueError(
-                f"machine speed must be positive and finite, got {speed}"
-            )
-        if slowdown < 1.0:
-            raise ValueError(f"slowdown must be >= 1, got {slowdown}")
+        check_count("machine_id", machine_id)
+        check_real("machine speed", speed, positive=True)
+        check_range("slowdown", slowdown, 1)
         self.machine_id = machine_id
         self.speed = speed
         self.slowdown = slowdown

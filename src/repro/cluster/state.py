@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.checks import check_count, check_real
 from repro.cluster.machine import Machine
 from repro.workload.job import Phase, TaskCopy
 
@@ -33,10 +34,8 @@ class ClusterState:
         *,
         speeds: Optional[Sequence[float]] = None,
     ) -> None:
-        if num_machines <= 0:
-            raise ValueError(f"num_machines must be positive, got {num_machines}")
-        if machine_speed <= 0:
-            raise ValueError(f"machine_speed must be positive, got {machine_speed}")
+        check_count("num_machines", num_machines, 1)
+        check_real("machine_speed", machine_speed, positive=True)
         if speeds is None:
             per_machine = [machine_speed] * num_machines
         else:
@@ -46,8 +45,6 @@ class ClusterState:
                     f"speeds has {len(per_machine)} entries for "
                     f"{num_machines} machines"
                 )
-            if any(s <= 0 for s in per_machine):
-                raise ValueError("every machine speed must be positive")
         self._machines: List[Machine] = [
             Machine(machine_id=i, speed=per_machine[i]) for i in range(num_machines)
         ]

@@ -14,10 +14,11 @@ when a machine's effective speed changes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.checks import check_range, check_real
 
 __all__ = ["DynamicStragglers"]
 
@@ -41,15 +42,9 @@ class DynamicStragglers:
     factor: float
 
     def __post_init__(self) -> None:
-        # Chained comparisons are False for NaN, so NaN and inf fail too.
-        if not 0 < self.onset_rate < math.inf:
-            raise ValueError(f"onset_rate must be positive and finite, got {self.onset_rate}")
-        if not 0 < self.mean_duration < math.inf:
-            raise ValueError(
-                f"mean_duration must be positive and finite, got {self.mean_duration}"
-            )
-        if not 1.0 < self.factor < math.inf:
-            raise ValueError(f"slowdown factor must exceed 1 and be finite, got {self.factor}")
+        check_real("onset_rate", self.onset_rate, positive=True)
+        check_real("mean_duration", self.mean_duration, positive=True)
+        check_range("slowdown factor", self.factor, 1, closed="neither")
 
     def draw_onset(self, rng: np.random.Generator) -> float:
         """Healthy time until the next slowdown begins."""

@@ -29,6 +29,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.checks import check_count, check_real
 from repro.core.priority import offline_priority
 from repro.policies.gating import launchable_tasks
 from repro.simulation.scheduler_api import LaunchRequest, Scheduler, SchedulerView
@@ -66,8 +67,8 @@ class OfflineSRPTScheduler(Scheduler):
         park_reduce_tasks: bool = True,
         seed: int = 0,
     ) -> None:
-        if r < 0:
-            raise ValueError(f"r must be non-negative, got {r}")
+        check_real("r", r)
+        check_count("seed", seed)
         self.r = r
         self.park_reduce_tasks = park_reduce_tasks
         self._rng = np.random.default_rng(seed)

@@ -11,21 +11,17 @@ full-scale configuration remains one constructor call away
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
+from repro.checks import check_count, check_range, check_real
 from repro.scenarios import ScenarioSpec
 from repro.simulation.experiment_runner import (
     ExperimentRunner,
     TraceSpec,
     normalize_workers,
 )
-from repro.workload.google_trace import (
-    GoogleTraceConfig,
-    GoogleTraceGenerator,
-    TABLE_II_TARGETS,
-)
+from repro.workload.google_trace import GoogleTraceConfig, GoogleTraceGenerator
 from repro.workload.trace import Trace
 
 __all__ = ["ExperimentConfig", "generate_google_trace"]
@@ -94,14 +90,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scenario is not None and not isinstance(self.scenario, ScenarioSpec):
             raise TypeError(f"scenario must be a ScenarioSpec, got {self.scenario!r}")
-        if not 0 < self.scale < math.inf:  # False for NaN too
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if not self.seeds:
             raise ValueError("at least one replication seed is required")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if not 0 <= self.r < math.inf:
-            raise ValueError(f"r must be non-negative and finite, got {self.r}")
+        for seed in self.seeds:
+            check_count("seeds", seed)
+        check_range("epsilon", self.epsilon, 0, 1, closed="right")
+        check_real("r", self.r)
+        if self.num_machines is not None:
+            check_count("num_machines", self.num_machines, 1)
+        check_count("trace_seed", self.trace_seed)
+        # scale and within_job_cv go through the trace config's own checks.
+        self.trace_config()
         object.__setattr__(self, "workers", normalize_workers(self.workers))
 
     # -- presets ------------------------------------------------------------------
@@ -132,7 +131,7 @@ class ExperimentConfig:
         """Cluster size, derived from ``scale`` unless given explicitly."""
         if self.num_machines is not None:
             return self.num_machines
-        return max(1, int(round(TABLE_II_TARGETS["num_machines"] * self.scale)))
+        return self.trace_config().effective_num_machines
 
     def trace_config(self) -> GoogleTraceConfig:
         """The synthetic-trace configuration for this experiment scale."""

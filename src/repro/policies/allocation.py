@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.checks import check_range, check_real
 from repro.core.allocation import ranked_shares
 from repro.scenarios import DEFAULT_LOCALITY_WAIT
 from repro.policies.gating import launchable_tasks, schedulable_jobs
@@ -211,8 +211,7 @@ class EpsilonShareAllocation(AllocationPolicy):
     shares_machines = True
 
     def __init__(self, epsilon: float = 0.6) -> None:
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        check_range("epsilon", epsilon, 0, 1, closed="right")
         self.epsilon = epsilon
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -295,11 +294,7 @@ class DelayScheduling(AllocationPolicy):
     dynamic_tick = True
 
     def __init__(self, locality_wait: float = LOCALITY_WAIT) -> None:
-        if not 0 <= locality_wait < math.inf:  # False for NaN too
-            raise ValueError(
-                f"locality_wait must be non-negative and finite, got {locality_wait}"
-            )
-        self.locality_wait = float(locality_wait)
+        self.locality_wait = check_real("locality_wait", locality_wait)
         #: Earliest pending deferral deadline, as a delay from "now";
         #: refreshed by every allocate() call (None = nothing deferred).
         self.tick_interval: Optional[float] = (

@@ -19,9 +19,9 @@ Two ranking modes exist:
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence
 
+from repro.checks import check_real
 from repro.core.priority import sort_jobs_by_remaining_priority
 from repro.simulation.scheduler_api import SchedulerView
 from repro.workload.job import Job
@@ -124,8 +124,7 @@ class SRPTOrdering(OrderingPolicy):
     name = "srpt"
 
     def __init__(self, r: float = 0.0) -> None:
-        if not 0 <= r < math.inf:  # False for NaN too
-            raise ValueError(f"r must be non-negative and finite, got {r}")
+        check_real("r", r)
         self.r = r
 
     def order(self, view: SchedulerView, jobs: Sequence[Job]) -> List[Job]:

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.speedup import ParetoSpeedup, SpeedupFunction
-from repro.policies.speculation import SpeculationEstimator, _check_count
+from repro.checks import check_count, check_range, check_real
+from repro.policies.speculation import SpeculationEstimator
 from repro.simulation.scheduler_api import LaunchRequest, SchedulerView
 from repro.workload.job import Job, Phase, Task
 
@@ -45,18 +45,6 @@ __all__ = [
     "LATESpeculation",
     "MantriSpeculation",
 ]
-
-
-def _check_tick_interval(tick_interval: Optional[float]) -> None:
-    """Reject a speculation cadence other than ``None`` or a positive finite time.
-
-    The engine ignores a zero, negative or NaN interval, so such a value
-    would silently turn speculation ticks off.
-    """
-    if tick_interval is not None and not 0 < tick_interval < math.inf:
-        raise ValueError(
-            f"tick_interval must be None or positive and finite, got {tick_interval}"
-        )
 
 
 class RedundancyPolicy:
@@ -156,13 +144,9 @@ class CheckpointRedundancy(RedundancyPolicy):
 
     def __init__(self, *, interval: float = 5.0) -> None:
         super().__init__()
-        if not 0 < interval < math.inf:  # False for NaN too
-            raise ValueError(
-                f"checkpoint interval must be positive and finite, got {interval}"
-            )
         #: The engine discovers this attribute (via the composed scheduler)
         #: and enables the checkpoint-resume kill path.
-        self.checkpoint_interval = float(interval)
+        self.checkpoint_interval = check_real("checkpoint interval", interval, positive=True)
 
 
 class PaperCloning(RedundancyPolicy):
@@ -199,7 +183,7 @@ class PaperCloning(RedundancyPolicy):
         max_copies_per_task: int = 0,
     ) -> None:
         super().__init__()
-        _check_count("max_copies_per_task", max_copies_per_task, 0)
+        check_count("max_copies_per_task", max_copies_per_task, 0)
         self.enabled = enabled
         self.max_copies_per_task = max_copies_per_task
 
@@ -316,7 +300,7 @@ class SCACloning(RedundancyPolicy):
         max_copies_per_task: int = 8,
     ) -> None:
         super().__init__()
-        _check_count("max_copies_per_task", max_copies_per_task, 1)
+        check_count("max_copies_per_task", max_copies_per_task, 1)
         self.speedup = speedup if speedup is not None else ParetoSpeedup(alpha=2.0)
         self.max_copies_per_task = max_copies_per_task
 
@@ -445,15 +429,10 @@ class LATESpeculation(RedundancyPolicy):
         min_elapsed: float = 1.0,
     ) -> None:
         super().__init__()
-        if not 0.0 < slow_task_percentile < 100.0:
-            raise ValueError(
-                f"slow_task_percentile must be in (0, 100), got {slow_task_percentile}"
-            )
-        if not 0.0 < speculative_cap <= 1.0:
-            raise ValueError(
-                f"speculative_cap must be in (0, 1], got {speculative_cap}"
-            )
-        _check_tick_interval(tick_interval)
+        check_range("slow_task_percentile", slow_task_percentile, 0, 100, closed="neither")
+        check_range("speculative_cap", speculative_cap, 0, 1, closed="right")
+        if tick_interval is not None:
+            check_real("tick_interval", tick_interval, positive=True)
         self.slow_task_percentile = slow_task_percentile
         self.speculative_cap = speculative_cap
         self.tick_interval = tick_interval
@@ -566,10 +545,10 @@ class MantriSpeculation(RedundancyPolicy):
         min_samples: int = 3,
     ) -> None:
         super().__init__()
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        _check_count("max_copies_per_task", max_copies_per_task, 2)
-        _check_tick_interval(tick_interval)
+        check_range("delta", delta, 0, 1, closed="neither")
+        check_count("max_copies_per_task", max_copies_per_task, 2)
+        if tick_interval is not None:
+            check_real("tick_interval", tick_interval, positive=True)
         self.delta = delta
         self.max_copies_per_task = max_copies_per_task
         self.tick_interval = tick_interval

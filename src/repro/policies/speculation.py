@@ -11,27 +11,15 @@ reads no samples, only the two progress thresholds.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from collections import deque
-from numbers import Integral
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.checks import check_count, check_range, check_real
 from repro.simulation.scheduler_api import SchedulerView
 from repro.workload.job import Job, Task, TaskCopy
 
 __all__ = ["SpeculationEstimator"]
-
-
-def _check_count(name: str, value: int, minimum: int) -> None:
-    """Reject a count knob (a copy cap, a sample count) below ``minimum`` or not an integer.
-
-    Floats (NaN and infinities included) and bools are rejected even when
-    they compare in range: the comparisons that read a count would treat
-    2.5 as 3, and NaN or infinity as no limit at all.
-    """
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class SpeculationEstimator:
@@ -69,13 +57,9 @@ class SpeculationEstimator:
         min_elapsed: float = 1.0,
         min_samples: int = 3,
     ) -> None:
-        if not 0.0 < min_progress < 1.0:
-            raise ValueError(f"min_progress must be in (0, 1), got {min_progress}")
-        if not 0 <= min_elapsed < math.inf:  # False for NaN too
-            raise ValueError(
-                f"min_elapsed must be non-negative and finite, got {min_elapsed}"
-            )
-        _check_count("min_samples", min_samples, 1)
+        check_range("min_progress", min_progress, 0, 1, closed="neither")
+        check_real("min_elapsed", min_elapsed)
+        check_count("min_samples", min_samples, 1)
         self.min_progress = min_progress
         self.min_elapsed = min_elapsed
         self.min_samples = min_samples

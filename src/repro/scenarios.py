@@ -41,13 +41,13 @@ to serial execution (asserted in ``tests/test_scenarios.py``).
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
+from repro.checks import check_count, check_range, check_real
 from repro.cluster.stragglers import DynamicStragglers
 
 __all__ = [
@@ -130,11 +130,8 @@ class UniformSpeeds(SpeedDistribution):
     high: float = 1.5
 
     def __post_init__(self) -> None:
-        # Chained comparisons are False for NaN, so NaN and inf fail too.
-        if not 0 < self.low < math.inf:
-            raise ValueError(f"low must be positive and finite, got {self.low}")
-        if not self.low <= self.high < math.inf:
-            raise ValueError(f"high must be >= low and finite, got [{self.low}, {self.high}]")
+        check_real("low", self.low, positive=True)
+        check_range("high", self.high, self.low)
 
     def sample(self, num_machines: int, rng: np.random.Generator) -> np.ndarray:
         """Draw one speed per machine (see base class)."""
@@ -154,12 +151,9 @@ class BimodalSpeeds(SpeedDistribution):
     fast_speed: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.slow_fraction <= 1.0:
-            raise ValueError(
-                f"slow_fraction must be in [0, 1], got {self.slow_fraction}"
-            )
-        if not (0 < self.slow_speed < math.inf and 0 < self.fast_speed < math.inf):
-            raise ValueError("speeds must be positive and finite")
+        check_range("slow_fraction", self.slow_fraction, 0, 1)
+        check_real("slow_speed", self.slow_speed, positive=True)
+        check_real("fast_speed", self.fast_speed, positive=True)
         if self.slow_speed > self.fast_speed:
             raise ValueError(
                 f"slow_speed {self.slow_speed} exceeds fast_speed {self.fast_speed}"
@@ -185,10 +179,8 @@ class ZipfSpeeds(SpeedDistribution):
     num_tiers: int = 4
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.num_tiers < 1:
-            raise ValueError(f"num_tiers must be >= 1, got {self.num_tiers}")
+        check_real("alpha", self.alpha, positive=True)
+        check_count("num_tiers", self.num_tiers, 1)
 
     def sample(self, num_machines: int, rng: np.random.Generator) -> np.ndarray:
         """Draw one speed per machine (see base class)."""
@@ -219,12 +211,8 @@ class MachineFailures:
     fixed_repair: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.rate < math.inf:
-            raise ValueError(f"failure rate must be positive and finite, got {self.rate}")
-        if not 0 < self.mean_repair < math.inf:
-            raise ValueError(
-                f"mean_repair must be positive and finite, got {self.mean_repair}"
-            )
+        check_real("failure rate", self.rate, positive=True)
+        check_real("mean_repair", self.mean_repair, positive=True)
 
     def draw_uptime(self, rng: np.random.Generator) -> float:
         """Time until the next failure of a machine that just came up."""
@@ -263,14 +251,8 @@ class TopologySpec:
     remote_slowdown: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.racks, int) or isinstance(self.racks, bool):
-            raise TypeError(f"racks must be an int, got {self.racks!r}")
-        if self.racks < 1:
-            raise ValueError(f"racks must be >= 1, got {self.racks}")
-        if not 1.0 <= self.remote_slowdown < math.inf:
-            raise ValueError(
-                f"remote_slowdown must be >= 1.0 and finite, got {self.remote_slowdown}"
-            )
+        check_count("racks", self.racks, 1)
+        check_range("remote_slowdown", self.remote_slowdown, 1.0)
 
     @property
     def is_degenerate(self) -> bool:
@@ -356,8 +338,7 @@ class ScenarioSpec:
         """
         if self.speeds is None:
             return None
-        if num_machines <= 0:
-            raise ValueError(f"num_machines must be positive, got {num_machines}")
+        check_count("num_machines", num_machines, 1)
         sampled = np.asarray(
             self.speeds.sample(num_machines, speed_rng(seed)), dtype=float
         )

@@ -48,6 +48,7 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.checks import check_count
 from repro.simulation.experiment_runner import ExperimentRunner, RunSpec
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.results_store import (
@@ -356,13 +357,11 @@ class ServiceExecutor:
         *,
         workers: int = 1,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"executor workers must be >= 1, got {workers}")
+        self.workers = check_count("executor workers", workers, 1)
         self.registry = registry
         self.runner = ExperimentRunner(workers=1, store=registry.store)
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
-        self.workers = int(workers)
 
     def start(self) -> None:
         """Spawn the worker threads (idempotent)."""

@@ -19,7 +19,9 @@ API surface
     Body is a Study spec -- JSON by default, TOML when the
     ``Content-Type`` is ``application/toml`` or ``text/toml``.  Replies
     ``202`` with the study's status summary (including its ``id``).
-    Invalid specs are ``400``; uncacheable studies are ``422``.
+    Invalid specs -- including a knob that fails its constructor's check
+    when the study compiles -- are ``400``; uncacheable studies are
+    ``422``.
 ``GET  /studies``
     Status summaries of every registered study, oldest first.
 ``GET  /studies/{id}``
@@ -159,6 +161,11 @@ class _Handler(BaseHTTPRequestHandler):
             state = self.server.registry.submit(study)
         except StudySubmitError as exc:
             self._send_error_json(422, str(exc))
+            return
+        except (TypeError, ValueError) as exc:
+            # Compiling the study runs every constructor's knob checks;
+            # nothing is registered or cached when one fails.
+            self._send_error_json(400, f"invalid study spec: {exc}")
             return
         self._send_json(202, state.summary())
 

@@ -82,6 +82,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.checks import check_count, check_real
 from repro.cluster.state import ClusterState
 from repro.scenarios import ScenarioSpec, machine_process_rng, placement_rng
 from repro.simulation.events import Event, EventHeap, EventType
@@ -143,14 +144,11 @@ class SimulationEngine:
         max_time: Optional[float] = None,
         check_invariants: bool = False,
     ) -> None:
-        if num_machines <= 0:
-            raise ValueError(f"num_machines must be positive, got {num_machines}")
-        if not 0 < machine_speed < math.inf:  # False for NaN too
-            raise ValueError(
-                f"machine_speed must be positive and finite, got {machine_speed}"
-            )
-        if max_time is not None and not max_time >= 0:  # False for NaN too
-            raise ValueError(f"max_time must be None or >= 0, got {max_time}")
+        check_count("num_machines", num_machines, 1)
+        check_real("machine_speed", machine_speed, positive=True)
+        check_count("seed", seed)
+        if max_time is not None and max_time != math.inf:  # inf sets no limit
+            check_real("max_time", max_time, positive=True)
         self.trace = trace
         self.scheduler = scheduler
         self.scenario = scenario
@@ -175,10 +173,8 @@ class SimulationEngine:
         # interval multiple and resumes the task from there (see
         # _handle_machine_failure / _launch_copies).
         interval = getattr(scheduler, "checkpoint_interval", None)
-        if interval is not None and interval <= 0:
-            raise ValueError(
-                f"checkpoint_interval must be positive, got {interval}"
-            )
+        if interval is not None:
+            check_real("checkpoint_interval", interval, positive=True)
         self._checkpoint_interval: Optional[float] = interval
 
         self.now: float = 0.0

@@ -62,6 +62,7 @@ first consumer (:mod:`repro.service`).
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time as _time
@@ -84,6 +85,7 @@ import multiprocessing
 
 import numpy as np
 
+from repro.checks import check_count, check_real
 from repro.scenarios import ScenarioSpec
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.metrics import SimulationResult
@@ -132,11 +134,7 @@ def normalize_workers(workers: Optional[int]) -> Optional[int]:
     """
     if workers is None or workers == 0:
         return None
-    if workers < 0:
-        raise ValueError(
-            f"workers must be >= 1, or 0/None for all CPUs; got {workers}"
-        )
-    return int(workers)
+    return check_count("workers", workers, 1)
 
 
 def run_simulation(
@@ -379,8 +377,11 @@ class RunSpec:
     tag: Optional[Hashable] = None
 
     def __post_init__(self) -> None:
-        if self.num_machines <= 0:
-            raise ValueError(f"num_machines must be positive, got {self.num_machines}")
+        check_count("num_machines", self.num_machines, 1)
+        check_count("seed", self.seed)
+        check_real("machine_speed", self.machine_speed, positive=True)
+        if self.max_time is not None and self.max_time != math.inf:  # inf: no limit
+            check_real("max_time", self.max_time, positive=True)
         if not callable(self.scheduler):
             raise TypeError(f"scheduler must be callable, got {self.scheduler!r}")
         if self.scenario is not None and not isinstance(self.scenario, ScenarioSpec):
@@ -517,8 +518,8 @@ class ExperimentRunner:
             workers = default_workers()
         self.workers = int(workers)
         self._mp_context = mp_context
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
+        if chunksize is not None:
+            check_count("chunksize", chunksize, 1)
         self._chunksize = chunksize
         if cache_dir is not None and store is not None:
             raise ValueError("pass either cache_dir or store, not both")

@@ -19,6 +19,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.checks import check_range
+
 __all__ = ["JobRecord", "SimulationResult"]
 
 
@@ -246,8 +248,7 @@ class SimulationResult:
 
     def percentile_flowtime(self, q: float) -> float:
         """q-th percentile of the flowtime distribution (q in [0, 100])."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
+        check_range("percentile", q, 0, 100)
         if not self.records:
             return 0.0
         return float(np.percentile(self.flowtimes, q))

@@ -17,6 +17,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
+from repro.checks import check_count
 from repro.workload.job import Job, Phase, Task, TaskCopy
 
 if TYPE_CHECKING:  # pragma: no cover - avoid an import cycle at runtime
@@ -319,6 +320,7 @@ class ComposedScheduler(Scheduler):
         self.checkpoint_interval = getattr(
             self.redundancy, "checkpoint_interval", None
         )
+        check_count("seed", seed)
         self._rng = np.random.default_rng(seed)
         self.name = name if name is not None else (
             f"{self.ordering.name}+{self.allocation.name}+{self.redundancy.name}"

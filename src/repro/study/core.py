@@ -50,6 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 from typing import (
     Any,
     Callable,
@@ -61,6 +62,7 @@ from typing import (
     Union,
 )
 
+from repro.checks import check_count, check_range, check_real
 from repro.experiments.config import generate_google_trace
 from repro.policies import parse_composition
 from repro.scenarios import (
@@ -82,7 +84,8 @@ from repro.simulation.experiment_runner import (
     TraceSpec,
 )
 from repro.study.resultset import ResultSet, StudyRun
-from repro.workload.google_trace import TABLE_II_TARGETS, GoogleTraceConfig
+from repro.workload.generators import bulk_arrival_trace
+from repro.workload.google_trace import GoogleTraceConfig
 from repro.workload.stream import (
     StreamSpec,
     stream_dag_chain_jobs,
@@ -286,24 +289,20 @@ def _scenario_from_table(data: Mapping[str, float]) -> Optional[ScenarioSpec]:
             f"unknown scenario keys {sorted(unknown)}; "
             f"allowed: {sorted(_SCENARIO_TABLE_KEYS)}"
         )
-    speed_spread = float(data.get("speed_spread", 0.0))
-    failure_rate = float(data.get("failure_rate", 0.0))
-    slowdown_rate = float(data.get("slowdown_rate", 0.0))
-    if not 0.0 <= speed_spread < 1.0:
-        raise ValueError(f"speed_spread must lie in [0, 1), got {speed_spread}")
-    for name, rate in (("failure_rate", failure_rate), ("slowdown_rate", slowdown_rate)):
-        if not rate >= 0.0:
-            raise ValueError(f"{name} must be non-negative, got {rate}")
+    # speed_spread is this table's own knob; every other value is coerced
+    # by its constructor's rule and checked again by the constructor.
+    speed_spread = check_range(
+        "speed_spread", data.get("speed_spread", 0.0), 0, 1, closed="left"
+    )
+    failure_rate = check_real("failure_rate", data.get("failure_rate", 0.0))
+    slowdown_rate = check_real("slowdown_rate", data.get("slowdown_rate", 0.0))
     if "mean_repair" in data and failure_rate == 0.0:
         raise ValueError("mean_repair needs failure_rate > 0")
     if (
         "slowdown_duration" in data or "slowdown_factor" in data
     ) and slowdown_rate == 0.0:
         raise ValueError("slowdown_duration/slowdown_factor need slowdown_rate > 0")
-    racks_value = float(data.get("racks", 1))
-    if not racks_value.is_integer() or racks_value < 1:
-        raise ValueError(f"racks must be a positive integer, got {data['racks']!r}")
-    racks = int(racks_value)
+    racks = check_count("racks", data.get("racks", 1), 1)
     if "remote_slowdown" in data and racks <= 1:
         raise ValueError("remote_slowdown needs racks > 1")
     speeds = None
@@ -315,23 +314,32 @@ def _scenario_from_table(data: Mapping[str, float]) -> Optional[ScenarioSpec]:
     if failure_rate > 0.0:
         failures = MachineFailures(
             rate=failure_rate,
-            mean_repair=float(data.get("mean_repair", DEFAULT_MEAN_REPAIR)),
+            mean_repair=check_real(
+                "mean_repair", data.get("mean_repair", DEFAULT_MEAN_REPAIR), positive=True
+            ),
         )
     stragglers = None
     if slowdown_rate > 0.0:
         stragglers = DynamicStragglers(
             onset_rate=slowdown_rate,
-            mean_duration=float(
-                data.get("slowdown_duration", DEFAULT_SLOWDOWN_DURATION)
+            mean_duration=check_real(
+                "slowdown_duration",
+                data.get("slowdown_duration", DEFAULT_SLOWDOWN_DURATION),
+                positive=True,
             ),
-            factor=float(data.get("slowdown_factor", DEFAULT_SLOWDOWN_FACTOR)),
+            factor=check_range(
+                "slowdown_factor",
+                data.get("slowdown_factor", DEFAULT_SLOWDOWN_FACTOR),
+                1,
+                closed="neither",
+            ),
         )
     topology = None
     if racks > 1:
         topology = TopologySpec(
             racks=racks,
-            remote_slowdown=float(
-                data.get("remote_slowdown", DEFAULT_REMOTE_SLOWDOWN)
+            remote_slowdown=check_range(
+                "remote_slowdown", data.get("remote_slowdown", DEFAULT_REMOTE_SLOWDOWN), 1.0
             ),
         )
     spec = ScenarioSpec(
@@ -473,11 +481,8 @@ class WorkloadRef:
             data = dict(value)
             kind = data.pop("kind", None)
             label = data.pop("label", "")
-            for key, knob in data.items():
-                # Before any run: a NaN or infinite knob would run a NaN
-                # (or a silently different) workload, or fail mid-run.
-                if isinstance(knob, float) and not math.isfinite(knob):
-                    raise ValueError(f"workload {key} must be finite, got {knob}")
+            # Each kind's knobs are checked here, before any run, by the
+            # rules of the constructors they reach.
             if kind == "google":
                 unknown = set(data) - {"scale", "trace_seed", "within_job_cv"}
                 if unknown:
@@ -485,10 +490,13 @@ class WorkloadRef:
                         f"unknown google-workload keys {sorted(unknown)}; "
                         f"allowed: {sorted(_GOOGLE_WORKLOAD_KEYS)}"
                     )
+                params = {
+                    key: _SCALAR_CHECKS[key](key, knob) for key, knob in data.items()
+                }
                 return cls(
                     kind="google",
                     label=label or "google",
-                    params=_freeze_kwargs(data),
+                    params=_freeze_kwargs(params),
                 )
             if kind == "stream":
                 try:
@@ -511,8 +519,9 @@ class WorkloadRef:
                         f"unknown {factory}-stream keys {sorted(unknown)}; "
                         f"allowed: {sorted(allowed)}"
                     )
+                StreamSpec(factory=STREAM_FACTORIES[factory], num_jobs=num_jobs, kwargs=data)
                 params = _freeze_kwargs(
-                    {"factory": factory, "num_jobs": int(num_jobs), **data}
+                    {"factory": factory, "num_jobs": num_jobs, **data}
                 )
                 ref = cls(kind="stream", label="x", params=params)
                 return replace(ref, label=label or ref.default_label())
@@ -523,16 +532,15 @@ class WorkloadRef:
                         f"unknown bulk-workload keys {sorted(unknown)}; "
                         f"allowed: {sorted(_BULK_WORKLOAD_KEYS)}"
                     )
-                try:
-                    job_sizes = tuple(int(size) for size in data.pop("job_sizes"))
-                except KeyError:
-                    raise ValueError(
-                        "bulk workloads need a 'job_sizes' array"
-                    ) from None
+                if "job_sizes" not in data:
+                    raise ValueError("bulk workloads need a 'job_sizes' array")
+                data["job_sizes"] = tuple(data["job_sizes"])
                 if "weights" in data:
-                    data["weights"] = tuple(float(w) for w in data["weights"])
-                params = _freeze_kwargs({"job_sizes": job_sizes, **data})
-                return cls(kind="bulk", label=label or "bulk", params=params)
+                    data["weights"] = tuple(
+                        check_real("weights", w, positive=True) for w in data["weights"]
+                    )
+                bulk_arrival_trace(**data)  # the generator checks every knob
+                return cls(kind="bulk", label=label or "bulk", params=_freeze_kwargs(data))
             raise ValueError(
                 f"workload tables need kind 'google', 'stream' or 'bulk', "
                 f"got {kind!r}"
@@ -576,19 +584,15 @@ class WorkloadRef:
             # exactly -- same function, same kwargs -- so studies and
             # ExperimentConfig traces share results-cache entries.
             trace_config = GoogleTraceConfig(
-                scale=float(params.get("scale", point.scale)),
-                within_job_cv=float(
-                    params.get("within_job_cv", point.within_job_cv)
-                ),
+                scale=params.get("scale", point.scale),
+                within_job_cv=params.get("within_job_cv", point.within_job_cv),
             )
-            seed = int(params.get("trace_seed", point.trace_seed))
+            seed = params.get("trace_seed", point.trace_seed)
             return TraceSpec(
                 factory=generate_google_trace,
                 kwargs={"trace_config": trace_config, "seed": seed},
             )
         if self.kind == "bulk":
-            from repro.workload.generators import bulk_arrival_trace
-
             return TraceSpec(factory=bulk_arrival_trace, kwargs=params)
         factory = STREAM_FACTORIES[params.pop("factory")]
         num_jobs = params.pop("num_jobs")
@@ -604,6 +608,20 @@ WorkloadLike = Union[str, Mapping[str, Any], Trace, TraceSpec, StreamSpec, Tuple
 
 #: Scalar knobs that may be swept through ``Study.axes``.
 SCALAR_AXES: Tuple[str, ...] = ("epsilon", "r", "machines", "machine_fraction", "scale")
+
+#: How a study checks, and coerces, each of its number knobs, whether set
+#: once or swept: ``check(name, value)``.  The constructors a study
+#: compiles to hold the rest of each range (``epsilon <= 1`` in the share
+#: allocation, ``scale <= 1`` in :class:`GoogleTraceConfig`, ...).
+_SCALAR_CHECKS: Dict[str, Callable[[str, Any], Any]] = {
+    "scale": partial(check_real, positive=True),
+    "epsilon": partial(check_real, positive=True),
+    "r": check_real,
+    "machines": partial(check_count, minimum=1),
+    "machine_fraction": partial(check_range, low=0, high=1, closed="right"),
+    "trace_seed": check_count,
+    "within_job_cv": check_real,
+}
 
 #: Structural axis names, in product order (seed is always innermost).
 _STRUCTURAL_AXES = ("workload", "scenario", "scheduler")
@@ -648,9 +666,10 @@ class StudyPoint:
 # -------------------------------------------------------------------- study
 
 
+@lru_cache(maxsize=64)
 def _default_machines(scale: float) -> int:
     """The paper-load cluster size at ``scale`` (12000 machines at 1.0)."""
-    return max(1, int(round(TABLE_II_TARGETS["num_machines"] * scale)))
+    return GoogleTraceConfig(scale=scale).effective_num_machines
 
 
 @dataclass(frozen=True)
@@ -697,27 +716,23 @@ class Study:
             "workloads",
             tuple(WorkloadRef.coerce(entry) for entry in self.workloads),
         )
-        object.__setattr__(self, "seeds", tuple(int(seed) for seed in self.seeds))
+        object.__setattr__(
+            self, "seeds", tuple(check_count("seeds", seed) for seed in self.seeds)
+        )
         object.__setattr__(self, "axes", self._normalise_axes(self.axes))
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "r", float(self.r))
+        for knob in ("scale", "epsilon", "r", "trace_seed", "within_job_cv"):
+            object.__setattr__(self, knob, _SCALAR_CHECKS[knob](knob, getattr(self, knob)))
         if self.machines is not None:
-            object.__setattr__(self, "machines", int(self.machines))
-        object.__setattr__(self, "trace_seed", int(self.trace_seed))
-        object.__setattr__(self, "within_job_cv", float(self.within_job_cv))
-        if self.max_time is not None:
-            object.__setattr__(self, "max_time", float(self.max_time))
+            object.__setattr__(self, "machines", check_count("machines", self.machines, 1))
+        if self.max_time is not None and self.max_time != math.inf:  # inf: no limit
+            object.__setattr__(
+                self, "max_time", check_real("max_time", self.max_time, positive=True)
+            )
         if not self.scenarios or not self.workloads or not self.seeds:
             raise ValueError(
                 "scenarios, workloads and seeds must each have at least one "
                 "entry (only the scheduler axis may be empty)"
             )
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        for knob in ("scale", "epsilon", "r", "within_job_cv"):
-            if not math.isfinite(getattr(self, knob)):
-                raise ValueError(f"{knob} must be finite, got {getattr(self, knob)}")
         for axis in ("workload", "scenario", "scheduler"):
             labels = [
                 ref.label for ref in getattr(self, axis + "s")
@@ -752,18 +767,11 @@ class Study:
             if name in seen:
                 raise ValueError(f"duplicate scalar axis {name!r}")
             seen.add(name)
-            coerce = int if name == "machines" else float
-            values = tuple(coerce(value) for value in values)
+            values = tuple(_SCALAR_CHECKS[name](name, value) for value in values)
             if not values:
                 raise ValueError(f"scalar axis {name!r} must not be empty")
-            if not all(math.isfinite(value) for value in values):
-                raise ValueError(f"scalar axis {name!r} values must be finite, got {values}")
             if len(set(values)) != len(values):
                 raise ValueError(f"scalar axis {name!r} has duplicate values")
-            if name == "machine_fraction" and min(values) <= 0:
-                raise ValueError(
-                    f"machine fractions must be positive, got {values}"
-                )
             normalised.append((name, values))
         return tuple(normalised)
 
@@ -791,10 +799,16 @@ class Study:
         return count
 
     def points(self) -> List[StudyPoint]:
-        """Expand the axes product into fully resolved points, in order."""
+        """Expand the axes product into fully resolved points, in order.
+
+        Each scheduler is built, and dropped, once per ``(epsilon, r)`` it
+        meets: that runs its constructor's checks on the points' knobs
+        before any run.
+        """
         scalar_names = [name for name, _ in self.axes]
         scalar_values = [values for _, values in self.axes]
         points: List[StudyPoint] = []
+        checked = set()
         for workload, scenario, scheduler in itertools.product(
             self.workloads, self.scenarios, self.schedulers
         ):
@@ -836,6 +850,9 @@ class Study:
                             max_time=self.max_time,
                         )
                     )
+                if (id(scheduler), epsilon, r) not in checked:
+                    checked.add((id(scheduler), epsilon, r))
+                    scheduler.build(points[-1])()
         return points
 
     def compile(self) -> List[RunSpec]:

@@ -496,8 +496,6 @@ def _scenario_sweep_study(
     """
     if not speed_spreads or not failure_rates:
         raise ValueError("both sweep axes need at least one point")
-    if any(rate < 0.0 for rate in failure_rates):
-        raise ValueError(f"failure rates must be >= 0, got {failure_rates}")
     scenarios: Dict[str, Optional[Dict[str, float]]] = {}
     for spread in speed_spreads:
         label = "base" if spread == 0.0 else f"hetero:{spread:g}"

@@ -56,7 +56,9 @@ class StudySpecError(ValueError):
     """A spec file (or dict) does not describe a valid study."""
 
 
-#: Scalar study fields that serialise verbatim, with their coercions.
+#: Scalar study fields that serialise verbatim, with their types.  A spec
+#: file's numbers pass to :class:`Study` as written, which checks each one
+#: (a 2.5 for ``machines`` is an error, never truncated to 2).
 _SCALAR_FIELDS = {
     "name": str,
     "scale": float,
@@ -180,13 +182,8 @@ def study_from_dict(data: Mapping[str, Any]) -> Study:
         )
     if "name" not in table:
         raise StudySpecError("[study] needs a 'name'")
-    kwargs: Dict[str, Any] = {}
-    for key, coerce in _SCALAR_FIELDS.items():
-        if key in table:
-            try:
-                kwargs[key] = coerce(table[key])
-            except (TypeError, ValueError) as exc:
-                raise StudySpecError(f"[study] {key}: {exc}") from None
+    kwargs: Dict[str, Any] = {key: table[key] for key in _SCALAR_FIELDS if key in table}
+    kwargs["name"] = str(table["name"])
     for key in ("schedulers", "scenarios", "workloads", "seeds"):
         if key in table:
             value = table[key]

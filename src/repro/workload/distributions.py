@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.checks import check_count, check_range, check_real
+
 __all__ = [
     "DurationDistribution",
     "Deterministic",
@@ -119,9 +121,7 @@ class DurationDistribution(ABC):
 
     def scaled(self, factor: float) -> "DurationDistribution":
         """Return a distribution whose samples are multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
-        return _Scaled(self, factor)
+        return _Scaled(self, check_real("scale factor", factor, positive=True))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -159,9 +159,7 @@ class Deterministic(DurationDistribution):
     """
 
     def __init__(self, value: float) -> None:
-        if value <= 0:
-            raise ValueError(f"deterministic workload must be positive, got {value}")
-        self._value = float(value)
+        self._value = check_real("deterministic workload", value, positive=True)
 
     @property
     def mean(self) -> float:
@@ -186,12 +184,8 @@ class Uniform(DurationDistribution):
     """Uniform workload on ``[low, high]``."""
 
     def __init__(self, low: float, high: float) -> None:
-        if low <= 0:
-            raise ValueError(f"low bound must be positive, got {low}")
-        if high < low:
-            raise ValueError(f"high ({high}) must be >= low ({low})")
-        self._low = float(low)
-        self._high = float(high)
+        self._low = check_real("low bound", low, positive=True)
+        self._high = check_range("high", high, self._low)
 
     @property
     def low(self) -> float:
@@ -222,9 +216,7 @@ class Exponential(DurationDistribution):
     """Exponential workload with the given mean."""
 
     def __init__(self, mean: float) -> None:
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
-        self._mean = float(mean)
+        self._mean = check_real("mean", mean, positive=True)
 
     @property
     def mean(self) -> float:
@@ -251,14 +243,8 @@ class ShiftedExponential(DurationDistribution):
     """
 
     def __init__(self, shift: float, scale: float) -> None:
-        if shift < 0:
-            raise ValueError(f"shift must be non-negative, got {shift}")
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        if shift == 0 and scale == 0:
-            raise ValueError("shift and scale cannot both be zero")
-        self._shift = float(shift)
-        self._scale = float(scale)
+        self._shift = check_real("shift", shift)
+        self._scale = check_real("scale", scale, positive=True)
 
     @property
     def shift(self) -> float:
@@ -297,17 +283,9 @@ class BoundedPareto(DurationDistribution):
     """
 
     def __init__(self, minimum: float, maximum: float, alpha: float) -> None:
-        if minimum <= 0:
-            raise ValueError(f"minimum must be positive, got {minimum}")
-        if maximum <= minimum:
-            raise ValueError(
-                f"maximum ({maximum}) must exceed minimum ({minimum})"
-            )
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        self._low = float(minimum)
-        self._high = float(maximum)
-        self._alpha = float(alpha)
+        self._low = check_real("minimum", minimum, positive=True)
+        self._high = check_range("maximum", maximum, self._low, closed="neither")
+        self._alpha = check_real("alpha", alpha, positive=True)
         self._mean, self._std = self._moments()
 
     @property
@@ -376,8 +354,7 @@ class BoundedPareto(DurationDistribution):
         The maximum is placed at ``maximum_ratio * minimum`` and the minimum
         is solved numerically so the resulting mean matches ``mean``.
         """
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
+        check_real("mean", mean, positive=True)
         # Mean scales linearly with the minimum, so one probe suffices.
         probe = cls(1.0, maximum_ratio, alpha)
         minimum = mean / probe.mean
@@ -394,12 +371,8 @@ class LogNormal(DurationDistribution):
     """
 
     def __init__(self, mean: float, std: float) -> None:
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
-        if std < 0:
-            raise ValueError(f"std must be non-negative, got {std}")
-        self._mean = float(mean)
-        self._std = float(std)
+        self._mean = check_real("mean", mean, positive=True)
+        self._std = check_real("std", std)
         if std == 0:
             self._mu = math.log(mean)
             self._sigma = 0.0
@@ -446,15 +419,9 @@ class TruncatedNormal(DurationDistribution):
     """
 
     def __init__(self, mean: float, std: float, floor: float = 1e-6) -> None:
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
-        if std < 0:
-            raise ValueError(f"std must be non-negative, got {std}")
-        if floor <= 0:
-            raise ValueError(f"floor must be positive, got {floor}")
-        self._mean = float(mean)
-        self._std = float(std)
-        self._floor = float(floor)
+        self._mean = check_real("mean", mean, positive=True)
+        self._std = check_real("std", std)
+        self._floor = check_real("floor", floor, positive=True)
 
     @property
     def mean(self) -> float:
@@ -487,10 +454,8 @@ class Floored(DurationDistribution):
     """
 
     def __init__(self, base: DurationDistribution, floor: float) -> None:
-        if floor <= 0:
-            raise ValueError(f"floor must be positive, got {floor}")
         self._base = base
-        self._floor = float(floor)
+        self._floor = check_real("floor", floor, positive=True)
 
     @property
     def base(self) -> DurationDistribution:
@@ -531,8 +496,8 @@ class Empirical(DurationDistribution):
         values = np.asarray(list(samples), dtype=float)
         if values.size == 0:
             raise ValueError("empirical distribution needs at least one sample")
-        if np.any(values <= 0):
-            raise ValueError("all empirical samples must be positive")
+        if not np.all((values > 0) & (values < math.inf)):
+            raise ValueError("all empirical samples must be positive and finite")
         self._values = values
         self._mean = float(values.mean())
         self._std = float(values.std(ddof=0))
@@ -569,6 +534,5 @@ class Empirical(DurationDistribution):
         n_samples: int = 1000,
     ) -> "Empirical":
         """Estimate an empirical distribution by sampling ``base``."""
-        if n_samples <= 0:
-            raise ValueError(f"n_samples must be positive, got {n_samples}")
+        check_count("n_samples", n_samples, 1)
         return cls(base.sample(rng, n_samples))

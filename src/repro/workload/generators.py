@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.checks import check_count, check_range, check_real
 from repro.workload.distributions import (
     Deterministic,
     DurationDistribution,
@@ -33,10 +34,6 @@ def _resolve_duration(
     mean: float, cv: float
 ) -> DurationDistribution:
     """Build a duration distribution from a mean and coefficient of variation."""
-    if mean <= 0:
-        raise ValueError(f"mean task duration must be positive, got {mean}")
-    if cv < 0:
-        raise ValueError(f"coefficient of variation must be non-negative, got {cv}")
     if cv == 0:
         return Deterministic(mean)
     return LogNormal(mean, cv * mean)
@@ -58,12 +55,12 @@ def uniform_trace(
     With ``cv == 0`` and ``inter_arrival == 0`` this is the deterministic
     bulk-arrival workload used to validate the offline 2-competitive bound.
     """
-    if num_jobs <= 0:
-        raise ValueError(f"num_jobs must be positive, got {num_jobs}")
-    if tasks_per_job <= 0:
-        raise ValueError(f"tasks_per_job must be positive, got {tasks_per_job}")
-    if reduce_tasks_per_job < 0:
-        raise ValueError("reduce_tasks_per_job must be non-negative")
+    check_count("num_jobs", num_jobs, 1)
+    check_count("tasks_per_job", tasks_per_job, 1)
+    check_count("reduce_tasks_per_job", reduce_tasks_per_job)
+    check_real("inter_arrival", inter_arrival)
+    check_real("mean_duration", mean_duration, positive=True)
+    check_real("cv", cv)
     duration = _resolve_duration(mean_duration, cv)
     jobs = [
         JobSpec(
@@ -98,11 +95,13 @@ def bulk_arrival_trace(
         raise ValueError("job_sizes must not be empty")
     if weights is not None and len(weights) != len(job_sizes):
         raise ValueError("weights must have the same length as job_sizes")
+    check_range("reduce_fraction", reduce_fraction, 0, 1)
+    check_real("mean_duration", mean_duration, positive=True)
+    check_real("cv", cv)
     duration = _resolve_duration(mean_duration, cv)
     jobs: List[JobSpec] = []
     for i, size in enumerate(job_sizes):
-        if size <= 0:
-            raise ValueError(f"job size must be positive, got {size}")
+        check_count("job_sizes", size, 1)
         reduces = min(int(np.ceil(size * reduce_fraction)), size - 1) if size > 1 else 0
         maps = size - reduces
         jobs.append(
@@ -136,13 +135,13 @@ def poisson_trace(
     in milliseconds, rich enough (random sizes, weights, durations) to
     exercise every scheduler code path.
     """
-    if num_jobs <= 0:
-        raise ValueError(f"num_jobs must be positive, got {num_jobs}")
-    if arrival_rate <= 0:
-        raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
-    if mean_tasks_per_job < 1:
-        raise ValueError("mean_tasks_per_job must be at least 1")
-    rng = np.random.default_rng(seed)
+    check_count("num_jobs", num_jobs, 1)
+    check_real("arrival_rate", arrival_rate, positive=True)
+    check_range("mean_tasks_per_job", mean_tasks_per_job, 1)
+    check_real("mean_duration", mean_duration, positive=True)
+    check_real("cv", cv)
+    check_count("max_weight", max_weight, 1)
+    rng = np.random.default_rng(check_count("seed", seed))
     inter_arrivals = rng.exponential(1.0 / arrival_rate, num_jobs)
     arrivals = np.cumsum(inter_arrivals)
     arrivals[0] = 0.0
@@ -188,11 +187,17 @@ def bimodal_trace(
     of SRPT-style prioritisation (and of cloning the small jobs) shows up as
     a large reduction in small-job flowtime while the big jobs lose little.
     """
-    if num_small_jobs < 0 or num_large_jobs < 0:
-        raise ValueError("job counts must be non-negative")
+    check_count("num_small_jobs", num_small_jobs)
+    check_count("num_large_jobs", num_large_jobs)
     if num_small_jobs + num_large_jobs == 0:
         raise ValueError("the trace must contain at least one job")
-    rng = np.random.default_rng(seed)
+    check_count("small_tasks", small_tasks, 1)
+    check_count("large_tasks", large_tasks, 1)
+    check_real("small_duration", small_duration, positive=True)
+    check_real("large_duration", large_duration, positive=True)
+    check_real("cv", cv)
+    check_real("horizon", horizon)
+    rng = np.random.default_rng(check_count("seed", seed))
     jobs: List[JobSpec] = []
     job_id = 0
     for _ in range(num_large_jobs):

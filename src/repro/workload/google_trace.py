@@ -36,6 +36,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.checks import check_count, check_range, check_real
 from repro.workload.distributions import BoundedPareto, Floored, LogNormal
 from repro.workload.job import JobSpec
 from repro.workload.trace import Trace
@@ -111,30 +112,32 @@ class GoogleTraceConfig:
     priority_decay: float = 0.65
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.num_jobs <= 0:
-            raise ValueError(f"num_jobs must be positive, got {self.num_jobs}")
-        if not 0.0 <= self.reduce_fraction < 1.0:
-            raise ValueError("reduce_fraction must lie in [0, 1)")
-        if not (math.isfinite(self.within_job_cv) and self.within_job_cv >= 0):
-            raise ValueError(
-                f"within_job_cv must be finite and non-negative, got {self.within_job_cv}"
-            )
-        if self.min_task_duration <= 0:
-            raise ValueError("min_task_duration must be positive")
-        if self.max_task_duration <= self.min_task_duration:
-            raise ValueError("max_task_duration must exceed min_task_duration")
-        if not self.min_task_duration < self.mean_task_duration < self.max_task_duration:
-            raise ValueError("mean_task_duration must lie strictly between min and max")
-        if self.num_priorities < 1:
-            raise ValueError("num_priorities must be at least 1")
-        if not -1.0 <= self.size_duration_correlation <= 1.0:
-            raise ValueError("size_duration_correlation must lie in [-1, 1]")
-        if self.job_scale is not None and self.job_scale <= 0:
-            raise ValueError(f"job_scale must be positive, got {self.job_scale}")
-        if self.size_scale is not None and self.size_scale <= 0:
-            raise ValueError(f"size_scale must be positive, got {self.size_scale}")
+        # ``scale`` shrinks the Table II trace and its cluster together;
+        # past 1 it would grow them without bound (and overflow the
+        # derived machine count at 1e308).
+        check_range("scale", self.scale, 0, 1, closed="right")
+        for knob in ("job_scale", "size_scale"):
+            if getattr(self, knob) is not None:
+                check_range(knob, getattr(self, knob), 0, 1, closed="right")
+        check_count("num_jobs", self.num_jobs, 1)
+        check_real("trace_duration", self.trace_duration)
+        check_range("mean_tasks_per_job", self.mean_tasks_per_job, 1)
+        check_count("max_tasks_per_job", self.max_tasks_per_job, 1)
+        check_real("min_task_duration", self.min_task_duration, positive=True)
+        check_range(
+            "max_task_duration", self.max_task_duration, self.min_task_duration,
+            closed="neither",
+        )
+        check_range(
+            "mean_task_duration", self.mean_task_duration, self.min_task_duration,
+            self.max_task_duration, closed="neither",
+        )
+        check_real("within_job_cv", self.within_job_cv)
+        check_range("size_duration_correlation", self.size_duration_correlation, -1, 1)
+        check_range("reduce_fraction", self.reduce_fraction, 0, 1, closed="left")
+        check_real("reduce_duration_factor", self.reduce_duration_factor, positive=True)
+        check_count("num_priorities", self.num_priorities, 1)
+        check_real("priority_decay", self.priority_decay, positive=True)
 
     @property
     def effective_job_scale(self) -> float:
@@ -190,7 +193,14 @@ def _calibrate_bounded_pareto_alpha(
         )
 
     def mean_for(alpha: float) -> float:
-        return BoundedPareto(minimum, maximum, alpha).mean
+        try:
+            return BoundedPareto(minimum, maximum, alpha).mean
+        except ZeroDivisionError:
+            # A shape this small rounds the truncation mass to zero; its
+            # mean is the shape-0 (log-uniform) limit.  The target can sit
+            # above that limit, when a large within_job_cv pulls ``maximum``
+            # in, and the bracket search then walks the shape towards zero.
+            return (maximum - minimum) / math.log(maximum / minimum)
 
     low, high = 1e-3, 50.0
     # Expand the bracket if needed (mean_for(low) is close to the arithmetic

@@ -56,9 +56,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.workload.checks import check_count, check_real
+from repro.checks import check_count, check_real
 from repro.workload.distributions import DurationDistribution
 
 __all__ = ["Phase", "TaskStatus", "StageSpec", "JobSpec", "Job", "Task", "TaskCopy"]
@@ -127,55 +127,24 @@ class StageSpec:
 #: stage feeds the reduce stage, which feeds nothing.
 _LEGACY_DEPENDENTS: Tuple[Tuple[int, ...], ...] = ((1,), ())
 
-#: Bounded memo of derived legacy 2-node stage tuples, keyed by
-#: ``(num_map, num_reduce, map_duration, reduce_duration)``.  Duration
-#: objects hash by identity; a live memo entry references them through its
-#: StageSpecs, so an id can never be recycled while its key is cached.
-#: Streams that build a fresh distribution per job (e.g. lognormal task
-#: durations resampled per arrival) would grow this without bound, hence
-#: the cap.  Eviction is insertion-order FIFO (a plain dict, no
-#: move-to-end per hit): the memo is pure performance state, and the hot
-#: lookup -- inlined in :meth:`Job.from_spec` -- stays one dict get.
-_LEGACY_STAGES_MEMO: "Dict[Tuple[int, int, DurationDistribution, DurationDistribution], Tuple[StageSpec, ...]]" = {}
-_LEGACY_STAGES_MEMO_MAX = 512
-
-
-def _legacy_stage_specs(spec: "JobSpec") -> Tuple[StageSpec, ...]:
+def _legacy_stages(
+    num_map: int,
+    num_reduce: int,
+    map_duration: DurationDistribution,
+    reduce_duration: DurationDistribution,
+) -> Tuple[StageSpec, ...]:
     """The canonical 2-node map→reduce DAG of a legacy (stage-less) spec.
 
-    The derived tuple reuses the spec's duration distribution objects, so
-    sampling through the DAG path consumes RNG state identically to the
-    pre-DAG engine; specs sharing duration objects share one tuple.
+    The tuple reuses the spec's duration distribution objects, so sampling
+    through the DAG path consumes RNG state identically to the pre-DAG
+    engine.
     """
-    key = (
-        spec.num_map_tasks,
-        spec.num_reduce_tasks,
-        spec.map_duration,
-        spec.reduce_duration,
-    )
-    memo = _LEGACY_STAGES_MEMO
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    cached = (
+    return (
+        StageSpec(name="map", num_tasks=num_map, duration=map_duration, deps=()),
         StageSpec(
-            name="map",
-            num_tasks=spec.num_map_tasks,
-            duration=spec.map_duration,
-            deps=(),
-        ),
-        StageSpec(
-            name="reduce",
-            num_tasks=spec.num_reduce_tasks,
-            duration=spec.reduce_duration,
-            deps=(0,),
+            name="reduce", num_tasks=num_reduce, duration=reduce_duration, deps=(0,)
         ),
     )
-    memo[key] = cached
-    if len(memo) > _LEGACY_STAGES_MEMO_MAX:
-        # FIFO eviction: drop the oldest-inserted entry.
-        del memo[next(iter(memo))]
-    return cached
 
 
 def _new_task(job: "Job", stage: int, index: int) -> "Task":
@@ -204,15 +173,21 @@ def _fast_legacy_spec(
     num_reduce_tasks: int,
     map_duration: DurationDistribution,
     reduce_duration: DurationDistribution,
+    stage_specs: Optional[Tuple[StageSpec, ...]] = None,
 ) -> "JobSpec":
     """Construct a legacy :class:`JobSpec` bypassing dataclass ``__init__``.
 
     The frozen-dataclass constructor routes every field through
     ``object.__setattr__`` and re-validates; stream factories construct
     millions of specs from parameters they have already validated, so they
-    use this direct-``__dict__`` path instead.  Semantically identical to
+    use this direct-``__dict__`` path instead.  This is the one unchecked
+    way to build a spec: its callers check their knobs and the arrival
+    times they derive from them.  Semantically identical to
     ``JobSpec(...)`` with ``stages=None`` for valid inputs (equality, hash
-    and repr all read the same fields).
+    and repr all read the same fields).  ``stage_specs``, when given, is
+    the spec's :func:`_legacy_stages` tuple (a factory whose jobs share
+    their durations builds it once); otherwise :attr:`JobSpec.stage_specs`
+    derives it on first use.
     """
     spec = object.__new__(JobSpec)
     # One dict literal swapped in wholesale (through object.__setattr__,
@@ -231,6 +206,7 @@ def _fast_legacy_spec(
             "map_duration": map_duration,
             "reduce_duration": reduce_duration,
             "stages": None,
+            "_stage_specs_cache": stage_specs,
         },
     )
     return spec
@@ -350,14 +326,21 @@ class JobSpec:
     def stage_specs(self) -> Tuple[StageSpec, ...]:
         """The job's stage DAG; legacy specs compile to the 2-node map→reduce DAG.
 
-        Legacy tuples come from a module-level memo shared across specs
-        (see :func:`_legacy_stage_specs`); the derived tuple reuses the
-        spec's duration distribution objects, so sampling through the DAG
-        path consumes RNG state identically to the pre-DAG engine.
+        A legacy spec derives its tuple (see :func:`_legacy_stages`) once
+        and caches it on itself, as :attr:`stage_dependents` does.
         """
         if self.stages is not None:
             return self.stages
-        return _legacy_stage_specs(self)
+        cached = self.__dict__.get("_stage_specs_cache")
+        if cached is None:
+            cached = _legacy_stages(
+                self.num_map_tasks,
+                self.num_reduce_tasks,
+                self.map_duration,
+                self.reduce_duration,
+            )
+            self.__dict__["_stage_specs_cache"] = cached
+        return cached
 
     @property
     def stage_dependents(self) -> Tuple[Tuple[int, ...], ...]:
@@ -900,16 +883,12 @@ class Job:
             # Legacy 2-node fast path: the readiness pass collapses to "is
             # the map stage empty?" (stage 0 is a source; stage 1 depends
             # only on it, and JobSpec validation guarantees at least one
-            # task overall).  The memo lookup is inlined (one dict get per
-            # job; _legacy_stage_specs handles the cold miss).
+            # task overall).  The cached stage tuple is read inline (one
+            # dict get per job; stage_specs derives it on the first use).
             num_map = spec.num_map_tasks
             num_reduce = spec.num_reduce_tasks
-            stages = _LEGACY_STAGES_MEMO.get(
-                (num_map, num_reduce, spec.map_duration, spec.reduce_duration)
-            )
-            job._stages = (
-                stages if stages is not None else _legacy_stage_specs(spec)
-            )
+            stages = spec.__dict__.get("_stage_specs_cache")
+            job._stages = stages if stages is not None else spec.stage_specs
             job._dependents = _LEGACY_DEPENDENTS
             job.completion_time = None
             job._newly_ready = []

@@ -40,14 +40,15 @@ fingerprint.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from repro.workload.distributions import Deterministic, LogNormal
-from repro.workload.job import JobSpec, StageSpec, _fast_legacy_spec
+from repro.checks import check_count, check_range, check_real
+from repro.workload.distributions import Deterministic
+from repro.workload.generators import _resolve_duration
+from repro.workload.job import JobSpec, StageSpec, _fast_legacy_spec, _legacy_stages
 
 __all__ = [
     "StreamSpec",
@@ -136,10 +137,12 @@ class StreamSpec:
     name: str = "stream"
 
     def __post_init__(self) -> None:
-        if self.num_jobs <= 0:
-            raise ValueError(f"num_jobs must be positive, got {self.num_jobs}")
+        check_count("num_jobs", self.num_jobs, 1)
         if not callable(self.factory):
             raise TypeError(f"factory must be callable, got {self.factory!r}")
+        # A factory checks its knobs when called; the stream it returns is
+        # dropped unread.
+        self.factory(num_jobs=self.num_jobs, **self.kwargs)
 
     def build(self) -> TraceStream:
         """Create a fresh, unconsumed stream from this recipe."""
@@ -157,24 +160,38 @@ class StreamSpec:
 
 
 # ------------------------------------------------------------------ factories
-
-
-def _check_finite(**knobs: float) -> None:
-    """Reject a NaN or infinite float knob, naming it."""
-    for name, value in knobs.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+#
+# Each factory checks its knobs when it is called, not when its stream is
+# first iterated, so building a StreamSpec (and compiling a study) rejects a
+# bad knob before any run; the chunked generator it returns does the work.
 
 
 def _chunk_sizes(num_jobs: int, chunk_size: int) -> Iterator[int]:
     """Sizes of successive sampling chunks covering ``num_jobs``."""
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     remaining = num_jobs
     while remaining > 0:
         size = min(chunk_size, remaining)
         yield size
         remaining -= size
+
+
+def _check_poisson_knobs(
+    num_jobs: int,
+    arrival_rate: float,
+    mean_duration: float,
+    cv: float,
+    max_weight: int,
+    seed: int,
+    chunk_size: int,
+) -> None:
+    """The knobs every Poisson-arrival factory shares."""
+    check_count("num_jobs", num_jobs, 1)
+    check_real("arrival_rate", arrival_rate, positive=True)
+    check_real("mean_duration", mean_duration, positive=True)
+    check_real("cv", cv)
+    check_count("max_weight", max_weight, 1)
+    check_count("seed", seed)
+    check_count("chunk_size", chunk_size, 1)
 
 
 def stream_uniform_jobs(
@@ -192,38 +209,43 @@ def stream_uniform_jobs(
     The streaming counterpart of
     :func:`repro.workload.generators.uniform_trace` (deterministic
     durations only): all jobs share a single
-    :class:`~repro.workload.distributions.Deterministic` instance, so the
-    per-job footprint is one ``JobSpec``.  This is the workhorse of the
-    million-job throughput benchmarks.
+    :class:`~repro.workload.distributions.Deterministic` instance and one
+    stage tuple, so the per-job footprint is one ``JobSpec``.  This is the
+    workhorse of the million-job throughput benchmarks.
     """
-    _check_finite(mean_duration=mean_duration, inter_arrival=inter_arrival, weight=weight)
-    if num_jobs <= 0:
-        raise ValueError(f"num_jobs must be positive, got {num_jobs}")
-    if tasks_per_job <= 0:
-        raise ValueError(f"tasks_per_job must be positive, got {tasks_per_job}")
-    if reduce_tasks_per_job < 0:
-        raise ValueError("reduce_tasks_per_job must be non-negative")
-    if inter_arrival < 0:
-        raise ValueError(f"inter_arrival must be >= 0, got {inter_arrival}")
-    if weight <= 0:
-        raise ValueError(f"weight must be positive, got {weight}")
+    check_count("num_jobs", num_jobs, 1)
+    check_count("tasks_per_job", tasks_per_job, 1)
+    check_count("reduce_tasks_per_job", reduce_tasks_per_job)
+    check_real("mean_duration", mean_duration, positive=True)
+    check_real("inter_arrival", inter_arrival)
+    check_real("weight", weight, positive=True)
+    check_count("chunk_size", chunk_size, 1)
+    # The specs skip JobSpec's checks, so the arrival times derived from
+    # the knobs must be finite too.
+    check_real("inter_arrival * num_jobs", inter_arrival * num_jobs)
     duration = Deterministic(mean_duration)
-    # All parameters are validated above, so the specs take the fast
-    # construction path (this factory feeds the million-job benchmarks).
-    fast_spec = _fast_legacy_spec
-    job_id = 0
-    for size in _chunk_sizes(num_jobs, chunk_size):
-        for _ in range(size):
-            yield fast_spec(
-                job_id,
-                job_id * inter_arrival,
-                weight,
-                tasks_per_job,
-                reduce_tasks_per_job,
-                duration,
-                duration,
-            )
-            job_id += 1
+    stages = _legacy_stages(tasks_per_job, reduce_tasks_per_job, duration, duration)
+
+    def jobs() -> Iterator[JobSpec]:
+        # Every knob is checked, so the specs take the fast construction
+        # path (this factory feeds the million-job benchmarks).
+        fast_spec = _fast_legacy_spec
+        job_id = 0
+        for size in _chunk_sizes(num_jobs, chunk_size):
+            for _ in range(size):
+                yield fast_spec(
+                    job_id,
+                    job_id * inter_arrival,
+                    weight,
+                    tasks_per_job,
+                    reduce_tasks_per_job,
+                    duration,
+                    duration,
+                    stages,
+                )
+                job_id += 1
+
+    return jobs()
 
 
 def stream_poisson_jobs(
@@ -245,47 +267,35 @@ def stream_poisson_jobs(
     per parameter per chunk) and the cumulative arrival clock is threaded
     across chunks, so memory stays O(``chunk_size``) for any ``num_jobs``.
     """
-    _check_finite(
-        arrival_rate=arrival_rate,
-        mean_tasks_per_job=mean_tasks_per_job,
-        mean_duration=mean_duration,
-        cv=cv,
-    )
-    if num_jobs <= 0:
-        raise ValueError(f"num_jobs must be positive, got {num_jobs}")
-    if arrival_rate <= 0:
-        raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
-    if mean_tasks_per_job < 1:
-        raise ValueError("mean_tasks_per_job must be at least 1")
-    if cv < 0:
-        raise ValueError(f"cv must be non-negative, got {cv}")
-    rng = np.random.default_rng(seed)
-    clock = 0.0
-    job_id = 0
-    for size in _chunk_sizes(num_jobs, chunk_size):
-        inter_arrivals = rng.exponential(1.0 / arrival_rate, size)
-        totals = 1 + rng.geometric(1.0 / mean_tasks_per_job, size)
-        mean_factors = rng.uniform(0.5, 1.5, size)
-        weights = rng.integers(1, max_weight + 1, size)
-        for i in range(size):
-            clock += float(inter_arrivals[i])
-            total = int(totals[i])
-            reduces = min(total // 4, total - 1)
-            job_mean = float(mean_duration * mean_factors[i])
-            if cv == 0:
-                duration = Deterministic(job_mean)
-            else:
-                duration = LogNormal(job_mean, cv * job_mean)
-            yield _fast_legacy_spec(
-                job_id,
-                clock,
-                float(weights[i]),
-                total - reduces,
-                reduces,
-                duration,
-                duration,
-            )
-            job_id += 1
+    _check_poisson_knobs(num_jobs, arrival_rate, mean_duration, cv, max_weight, seed, chunk_size)
+    check_range("mean_tasks_per_job", mean_tasks_per_job, 1)
+
+    def jobs() -> Iterator[JobSpec]:
+        rng = np.random.default_rng(seed)
+        clock = 0.0
+        job_id = 0
+        for size in _chunk_sizes(num_jobs, chunk_size):
+            inter_arrivals = rng.exponential(1.0 / arrival_rate, size)
+            totals = 1 + rng.geometric(1.0 / mean_tasks_per_job, size)
+            mean_factors = rng.uniform(0.5, 1.5, size)
+            weights = rng.integers(1, max_weight + 1, size)
+            for i in range(size):
+                clock += float(inter_arrivals[i])
+                total = int(totals[i])
+                reduces = min(total // 4, total - 1)
+                duration = _resolve_duration(float(mean_duration * mean_factors[i]), cv)
+                yield _fast_legacy_spec(
+                    job_id,
+                    clock,
+                    float(weights[i]),
+                    total - reduces,
+                    reduces,
+                    duration,
+                    duration,
+                )
+                job_id += 1
+
+    return jobs()
 
 
 def stream_dag_chain_jobs(
@@ -311,55 +321,42 @@ def stream_dag_chain_jobs(
     Arrivals are Poisson; all sampling is chunked and seed-pure per the
     stream-factory contract.
     """
-    _check_finite(
-        arrival_rate=arrival_rate,
-        mean_tasks_per_round=mean_tasks_per_round,
-        mean_duration=mean_duration,
-        cv=cv,
-    )
-    if num_jobs <= 0:
-        raise ValueError(f"num_jobs must be positive, got {num_jobs}")
-    if num_rounds < 1:
-        raise ValueError(f"num_rounds must be at least 1, got {num_rounds}")
-    if arrival_rate <= 0:
-        raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
-    if mean_tasks_per_round < 1:
-        raise ValueError("mean_tasks_per_round must be at least 1")
-    if cv < 0:
-        raise ValueError(f"cv must be non-negative, got {cv}")
-    rng = np.random.default_rng(seed)
-    clock = 0.0
-    job_id = 0
-    for size in _chunk_sizes(num_jobs, chunk_size):
-        inter_arrivals = rng.exponential(1.0 / arrival_rate, size)
-        # One vectorised draw per chunk: a (size, num_rounds) matrix of
-        # per-round task counts.
-        counts = rng.geometric(1.0 / mean_tasks_per_round, (size, num_rounds))
-        mean_factors = rng.uniform(0.5, 1.5, size)
-        weights = rng.integers(1, max_weight + 1, size)
-        for i in range(size):
-            clock += float(inter_arrivals[i])
-            job_mean = float(mean_duration * mean_factors[i])
-            if cv == 0:
-                duration = Deterministic(job_mean)
-            else:
-                duration = LogNormal(job_mean, cv * job_mean)
-            stages = tuple(
-                StageSpec(
-                    name=f"round{k}",
-                    num_tasks=int(counts[i, k]),
-                    duration=duration,
-                    deps=() if k == 0 else (k - 1,),
+    _check_poisson_knobs(num_jobs, arrival_rate, mean_duration, cv, max_weight, seed, chunk_size)
+    check_count("num_rounds", num_rounds, 1)
+    check_range("mean_tasks_per_round", mean_tasks_per_round, 1)
+
+    def jobs() -> Iterator[JobSpec]:
+        rng = np.random.default_rng(seed)
+        clock = 0.0
+        job_id = 0
+        for size in _chunk_sizes(num_jobs, chunk_size):
+            inter_arrivals = rng.exponential(1.0 / arrival_rate, size)
+            # One vectorised draw per chunk: a (size, num_rounds) matrix of
+            # per-round task counts.
+            counts = rng.geometric(1.0 / mean_tasks_per_round, (size, num_rounds))
+            mean_factors = rng.uniform(0.5, 1.5, size)
+            weights = rng.integers(1, max_weight + 1, size)
+            for i in range(size):
+                clock += float(inter_arrivals[i])
+                duration = _resolve_duration(float(mean_duration * mean_factors[i]), cv)
+                stages = tuple(
+                    StageSpec(
+                        name=f"round{k}",
+                        num_tasks=int(counts[i, k]),
+                        duration=duration,
+                        deps=() if k == 0 else (k - 1,),
+                    )
+                    for k in range(num_rounds)
                 )
-                for k in range(num_rounds)
-            )
-            yield JobSpec.from_stages(
-                job_id=job_id,
-                arrival_time=clock,
-                weight=float(weights[i]),
-                stages=stages,
-            )
-            job_id += 1
+                yield JobSpec.from_stages(
+                    job_id=job_id,
+                    arrival_time=clock,
+                    weight=float(weights[i]),
+                    stages=stages,
+                )
+                job_id += 1
+
+    return jobs()
 
 
 def stream_dag_diamond_jobs(
@@ -385,63 +382,50 @@ def stream_dag_diamond_jobs(
     around a per-job mean.  Arrivals are Poisson; all sampling is chunked
     and seed-pure per the stream-factory contract.
     """
-    _check_finite(
-        arrival_rate=arrival_rate,
-        mean_tasks_per_branch=mean_tasks_per_branch,
-        mean_duration=mean_duration,
-        cv=cv,
-    )
-    if num_jobs <= 0:
-        raise ValueError(f"num_jobs must be positive, got {num_jobs}")
-    if fan_out < 1:
-        raise ValueError(f"fan_out must be at least 1, got {fan_out}")
-    if arrival_rate <= 0:
-        raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
-    if mean_tasks_per_branch < 1:
-        raise ValueError("mean_tasks_per_branch must be at least 1")
-    if cv < 0:
-        raise ValueError(f"cv must be non-negative, got {cv}")
-    rng = np.random.default_rng(seed)
-    clock = 0.0
-    job_id = 0
-    for size in _chunk_sizes(num_jobs, chunk_size):
-        inter_arrivals = rng.exponential(1.0 / arrival_rate, size)
-        counts = rng.geometric(1.0 / mean_tasks_per_branch, (size, fan_out))
-        mean_factors = rng.uniform(0.5, 1.5, size)
-        weights = rng.integers(1, max_weight + 1, size)
-        for i in range(size):
-            clock += float(inter_arrivals[i])
-            job_mean = float(mean_duration * mean_factors[i])
-            if cv == 0:
-                duration = Deterministic(job_mean)
-            else:
-                duration = LogNormal(job_mean, cv * job_mean)
-            branches = tuple(
-                StageSpec(
-                    name=f"branch{b}",
-                    num_tasks=int(counts[i, b]),
-                    duration=duration,
-                    deps=(0,),
+    _check_poisson_knobs(num_jobs, arrival_rate, mean_duration, cv, max_weight, seed, chunk_size)
+    check_count("fan_out", fan_out, 1)
+    check_range("mean_tasks_per_branch", mean_tasks_per_branch, 1)
+
+    def jobs() -> Iterator[JobSpec]:
+        rng = np.random.default_rng(seed)
+        clock = 0.0
+        job_id = 0
+        for size in _chunk_sizes(num_jobs, chunk_size):
+            inter_arrivals = rng.exponential(1.0 / arrival_rate, size)
+            counts = rng.geometric(1.0 / mean_tasks_per_branch, (size, fan_out))
+            mean_factors = rng.uniform(0.5, 1.5, size)
+            weights = rng.integers(1, max_weight + 1, size)
+            for i in range(size):
+                clock += float(inter_arrivals[i])
+                duration = _resolve_duration(float(mean_duration * mean_factors[i]), cv)
+                branches = tuple(
+                    StageSpec(
+                        name=f"branch{b}",
+                        num_tasks=int(counts[i, b]),
+                        duration=duration,
+                        deps=(0,),
+                    )
+                    for b in range(fan_out)
                 )
-                for b in range(fan_out)
-            )
-            stages = (
-                StageSpec(name="split", num_tasks=1, duration=duration),
-                *branches,
-                StageSpec(
-                    name="merge",
-                    num_tasks=1,
-                    duration=duration,
-                    deps=tuple(range(1, fan_out + 1)),
-                ),
-            )
-            yield JobSpec.from_stages(
-                job_id=job_id,
-                arrival_time=clock,
-                weight=float(weights[i]),
-                stages=stages,
-            )
-            job_id += 1
+                stages = (
+                    StageSpec(name="split", num_tasks=1, duration=duration),
+                    *branches,
+                    StageSpec(
+                        name="merge",
+                        num_tasks=1,
+                        duration=duration,
+                        deps=tuple(range(1, fan_out + 1)),
+                    ),
+                )
+                yield JobSpec.from_stages(
+                    job_id=job_id,
+                    arrival_time=clock,
+                    weight=float(weights[i]),
+                    stages=stages,
+                )
+                job_id += 1
+
+    return jobs()
 
 
 def stream_heavy_tail_jobs(
@@ -465,48 +449,40 @@ def stream_heavy_tail_jobs(
     ``[min_tasks, max_tasks]``; durations are log-normal around a per-job
     mean.
     """
-    _check_finite(arrival_rate=arrival_rate, alpha=alpha, mean_duration=mean_duration, cv=cv)
-    if num_jobs <= 0:
-        raise ValueError(f"num_jobs must be positive, got {num_jobs}")
-    if arrival_rate <= 0:
-        raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not 1 <= min_tasks <= max_tasks:
-        raise ValueError(
-            f"need 1 <= min_tasks <= max_tasks, got [{min_tasks}, {max_tasks}]"
-        )
-    if cv < 0:
-        raise ValueError(f"cv must be non-negative, got {cv}")
-    rng = np.random.default_rng(seed)
-    clock = 0.0
-    job_id = 0
-    for size in _chunk_sizes(num_jobs, chunk_size):
-        inter_arrivals = rng.exponential(1.0 / arrival_rate, size)
-        # Bounded Pareto via inverse-CDF sampling of the unbounded tail,
-        # clipped at max_tasks (the standard heavy-tail workload recipe).
-        uniforms = rng.random(size)
-        sizes = np.minimum(
-            max_tasks, np.floor(min_tasks * uniforms ** (-1.0 / alpha))
-        ).astype(int)
-        mean_factors = rng.uniform(0.5, 1.5, size)
-        weights = rng.integers(1, max_weight + 1, size)
-        for i in range(size):
-            clock += float(inter_arrivals[i])
-            total = int(sizes[i])
-            reduces = min(total // 4, total - 1)
-            job_mean = float(mean_duration * mean_factors[i])
-            if cv == 0:
-                duration = Deterministic(job_mean)
-            else:
-                duration = LogNormal(job_mean, cv * job_mean)
-            yield _fast_legacy_spec(
-                job_id,
-                clock,
-                float(weights[i]),
-                total - reduces,
-                reduces,
-                duration,
-                duration,
-            )
-            job_id += 1
+    _check_poisson_knobs(num_jobs, arrival_rate, mean_duration, cv, max_weight, seed, chunk_size)
+    check_real("alpha", alpha, positive=True)
+    check_count("min_tasks", min_tasks, 1)
+    check_count("max_tasks", max_tasks, min_tasks)
+
+    def jobs() -> Iterator[JobSpec]:
+        rng = np.random.default_rng(seed)
+        clock = 0.0
+        job_id = 0
+        for size in _chunk_sizes(num_jobs, chunk_size):
+            inter_arrivals = rng.exponential(1.0 / arrival_rate, size)
+            # Bounded Pareto via inverse-CDF sampling of the unbounded tail,
+            # clipped at max_tasks (the standard heavy-tail workload recipe).
+            uniforms = rng.random(size)
+            sizes = np.minimum(
+                max_tasks, np.floor(min_tasks * uniforms ** (-1.0 / alpha))
+            ).astype(int)
+            mean_factors = rng.uniform(0.5, 1.5, size)
+            weights = rng.integers(1, max_weight + 1, size)
+            for i in range(size):
+                clock += float(inter_arrivals[i])
+                total = int(sizes[i])
+                reduces = min(total // 4, total - 1)
+                duration = _resolve_duration(float(mean_duration * mean_factors[i]), cv)
+                yield _fast_legacy_spec(
+                    job_id,
+                    clock,
+                    float(weights[i]),
+                    total - reduces,
+                    reduces,
+                    duration,
+                    duration,
+                )
+                job_id += 1
+
+    return jobs()
+

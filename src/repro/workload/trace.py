@@ -9,11 +9,12 @@ table for the synthetic trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.checks import check_count
 from repro.workload.job import JobSpec
 
 __all__ = ["Trace", "TraceStatistics"]
@@ -121,8 +122,7 @@ class Trace:
         Google-trace experiments run well below saturation so that cloning
         has spare machines to use.
         """
-        if num_machines <= 0:
-            raise ValueError(f"num_machines must be positive, got {num_machines}")
+        check_count("num_machines", num_machines, 1)
         horizon = max(self.duration, 1.0)
         return self.total_expected_work / (num_machines * horizon)
 
@@ -176,40 +176,20 @@ class Trace:
 
     def head(self, n: int) -> "Trace":
         """Return a trace of the first ``n`` jobs by arrival order."""
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
+        check_count("n", n, 1)
         return Trace(self._jobs[:n], name=f"{self.name}-head{n}")
 
     def shifted(self, offset: float) -> "Trace":
         """Return a trace with all arrival times shifted by ``offset``."""
         jobs = [
-            JobSpec(
-                job_id=spec.job_id,
-                arrival_time=spec.arrival_time + offset,
-                weight=spec.weight,
-                num_map_tasks=spec.num_map_tasks,
-                num_reduce_tasks=spec.num_reduce_tasks,
-                map_duration=spec.map_duration,
-                reduce_duration=spec.reduce_duration,
-            )
+            replace(spec, arrival_time=spec.arrival_time + offset)
             for spec in self._jobs
         ]
         return Trace(jobs, name=f"{self.name}-shifted")
 
     def as_bulk_arrival(self) -> "Trace":
         """Collapse all arrivals to time zero (the offline setting of Section IV)."""
-        jobs = [
-            JobSpec(
-                job_id=spec.job_id,
-                arrival_time=0.0,
-                weight=spec.weight,
-                num_map_tasks=spec.num_map_tasks,
-                num_reduce_tasks=spec.num_reduce_tasks,
-                map_duration=spec.map_duration,
-                reduce_duration=spec.reduce_duration,
-            )
-            for spec in self._jobs
-        ]
+        jobs = [replace(spec, arrival_time=0.0) for spec in self._jobs]
         return Trace(jobs, name=f"{self.name}-bulk")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro.workload.distributions import Deterministic, LogNormal
+from repro.workload.google_trace import GoogleTraceConfig, GoogleTraceGenerator
 from repro.workload.job import Job, JobSpec, Phase, StageSpec, Task, TaskCopy, TaskStatus
+from repro.workload.stream import stream_uniform_jobs
 
 
 def make_spec(**overrides) -> JobSpec:
@@ -146,6 +148,18 @@ def launch_copy(task: Task, copy_id: int = 0, machine: int = 0, time: float = 0.
     )
     task.add_copy(copy)
     return copy
+
+
+class TestLegacyStageTuples:
+    def test_a_two_phase_spec_derives_its_stages_once(self):
+        spec = GoogleTraceGenerator(GoogleTraceConfig(scale=1e-4)).generate(seed=0)[0]
+        assert spec.stages is None
+        assert Job.from_spec(spec).stage_specs is Job.from_spec(spec).stage_specs
+
+    def test_every_job_of_a_uniform_stream_shares_one_tuple(self):
+        jobs = [Job.from_spec(spec) for spec in stream_uniform_jobs(5)]
+        assert all(job.stage_specs is jobs[0].stage_specs for job in jobs)
+        assert [stage.name for stage in jobs[0].stage_specs] == ["map", "reduce"]
 
 
 class TestTaskCopy:

@@ -160,7 +160,35 @@ class TestEndpoints:
         with pytest.raises(ServiceError) as excinfo:
             client.submit(spec)
         assert excinfo.value.status == 400
-        assert "mean_duration must be finite" in str(excinfo.value)
+        assert "mean_duration must be positive and finite" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "table, knob",
+        [
+            pytest.param({"machines": 0}, "machines", id="zero-machines"),
+            pytest.param({"scale": 1e308}, "scale", id="huge-scale"),
+            # Passes the study's own check; the trace config rejects it when
+            # the study compiles.
+            pytest.param({"scale": 3.0}, "scale", id="scale-above-one"),
+            pytest.param(
+                {"schedulers": [{"name": "Mantri", "max_copies_per_task": 2.5}]},
+                "max_copies_per_task",
+                id="fractional-copy-cap",
+            ),
+        ],
+    )
+    def test_hostile_knob_is_400_naming_it_and_nothing_is_cached(
+        self, service, client, table, knob
+    ):
+        # Used to close the connection without a response (machines = 0,
+        # scale = 1e308), or to accept a study that failed inside its run.
+        spec = json.dumps({"study": {"name": "x", "seeds": [0], **table}})
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert knob in str(excinfo.value)
+        assert service.registry.summaries() == []
+        assert cache_stats(service.store.cache_dir)["entries"] == 0
 
     def test_toml_submission_by_content_type(self, service, client):
         toml = (

@@ -85,7 +85,7 @@ class TestStudyConstruction:
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5])
     def test_non_positive_machine_fraction_rejected(self, fraction):
-        with pytest.raises(ValueError, match="machine fractions must be positive"):
+        with pytest.raises(ValueError, match=r"machine_fraction must lie in \(0, 1\]"):
             tiny_study(axes={"machine_fraction": (fraction, 1.0)})
         spec = json.dumps(
             {
@@ -96,7 +96,7 @@ class TestStudyConstruction:
                 }
             }
         )
-        with pytest.raises(StudySpecError, match="machine fractions must be positive"):
+        with pytest.raises(StudySpecError, match=r"machine_fraction must lie in \(0, 1\]"):
             study_from_json(spec)
 
     def test_empty_scheduler_axis_allowed(self):
@@ -138,13 +138,13 @@ class TestStudyConstruction:
                 "slowdown_rate must be non-negative",
                 id="negative-slowdown-rate",
             ),
-            pytest.param({"racks": 0}, "racks must be a positive integer", id="zero-racks"),
-            pytest.param({"racks": -2}, "racks must be a positive integer", id="negative-racks"),
+            pytest.param({"racks": 0}, "racks must be an integer >= 1", id="zero-racks"),
+            pytest.param({"racks": -2}, "racks must be an integer >= 1", id="negative-racks"),
             pytest.param(
-                {"racks": 2.5}, "racks must be a positive integer", id="fractional-racks"
+                {"racks": 2.5}, "racks must be an integer >= 1", id="fractional-racks"
             ),
             pytest.param(
-                {"failure_rate": math.inf}, "failure rate must be positive and finite",
+                {"failure_rate": math.inf}, "failure_rate must be non-negative and finite",
                 id="inf-failure-rate",
             ),
             pytest.param(
@@ -154,12 +154,12 @@ class TestStudyConstruction:
             ),
             pytest.param(
                 {"slowdown_rate": 0.05, "slowdown_duration": math.nan},
-                "mean_duration must be positive and finite",
+                "slowdown_duration must be positive and finite",
                 id="nan-slowdown-duration",
             ),
             pytest.param(
                 {"slowdown_rate": 0.05, "slowdown_factor": math.nan},
-                "slowdown factor must exceed 1 and be finite",
+                "slowdown_factor must exceed 1 and be finite",
                 id="nan-slowdown-factor",
             ),
             pytest.param(

@@ -11,7 +11,11 @@ from repro.workload.generators import (
     poisson_trace,
     uniform_trace,
 )
+from repro.schedulers import FIFOScheduler
+from repro.simulation.experiment_runner import RunSpec, SchedulerSpec
+from repro.simulation.results_store import run_spec_fingerprint
 from repro.workload.job import JobSpec
+from repro.workload.stream import stream_dag_chain_jobs
 from repro.workload.trace import Trace
 
 
@@ -81,6 +85,24 @@ class TestTrace:
         assert shifted.first_arrival == 15.0
         bulk = trace.as_bulk_arrival()
         assert all(spec.arrival_time == 0.0 for spec in bulk)
+
+    def test_shifted_and_bulk_keep_stage_dags(self):
+        # Both rebuilt each spec from its summary fields, so a 3-stage chain
+        # job came back as a 2-stage map->reduce job.
+        trace = Trace(list(stream_dag_chain_jobs(3, num_rounds=3)))
+        for moved in (trace.shifted(5.0), trace.as_bulk_arrival()):
+            for before, after in zip(trace, moved):
+                assert after.num_stages == before.num_stages == 3
+                assert after.stage_specs == before.stage_specs
+
+    def test_shifted_and_bulk_keep_a_two_phase_cache_key(self):
+        def key(trace):
+            spec = RunSpec(trace=trace, scheduler=SchedulerSpec(FIFOScheduler), num_machines=2)
+            return run_spec_fingerprint(spec)
+
+        trace = Trace([make_spec(0, 10.0), make_spec(1, 20.0)])
+        assert key(trace.shifted(5.0)) == key(Trace([make_spec(0, 15.0), make_spec(1, 25.0)]))
+        assert key(trace.as_bulk_arrival()) == key(Trace([make_spec(0, 0.0), make_spec(1, 0.0)]))
 
     def test_statistics_deterministic(self):
         trace = Trace([make_spec(0, 0.0, tasks=2), make_spec(1, 50.0, tasks=2)])
