@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.speedup import ParetoSpeedup, SpeedupFunction
 from repro.checks import check_count, check_range, check_real
-from repro.policies.speculation import SpeculationEstimator
+from repro.policies.speculation import QUIET_MARGIN, SpeculationEstimator
 from repro.simulation.scheduler_api import LaunchRequest, SchedulerView
 from repro.workload.job import Job, Phase, Task
 
@@ -55,6 +56,12 @@ class RedundancyPolicy:
     #: Progress-monitoring policies (Mantri, LATE) ask the engine for
     #: periodic wake-ups; allocation-time policies do not need them.
     tick_interval: Optional[float] = None
+    #: Quiet-tick certificate of the last :meth:`finalize` pass that launched
+    #: nothing (see ``Scheduler.quiet_until``).  The default certifies
+    #: nothing, so a policy that computes no certificate -- a subclass that
+    #: overrides LATE's or Mantri's ``_speculate`` included -- is consulted
+    #: at every tick.
+    quiet_until: float = -math.inf
 
     def __init__(self) -> None:
         #: Redundant copies (clones or speculative duplicates) this policy
@@ -454,6 +461,20 @@ class LATESpeculation(RedundancyPolicy):
         then pay for ``time_left = elapsed * (1 - progress) / progress``.
         Each key is ``(-time_left, job arrival index, stage, task index,
         copy id, task)``.
+
+        With no candidate, the same loop leaves a quiet-tick certificate in
+        :attr:`quiet_until`: the earliest time at which a copy reaches
+        ``min_elapsed`` (``start + min_elapsed``), a task's only active
+        copy reaches ``min_progress`` (``start + min_progress *
+        workload``), or any copy reaches ``progress = 1`` (``start +
+        workload``), brought forward by the relative ``QUIET_MARGIN``.
+        Before all three, in the same state, the estimable and possible
+        copies stay the same and every rate stays ``1 / workload`` up to
+        a few ulps, and so does the threshold, which interpolates them.
+        A possible copy whose rate lies above the threshold by less than
+        ``QUIET_MARGIN`` (relative) may still fall to it at a later tick;
+        then there is no certificate (``-inf``), and every tick makes the
+        full pass.
         """
         now = view.time
         min_elapsed = self.estimator.min_elapsed
@@ -461,35 +482,55 @@ class LATESpeculation(RedundancyPolicy):
         rates: List[float] = []
         add_rate = rates.append
         possible: List[tuple] = []
+        quiet = math.inf
         for copy in view.running_copies():
             start = copy.start_time
             if start is None:
                 continue
             elapsed = now - start
             if elapsed < min_elapsed or elapsed == 0.0:
+                edge = start + min_elapsed
+                if edge < quiet:
+                    quiet = edge
                 continue
-            progress = elapsed / copy.workload
+            workload = copy.workload
+            progress = elapsed / workload
             if progress > 1.0:
                 progress = 1.0
             rate = progress / elapsed
             add_rate(rate)
-            if progress >= min_progress and copy.task._num_active < 2:
-                possible.append((rate, elapsed, progress, copy))
-        if not possible:
-            return []
-        threshold = _linear_percentile(rates, self.slow_task_percentile)
-        candidates: List[tuple] = []
-        for rate, elapsed, progress, copy in possible:
-            if rate > threshold:
+            if progress >= min_progress:
+                if copy.task._num_active < 2:
+                    possible.append((rate, elapsed, progress, copy))
+            elif copy.task._num_active < 2:
+                edge = start + min_progress * workload
+                if edge < quiet:
+                    quiet = edge
                 continue
-            task = copy.task
-            candidates.append(
-                (-(elapsed * (1.0 - progress) / progress), task.job.arrival_index,
-                 task.stage, task.index, copy.copy_id, task)
-            )
+            if start + workload < quiet:
+                quiet = start + workload
+        candidates: List[tuple] = []
+        if possible:
+            threshold = _linear_percentile(rates, self.slow_task_percentile)
+            near = threshold * (1.0 + QUIET_MARGIN)
+            for rate, elapsed, progress, copy in possible:
+                if rate > near:
+                    continue
+                if rate > threshold:
+                    quiet = -math.inf
+                    continue
+                task = copy.task
+                candidates.append(
+                    (-(elapsed * (1.0 - progress) / progress), task.job.arrival_index,
+                     task.stage, task.index, copy.copy_id, task)
+                )
+        self.quiet_until = -math.inf if candidates else quiet * (1.0 - QUIET_MARGIN)
         return candidates
 
     def _speculate(self, view: SchedulerView, free: int) -> List[LaunchRequest]:
+        # With no machine or budget to spend, no time can make this pass
+        # launch; otherwise _candidates replaces the certificate.
+        self.quiet_until = math.inf
         if free <= 0:
             return []
         budget = min(free, int(self.speculative_cap * view.num_machines))
@@ -567,12 +608,20 @@ class MantriSpeculation(RedundancyPolicy):
         self.estimator.forget(job)
 
     def _speculate(self, view: SchedulerView, free: int) -> List[LaunchRequest]:
-        """Spend up to ``free`` machines on duplicates, longest time left first."""
+        """Spend up to ``free`` machines on duplicates, longest time left first.
+
+        When it launches nothing, the estimator's certificate is this
+        pass's (see ``SpeculationEstimator.straggler_estimates``): until
+        then no copy gains an estimate and no probability rises, so none
+        exceeds ``delta``.  With no free machine it is ``inf``.
+        """
         if free <= 0:
+            self.quiet_until = math.inf
             return []
+        estimator = self.estimator
         delta = self.delta
         scored: List[tuple] = []
-        for time_left, probability, copy in self.estimator.straggler_estimates(
+        for time_left, probability, copy in estimator.straggler_estimates(
             view, self.max_copies_per_task
         ):
             if probability <= delta:
@@ -595,6 +644,7 @@ class MantriSpeculation(RedundancyPolicy):
             duplicated.add(id(task))
             self.copies_launched += 1
             free -= 1
+        self.quiet_until = -math.inf if requests else estimator.quiet_until
         return requests
 
     def finalize(

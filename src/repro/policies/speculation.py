@@ -11,6 +11,7 @@ reads no samples, only the two progress thresholds.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
@@ -19,7 +20,13 @@ from repro.checks import check_count, check_range, check_real
 from repro.simulation.scheduler_api import SchedulerView
 from repro.workload.job import Job, Task, TaskCopy
 
-__all__ = ["SpeculationEstimator"]
+__all__ = ["SpeculationEstimator", "QUIET_MARGIN"]
+
+#: Relative safety margin of the speculation passes' quiet-tick
+#: certificates.  Between two decision times a compared float moves by a
+#: few ulps (about 1e-16 relative); the margin is seven orders wider, and
+#: relative, so it scales with the simulated clock and the workloads.
+QUIET_MARGIN = 1e-9
 
 
 class SpeculationEstimator:
@@ -50,6 +57,8 @@ class SpeculationEstimator:
     #: Maximum duration samples retained per (job, stage); older samples are
     #: discarded, which both bounds memory and keeps estimates recent.
     max_samples: int = 64
+    #: Quiet-tick certificate of the last :meth:`straggler_estimates` pass.
+    quiet_until: float = -math.inf
 
     def __init__(
         self,
@@ -120,14 +129,35 @@ class SpeculationEstimator:
         ``probability`` is Mantri's ``P(t_rem > 2 * t_new)`` with ``t_new``
         drawn from the stage's samples, i.e. the fraction of samples ``d``
         with ``2 d < t_rem``.
+
+        The same loop leaves a quiet-tick certificate in
+        :attr:`quiet_until`: until then, repeating the pass in the same
+        state adds no copy to the estimates and raises no probability.  It
+        is the earliest time a skipped copy reaches ``min_elapsed``
+        (``start + min_elapsed``) or ``min_progress`` (``start +
+        min_progress * workload``), brought forward by the relative
+        :data:`QUIET_MARGIN`, since every float the checks compare moves by
+        a few ulps.  An estimated copy keeps its estimate, and its exact
+        time left, ``workload - elapsed``, only shrinks.  The computed one
+        stays within ``4u * workload`` of it (``u = 2**-53``: the two
+        divisions, the multiplication and ``1 - progress`` each round once,
+        and ``progress``'s own rounding reaches ``time_left`` scaled by
+        ``elapsed <= workload``), so between two decision times it rises
+        by at most ``8u * workload``.  A doubled sample in ``[time_left,
+        time_left + QUIET_MARGIN * workload)`` could therefore be counted
+        later; then there is no certificate (``-inf``).  With no alive job
+        holding samples the certificate is ``inf``.
         """
         samples = self._samples
         if not samples:
+            self.quiet_until = math.inf
             return []
         now = view.time
         min_elapsed = self.min_elapsed
         min_progress = self.min_progress
         min_samples = self.min_samples
+        margin = QUIET_MARGIN
+        quiet = math.inf
         estimates: List[Tuple[float, float, TaskCopy]] = []
         for copy in view.running_copies():
             task = copy.task
@@ -146,14 +176,24 @@ class SpeculationEstimator:
                 continue
             elapsed = now - start
             if elapsed < min_elapsed or elapsed == 0.0:
+                edge = start + min_elapsed
+                if edge < quiet:
+                    quiet = edge
                 continue
-            progress = elapsed / copy.workload
+            workload = copy.workload
+            progress = elapsed / workload
             if progress > 1.0:
                 progress = 1.0
             if progress < min_progress:
+                edge = start + min_progress * workload
+                if edge < quiet:
+                    quiet = edge
                 continue
             time_left = elapsed * (1.0 - progress) / progress
-            estimates.append(
-                (time_left, bisect_left(doubled, time_left) / count, copy)
-            )
+            below = bisect_left(doubled, time_left)
+            if below < count and doubled[below] < time_left + margin * workload:
+                quiet = -math.inf
+            estimates.append((time_left, below / count, copy))
+        # Simulated times are non-negative, and -inf and inf stay as they are.
+        self.quiet_until = quiet * (1.0 - QUIET_MARGIN)
         return estimates

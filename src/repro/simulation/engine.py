@@ -331,8 +331,18 @@ class SimulationEngine:
         # Hoisted loop-invariant conditions: ``tick_interval`` is fixed at
         # scheduler construction, so tickless runs (every policy but
         # LATE/Mantri) skip the per-iteration tick bookkeeping entirely.
-        interval = self.scheduler.tick_interval
+        scheduler = self.scheduler
+        interval = scheduler.tick_interval
         ticks = interval is not None and interval > 0
+        # Quiet ticks: after a decision point that returned no request, the
+        # scheduler's ``quiet_until`` certifies that repeating it in the
+        # same state launches nothing before that time.  A tick-only batch
+        # changes no state, so its decision point is skipped while ``now``
+        # is below the certificate; any other batch, or any request,
+        # forces the full decision.  The tick itself is still popped and
+        # re-armed as before.
+        quiet_until = -math.inf
+        tick_batch = False
         max_time = self.max_time
         check = self.check_invariants
         events = self._events
@@ -345,7 +355,7 @@ class SimulationEngine:
         pump = self._push_next_arrival
         launch = self._launch_copies
         refill = self._refill_workloads
-        schedule = self.scheduler.schedule
+        schedule = scheduler.schedule
         view = self._view
         cluster = self.cluster
         free_ids = cluster._free_ids
@@ -412,6 +422,10 @@ class SimulationEngine:
                 raise SimulationError(
                     f"simulation exceeded max_time={max_time} at t={now}"
                 )
+            if ticks:
+                # Ticks sort last at a timestamp, so a batch whose first
+                # live entry is a tick holds only ticks.
+                tick_batch = entry[1] == tick_priority
             while True:
                 priority = entry[1]
                 if priority == finish_priority:
@@ -561,10 +575,14 @@ class SimulationEngine:
                             stage += 1
                         if free == 0:
                             break
+            elif tick_batch and now < quiet_until:
+                pass  # a certified quiet tick: the decision would launch nothing
             else:
                 requests = schedule(view)
                 if requests:
                     self._apply_launches(requests)
+                if ticks:
+                    quiet_until = -math.inf if requests else scheduler.quiet_until
             if ticks:
                 # Ticks go into the heap before stuck-detection runs: an
                 # allocation policy deferring its launches (delay

@@ -14,6 +14,7 @@ assumption that only the first and second moments are known a priori.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
@@ -168,6 +169,13 @@ class Scheduler(ABC):
     #: time units even when no arrival/completion occurs.  Progress-based
     #: speculation (Mantri, LATE) needs this; the paper's algorithms do not.
     tick_interval: Optional[float] = None
+    #: Quiet-tick certificate, read by the engine right after a
+    #: :meth:`schedule` call that returned no request: a time before which
+    #: repeating that decision in the same state provably launches
+    #: nothing, so the engine skips the tick-only decision points before
+    #: it.  The default certifies nothing, so a scheduler that computes no
+    #: certificate is consulted at every tick.
+    quiet_until: float = -math.inf
 
     def bind(self, view: SchedulerView) -> None:
         """Called once before the simulation starts."""
@@ -264,8 +272,12 @@ class ComposedScheduler(Scheduler):
         # Scheduler/LaunchRequest contract, so importing it at module level
         # would be cyclic.
         from repro.policies import (
+            EpsilonShareAllocation,
+            FairOrdering,
+            FIFOOrdering,
             GreedyAllocation,
             RedundancyPolicy,
+            SRPTOrdering,
             make_allocation,
             make_ordering,
             make_redundancy,
@@ -315,6 +327,19 @@ class ComposedScheduler(Scheduler):
             type(self.allocation) is GreedyAllocation
             and not self.ordering.dynamic
         )
+        # The redundancy policy's quiet-tick certificate covers the whole
+        # decision only when nothing else in it reads the clock or draws
+        # from the RNG when it launches nothing: this class's own
+        # schedule(), greedy or share over fifo, fair or srpt (pure
+        # functions of the counts and the free list) and the default
+        # expand_grant.  Pinned to the exact classes, like the engine's
+        # FIFO fast lane; delay scheduling reads the clock.
+        self._forwards_quiet = (
+            type(self).schedule is ComposedScheduler.schedule
+            and type(self.allocation) in (GreedyAllocation, EpsilonShareAllocation)
+            and type(self.ordering) in (FIFOOrdering, FairOrdering, SRPTOrdering)
+            and redundancy_cls.expand_grant is RedundancyPolicy.expand_grant
+        )
         # The checkpoint redundancy policy carries the checkpoint interval;
         # the engine discovers it here and enables checkpoint-resume kills.
         self.checkpoint_interval = getattr(
@@ -339,6 +364,19 @@ class ComposedScheduler(Scheduler):
     def on_task_completion(self, task: Task, time: float) -> None:
         """Forward completion observations to the redundancy policy."""
         self.redundancy.on_task_completion(task, time)
+
+    @property
+    def quiet_until(self) -> float:
+        """The redundancy policy's quiet-tick certificate (see :class:`Scheduler`).
+
+        Forwarded only for the compositions whose other steps read no
+        clock (see ``_forwards_quiet``).  A decision with no free machine
+        returns before the policy's pass, at any time, so whatever
+        certificate the policy left last is sound for it too.
+        """
+        if self._forwards_quiet:
+            return self.redundancy.quiet_until
+        return -math.inf
 
     def schedule(self, view: SchedulerView) -> List[LaunchRequest]:
         """Return the copies to launch at this decision point (see base class)."""

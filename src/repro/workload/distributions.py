@@ -306,11 +306,14 @@ class BoundedPareto(DurationDistribution):
     def _raw_moment(self, k: int) -> float:
         """k-th raw moment of the bounded Pareto."""
         low, high, alpha = self._low, self._high, self._alpha
+        ratio = 1.0 - (low / high) ** alpha
+        if ratio == 0.0:
+            # A shape below about 1e-16 rounds the truncation mass to zero:
+            # use the shape-0 (log-uniform) limit.
+            return (high**k - low**k) / (k * math.log(high / low))
         if math.isclose(alpha, k):
             # Degenerate case: the generic formula has a 0/0; use the limit.
-            ratio = 1.0 - (low / high) ** alpha
             return alpha * low**alpha * math.log(high / low) / ratio
-        ratio = 1.0 - (low / high) ** alpha
         numerator = alpha * (low**k) * (1.0 - (low / high) ** (alpha - k))
         return numerator / ((alpha - k) * ratio)
 
@@ -337,7 +340,11 @@ class BoundedPareto(DurationDistribution):
             raise ValueError("quantile argument must lie in [0, 1)")
         low_a = self._low**self._alpha
         high_a = self._high**self._alpha
-        denom = 1.0 - u_arr * (1.0 - low_a / high_a)
+        mass = 1.0 - low_a / high_a
+        if mass == 0.0:
+            # The shape-0 (log-uniform) limit, as in _raw_moment.
+            return self._low * np.power(self._high / self._low, u_arr)
+        denom = 1.0 - u_arr * mass
         return self._low / np.power(denom, 1.0 / self._alpha)
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:

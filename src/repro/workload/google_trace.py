@@ -193,14 +193,10 @@ def _calibrate_bounded_pareto_alpha(
         )
 
     def mean_for(alpha: float) -> float:
-        try:
-            return BoundedPareto(minimum, maximum, alpha).mean
-        except ZeroDivisionError:
-            # A shape this small rounds the truncation mass to zero; its
-            # mean is the shape-0 (log-uniform) limit.  The target can sit
-            # above that limit, when a large within_job_cv pulls ``maximum``
-            # in, and the bracket search then walks the shape towards zero.
-            return (maximum - minimum) / math.log(maximum / minimum)
+        # The target can sit above the shape-0 (log-uniform) mean, when a
+        # large within_job_cv pulls ``maximum`` in; the bracket search then
+        # walks the shape towards zero, where BoundedPareto takes that limit.
+        return BoundedPareto(minimum, maximum, alpha).mean
 
     low, high = 1e-3, 50.0
     # Expand the bracket if needed (mean_for(low) is close to the arithmetic

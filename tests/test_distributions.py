@@ -151,6 +151,22 @@ class TestBoundedPareto:
         assert 5.0 < dist.mean < 500.0
         assert dist.std > 0
 
+    def test_vanishing_shape_takes_the_log_uniform_limit(self, rng):
+        # 1 - (low / high) ** 1e-17 rounds to 0: the generic moments divided
+        # by zero, and every draw came out at the minimum.
+        low, high = 12.8, 1769.55
+        dist = BoundedPareto(low, high, 1e-17)
+        log_ratio = math.log(high / low)
+        assert dist.mean == (high - low) / log_ratio
+        second = (high**2 - low**2) / (2 * log_ratio)
+        assert dist.std == pytest.approx(math.sqrt(second - dist.mean**2))
+        samples = dist.sample(rng, 2000)
+        assert low <= samples.min() < 1.05 * low
+        assert 0.95 * high < samples.max() <= high
+        # Half the log-uniform mass lies below the geometric midpoint.
+        below = np.mean(samples < math.sqrt(low * high))
+        assert below == pytest.approx(0.5, abs=0.05)
+
     def test_quantile_monotone_and_bounded(self):
         dist = BoundedPareto(5.0, 50.0, 1.5)
         grid = np.linspace(0.0, 0.999, 50)
