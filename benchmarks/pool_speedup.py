@@ -20,7 +20,6 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.core.srptms_c import SRPTMSCScheduler
 from repro.experiments import ExperimentConfig
 from repro.simulation import ExperimentRunner, RunSpec, SchedulerSpec, default_workers
 
@@ -35,7 +34,7 @@ def sweep_specs(seeds=SEEDS) -> list:
     config = ExperimentConfig(scale=0.01, seeds=tuple(seeds))
     base = RunSpec(
         trace=config.trace_source(),
-        scheduler=SchedulerSpec(SRPTMSCScheduler, {"epsilon": config.epsilon, "r": 0.0}),
+        scheduler=SchedulerSpec("SRPTMS+C", {"epsilon": config.epsilon, "r": 0.0}),
         num_machines=config.machines,
     )
     return [base.with_seed(seed) for seed in seeds]

@@ -11,10 +11,9 @@
 from __future__ import annotations
 
 from repro.analysis.comparison import ComparisonTable
-from repro.core.srptms_c import SRPTMSCScheduler
 from repro.experiments import ExperimentConfig
 from repro.scenarios import BimodalSpeeds, ScenarioSpec
-from repro.simulation import ReplicatedResult, run_replications
+from repro.simulation import ReplicatedResult, SchedulerSpec, run_replications
 from repro.study.presets import STUDY_PRESETS
 
 from .conftest import save_report
@@ -35,8 +34,9 @@ def test_ablation_cloning_under_stragglers():
         for name, cloning in (("SRPTMS+C", True), ("SRPTMS (no cloning)", False)):
             results[name] = run_replications(
                 trace,
-                lambda c=cloning: SRPTMSCScheduler(epsilon=0.6, r=3.0,
-                                                   cloning_enabled=c),
+                SchedulerSpec(
+                    "SRPTMS+C", {"epsilon": 0.6, "r": 3.0, "cloning_enabled": cloning}
+                ),
                 ABLATION_CONFIG.machines,
                 seeds=ABLATION_CONFIG.seeds,
                 scenario=SLOW_QUARTER,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import resource
 
-from repro.schedulers.fifo import FIFOScheduler
+from repro.policies import make_scheduler
 from repro.simulation.engine import SimulationEngine
 from repro.workload.stream import StreamSpec, stream_uniform_jobs
 
@@ -42,7 +42,7 @@ def test_million_job_streaming_run_is_bounded_memory():
     )
     stream = spec.build()
     rss_before = _maxrss_mb()
-    engine = SimulationEngine(stream, FIFOScheduler(), 16, seed=0)
+    engine = SimulationEngine(stream, make_scheduler("FIFO"), 16, seed=0)
     result = engine.run()
     rss_delta = _maxrss_mb() - rss_before
 

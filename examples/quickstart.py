@@ -11,7 +11,7 @@ FIFO, and prints the headline flowtime metrics of both.
 
 from __future__ import annotations
 
-from repro import FIFOScheduler, SRPTMSCScheduler, run_simulation
+from repro import make_scheduler, run_simulation
 from repro.workload import poisson_trace
 
 
@@ -27,7 +27,7 @@ def main() -> None:
     print(f"workload: {trace}")
     print(f"offered load on 60 machines: {trace.expected_load(60):.2f}\n")
 
-    for scheduler in (SRPTMSCScheduler(epsilon=0.6, r=3.0), FIFOScheduler()):
+    for scheduler in (make_scheduler("SRPTMS+C", epsilon=0.6, r=3.0), make_scheduler("FIFO")):
         result = run_simulation(trace, scheduler, num_machines=60, seed=0)
         print(f"{result.scheduler_name}")
         print(f"  mean flowtime           : {result.mean_flowtime:8.1f} s")

@@ -18,7 +18,7 @@ showing how much of the straggler-induced flowtime each strategy recovers.
 
 from __future__ import annotations
 
-from repro import FairScheduler, MantriScheduler, SRPTMSCScheduler, run_simulation
+from repro import make_scheduler, run_simulation
 from repro.scenarios import BimodalSpeeds, ScenarioSpec
 from repro.workload import bimodal_trace
 
@@ -41,10 +41,10 @@ def main() -> None:
     print(f"stragglers: each of the {machines} machines runs 5x slower with probability 1/4\n")
 
     schedulers = [
-        SRPTMSCScheduler(epsilon=0.6, r=3.0),
-        SRPTMSCScheduler(epsilon=0.6, r=3.0, cloning_enabled=False),
-        MantriScheduler(),
-        FairScheduler(),
+        make_scheduler("SRPTMS+C", epsilon=0.6, r=3.0),
+        make_scheduler("SRPTMS+C", epsilon=0.6, r=3.0, cloning_enabled=False),
+        make_scheduler("Mantri"),
+        make_scheduler("Fair"),
     ]
     header = f"{'scheduler':<12} {'mean':>10} {'weighted':>10} {'p95':>10} {'clones':>8}"
     print(header)

@@ -3,9 +3,14 @@ with Competitive Performance Bounds" (Xu & Lau, ICDCS 2015).
 
 The package is organised as:
 
-* :mod:`repro.core` -- the paper's schedulers (offline Algorithm 1 and the
-  online SRPTMS+C Algorithm 2) and their theory (speedup functions,
-  effective workloads, epsilon-fraction machine sharing, Theorem 1 bounds);
+* :mod:`repro.core` -- the paper's offline Algorithm 1 and the theory
+  (speedup functions, effective workloads, epsilon-fraction machine
+  sharing, Theorem 1 bounds);
+* :mod:`repro.policies` -- the policy kernel (ordering x allocation x
+  redundancy) and the one scheduler registry: SRPTMS+C (Algorithm 2), the
+  baselines (SCA, Mantri, LATE, Fair, FIFO, plain SRPT) and ``Offline``
+  are names :func:`~repro.policies.make_scheduler` builds, next to any
+  composition triple such as ``"srpt+greedy+late"``;
 * :mod:`repro.workload` -- job/task model, duration distributions, traces
   and the synthetic Google-trace generator;
 * :mod:`repro.cluster` -- machines, occupancy bookkeeping and the dynamic
@@ -14,8 +19,6 @@ The package is organised as:
   speeds, dynamic stragglers, machine failures) behind a picklable
   :class:`~repro.scenarios.ScenarioSpec`;
 * :mod:`repro.simulation` -- the discrete-event cluster simulator;
-* :mod:`repro.schedulers` -- baseline policies (Mantri, SCA, LATE, FIFO,
-  Fair, plain SRPT);
 * :mod:`repro.analysis` -- CDFs, comparison tables, theory checks;
 * :mod:`repro.study` -- declarative sweeps: a :class:`~repro.study.Study`
   is a cartesian product of axes (schedulers x scenarios x workloads x
@@ -30,26 +33,17 @@ The package is organised as:
 
 Quickstart::
 
-    from repro import SRPTMSCScheduler, run_simulation
+    from repro import make_scheduler, run_simulation
     from repro.workload import poisson_trace
 
     trace = poisson_trace(num_jobs=100, arrival_rate=0.5)
-    result = run_simulation(trace, SRPTMSCScheduler(epsilon=0.6, r=3.0),
+    result = run_simulation(trace, make_scheduler("SRPTMS+C", epsilon=0.6, r=3.0),
                             num_machines=50)
     print(result.mean_flowtime, result.weighted_mean_flowtime)
 """
 
-from repro.core.offline import OfflineSRPTScheduler
-from repro.core.srptms_c import SRPTMSCScheduler
+from repro.policies import make_scheduler
 from repro.scenarios import ScenarioSpec
-from repro.schedulers import (
-    FIFOScheduler,
-    FairScheduler,
-    LATEScheduler,
-    MantriScheduler,
-    SCAScheduler,
-    SRPTScheduler,
-)
 from repro.simulation import (
     SimulationEngine,
     SimulationResult,
@@ -63,14 +57,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    "SRPTMSCScheduler",
-    "OfflineSRPTScheduler",
-    "MantriScheduler",
-    "SCAScheduler",
-    "LATEScheduler",
-    "FIFOScheduler",
-    "FairScheduler",
-    "SRPTScheduler",
+    "make_scheduler",
     "SimulationEngine",
     "SimulationResult",
     "ScenarioSpec",

@@ -22,8 +22,8 @@ Examples::
     repro-mapreduce submit --spec study.toml --csv results.csv
     repro-mapreduce cache stats --cache-dir ~/.cache/repro-mapreduce
     repro-mapreduce cache prune --stale --cache-dir ~/.cache/repro-mapreduce
-    repro-mapreduce profile --workload stream:100000 --scheduler fifo
-    repro-mapreduce profile --workload smoke:0.02 --scheduler srptms+c --dump engine.prof
+    repro-mapreduce profile --workload stream:100000 --scheduler FIFO
+    repro-mapreduce profile --workload smoke:0.02 --scheduler SRPTMS+C --dump engine.prof
 
 Each experiment subcommand prints the plain-text report of the
 corresponding experiment; ``--scale`` shrinks the trace and the cluster
@@ -89,9 +89,11 @@ from repro.scenarios import (
 )
 from repro.policies import (
     ALLOCATION_POLICIES as _ALLOCATION_NAMES,
+    NAMED_SCHEDULERS,
     ORDERING_POLICIES as _ORDERING_NAMES,
     REDUNDANCY_POLICIES as _REDUNDANCY_NAMES,
     composition_label,
+    scheduler_entry,
 )
 from repro.simulation.experiment_runner import normalize_workers
 from repro.study.presets import STUDY_PRESETS, run_reports
@@ -632,11 +634,6 @@ def _main_cache(argv: Sequence[str]) -> int:
     return 0
 
 
-#: Schedulers the ``profile`` subcommand can build by name (plus
-#: ``srptms+c``, which takes ``--epsilon``/``--r``).
-_PROFILE_SCHEDULERS = ("fifo", "fair", "srpt", "late", "mantri", "sca")
-
-
 def _main_profile(argv: Sequence[str]) -> int:
     """The ``profile`` subcommand: cProfile one engine run.
 
@@ -649,15 +646,6 @@ def _main_profile(argv: Sequence[str]) -> int:
     import cProfile
     import pstats
 
-    from repro.core.srptms_c import SRPTMSCScheduler
-    from repro.schedulers import (
-        FairScheduler,
-        FIFOScheduler,
-        LATEScheduler,
-        MantriScheduler,
-        SCAScheduler,
-        SRPTScheduler,
-    )
     from repro.simulation import run_simulation
     from repro.workload.stream import StreamSpec, stream_uniform_jobs
 
@@ -681,9 +669,13 @@ def _main_profile(argv: Sequence[str]) -> int:
     )
     parser.add_argument(
         "--scheduler",
-        default="fifo",
-        choices=sorted(_PROFILE_SCHEDULERS) + ["srptms+c"],
-        help="scheduling policy to profile (default fifo)",
+        default="FIFO",
+        metavar="NAME",
+        help=(
+            "scheduler registry name, as in a spec file: "
+            f"{', '.join(NAMED_SCHEDULERS)}, or a composition triple such as "
+            "srpt+greedy+late (default FIFO)"
+        ),
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="replication seed (default 0)"
@@ -698,13 +690,13 @@ def _main_profile(argv: Sequence[str]) -> int:
         "--epsilon",
         type=float,
         default=0.6,
-        help="srptms+c machine-sharing fraction (default 0.6)",
+        help="machine-sharing fraction, for schedulers that read it (default 0.6)",
     )
     parser.add_argument(
         "--r",
         type=float,
         default=3.0,
-        help="srptms+c effective-workload weight (default 3)",
+        help="effective-workload weight, for schedulers that read it (default 3)",
     )
     parser.add_argument(
         "--top",
@@ -719,6 +711,10 @@ def _main_profile(argv: Sequence[str]) -> int:
         help="also write the raw profile for pstats/snakeviz",
     )
     args = parser.parse_args(argv)
+    try:
+        entry = scheduler_entry(args.scheduler)
+    except ValueError as exc:
+        raise SystemExit(f"invalid --scheduler: {exc}") from None
 
     kind, _, parameter = args.workload.partition(":")
     if kind == "stream":
@@ -751,16 +747,9 @@ def _main_profile(argv: Sequence[str]) -> int:
         )
     if args.machines is not None:
         machines = args.machines
-    factories = {
-        "fifo": FIFOScheduler,
-        "fair": FairScheduler,
-        "srpt": SRPTScheduler,
-        "late": LATEScheduler,
-        "mantri": MantriScheduler,
-        "sca": SCAScheduler,
-        "srptms+c": lambda: SRPTMSCScheduler(epsilon=args.epsilon, r=args.r),
-    }
-    scheduler = factories[args.scheduler]()
+    # The scheduler reads the same parameters a study point would pass it.
+    point = {"epsilon": args.epsilon, "r": args.r, "seed": args.seed}
+    scheduler = entry.build(**{name: point[name] for name in entry.reads})
 
     profiler = cProfile.Profile()
     profiler.enable()

@@ -1,7 +1,8 @@
 """The paper's contribution: SRPT-based task-cloning schedulers and their theory.
 
 * :mod:`repro.core.offline` -- Algorithm 1, the offline bulk-arrival scheduler.
-* :mod:`repro.core.srptms_c` -- Algorithm 2, the SRPTMS+C online scheduler.
+  Algorithm 2, the SRPTMS+C online scheduler, is the ``srpt+share+clone``
+  composition registered as ``SRPTMS+C`` in :mod:`repro.policies`.
 * :mod:`repro.core.speedup` -- the concave speedup functions of Section III-A.
 * :mod:`repro.core.effective_workload`, :mod:`repro.core.priority`,
   :mod:`repro.core.allocation` -- the building blocks (Equations 2-4 and the
@@ -22,7 +23,7 @@ from repro.core.bounds import (
     weighted_flowtime_lower_bound,
 )
 from repro.core.effective_workload import accumulated_higher_priority_workload
-from repro.core.offline import OfflineSRPTScheduler
+from repro.core.offline import OfflineScheduler
 from repro.core.priority import (
     offline_priority,
     online_priority,
@@ -39,11 +40,9 @@ from repro.core.speedup import (
     SpeedupFunction,
     check_speedup_properties,
 )
-from repro.core.srptms_c import SRPTMSCScheduler
 
 __all__ = [
-    "OfflineSRPTScheduler",
-    "SRPTMSCScheduler",
+    "OfflineScheduler",
     "SpeedupFunction",
     "ParetoSpeedup",
     "PowerSpeedup",

@@ -35,11 +35,11 @@ from repro.policies.gating import launchable_tasks
 from repro.simulation.scheduler_api import LaunchRequest, Scheduler, SchedulerView
 from repro.workload.job import Job, Task
 
-__all__ = ["OfflineSRPTScheduler"]
+__all__ = ["OfflineScheduler"]
 
 
-class OfflineSRPTScheduler(Scheduler):
-    """The paper's Algorithm 1.
+class OfflineScheduler(Scheduler):
+    """The paper's Algorithm 1 (registered as ``Offline``, see :mod:`repro.policies`).
 
     Parameters
     ----------

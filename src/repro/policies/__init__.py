@@ -16,22 +16,28 @@ pluggable:
   cloning / ``late`` / ``mantri`` speculation)
 
 Any triple runs through
-:class:`~repro.simulation.scheduler_api.ComposedScheduler`; the seven
-historical schedulers are the named points of :data:`NAMED_COMPOSITIONS`
-(their classes are thin aliases producing bit-identical results), and the
-remaining cells of the 3 x 2 x 6 grid are the novel design space the
-``policy-grid`` study preset sweeps.
-
-A composition is written ``"<ordering>+<allocation>+<redundancy>"``, e.g.
+:class:`~repro.simulation.scheduler_api.ComposedScheduler`.  A composition
+is written ``"<ordering>+<allocation>+<redundancy>"``, e.g.
 ``"srpt+greedy+late"`` (SRPT ordering with LATE speculation) or
 ``"fifo+share+clone"`` (FIFO priorities under epsilon sharing with paper
-cloning); :func:`parse_composition` recognises the form, and the Study
-scheduler axis, spec files and the CLI all accept it.
+cloning); :func:`parse_composition` recognises the form.
+
+This package is also the one scheduler registry.  :data:`NAMED_SCHEDULERS`
+names the paper's SRPTMS+C, its offline Algorithm 1 and the baselines they
+are compared against (``SRPTMS+C``, ``SCA``, ``Mantri``, ``LATE``,
+``Fair``, ``FIFO``, ``SRPT``, ``Offline``): the seven online ones are the
+named points of :data:`NAMED_COMPOSITIONS`, and the remaining cells of the
+3 x 3 x 6 grid are the novel design space the ``policy-grid`` study preset
+sweeps.  :func:`make_scheduler` builds any registry name -- a named
+scheduler or a triple -- and the Study scheduler axis, spec files, the
+CLI and the results cache all go through it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Type, Union
+import inspect
+from functools import partial
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Type, Union
 
 from repro.policies.allocation import (
     LOCALITY_WAIT,
@@ -57,6 +63,7 @@ from repro.policies.redundancy import (
     SCACloning,
 )
 from repro.policies.speculation import SpeculationEstimator
+from repro.simulation.scheduler_api import ComposedScheduler, Scheduler
 
 __all__ = [
     "OrderingPolicy",
@@ -80,6 +87,10 @@ __all__ = [
     "ALLOCATION_POLICIES",
     "REDUNDANCY_POLICIES",
     "NAMED_COMPOSITIONS",
+    "NAMED_SCHEDULERS",
+    "SchedulerEntry",
+    "scheduler_entry",
+    "make_scheduler",
     "composition_label",
     "parse_composition",
     "make_ordering",
@@ -113,9 +124,8 @@ REDUNDANCY_POLICIES: Dict[str, Type[RedundancyPolicy]] = {
     "mantri": MantriSpeculation,
 }
 
-#: The seven historical schedulers as named points of the policy grid.
-#: Their legacy classes are thin aliases over exactly these triples
-#: (bit-identity asserted in ``tests/test_policies.py``).
+#: The seven online named schedulers as points of the policy grid, by
+#: policy-kernel key (``NAMED_SCHEDULERS`` builds each from its triple).
 NAMED_COMPOSITIONS: Dict[str, Tuple[str, str, str]] = {
     "fifo": ("fifo", "greedy", "none"),
     "fair": ("fair", "greedy", "none"),
@@ -217,3 +227,134 @@ def make_redundancy(
         return REDUNDANCY_POLICIES[spec]()
     except KeyError:
         raise _unknown("redundancy", spec, REDUNDANCY_POLICIES) from None
+
+
+# ------------------------------------------------------------ the registry
+
+
+class SchedulerEntry(NamedTuple):
+    """One registry entry: how to build a scheduler, and what a study passes it.
+
+    ``build`` takes exactly the scheduler's keywords, with their defaults
+    (its signature is the keyword schema spec files are checked against);
+    ``reads`` names the study-point parameters (``epsilon``, ``r``,
+    ``seed``) a :class:`~repro.study.Study` passes it unless a scheduler
+    table overrides them.
+    """
+
+    build: Callable[..., Scheduler]
+    reads: Tuple[str, ...] = ()
+
+
+def _named_composition(key: str, name: str) -> Callable[..., Scheduler]:
+    """A build function whose keywords are those of the composition's redundancy policy."""
+    ordering, allocation, redundancy = NAMED_COMPOSITIONS[key]
+    policy = REDUNDANCY_POLICIES[redundancy]
+
+    def build(**kwargs: Any) -> Scheduler:
+        return ComposedScheduler(ordering, allocation, policy(**kwargs), name=name)
+
+    signature = inspect.signature(policy).replace(return_annotation="Scheduler")
+    build.__signature__ = signature  # type: ignore[attr-defined]
+    return build
+
+
+def _srptms_c(
+    epsilon: float = 0.6,
+    r: float = 3.0,
+    *,
+    cloning_enabled: bool = True,
+    schedule_reduce_before_map_completion: bool = False,
+    max_copies_per_task: int = 0,
+    seed: int = 0,
+) -> Scheduler:
+    """SRPTMS+C, Algorithm 2 (docs/ARCHITECTURE.md walks through it).
+
+    ``epsilon`` is the machine-sharing fraction and ``r`` the std weight
+    of the remaining effective workload.  ``cloning_enabled=False`` is the
+    ``SRPTMS`` ablation (shares, but one copy per task);
+    ``schedule_reduce_before_map_completion`` parks reduce copies before
+    their map phase completes; ``max_copies_per_task`` caps copies per
+    task (0: uncapped, as in the paper); ``seed`` seeds the random choice
+    of tasks to launch when machines are scarce.
+    """
+    ordering, allocation, _ = NAMED_COMPOSITIONS["srptms_c"]
+    cloning = PaperCloning(enabled=cloning_enabled, max_copies_per_task=max_copies_per_task)
+    return ComposedScheduler(
+        ordering,
+        allocation,
+        cloning,
+        epsilon=epsilon,
+        r=r,
+        seed=seed,
+        allow_early_reduce=schedule_reduce_before_map_completion,
+        name="SRPTMS+C" if cloning_enabled else "SRPTMS",
+    )
+
+
+def _srpt(r: float = 0.0) -> Scheduler:
+    """Greedy weighted SRPT: SRPTMS+C's ``epsilon -> 0`` limit without cloning."""
+    return ComposedScheduler(*NAMED_COMPOSITIONS["srpt"], r=r, name="SRPT")
+
+
+def _offline(r: float = 0.0, *, park_reduce_tasks: bool = True, seed: int = 0) -> Scheduler:
+    """The paper's offline Algorithm 1 (see :mod:`repro.core.offline`)."""
+    # Deferred: repro.core.offline imports this package.
+    from repro.core.offline import OfflineScheduler
+
+    return OfflineScheduler(r, park_reduce_tasks=park_reduce_tasks, seed=seed)
+
+
+#: The named schedulers, by the name spec files, studies, the CLI, result
+#: tables and the results cache use.  Explicit scheduler-table keywords
+#: win over the study-point parameters an entry reads.
+NAMED_SCHEDULERS: Dict[str, SchedulerEntry] = {
+    "SRPTMS+C": SchedulerEntry(_srptms_c, ("epsilon", "r")),
+    "SCA": SchedulerEntry(_named_composition("sca", "SCA")),
+    "Mantri": SchedulerEntry(_named_composition("mantri", "Mantri")),
+    "LATE": SchedulerEntry(_named_composition("late", "LATE")),
+    "Fair": SchedulerEntry(_named_composition("fair", "Fair")),
+    "FIFO": SchedulerEntry(_named_composition("fifo", "FIFO")),
+    "SRPT": SchedulerEntry(_srpt, ("r",)),
+    "Offline": SchedulerEntry(_offline, ("r", "seed")),
+}
+
+
+def scheduler_entry(name: str) -> SchedulerEntry:
+    """The registry entry of ``name``: a named scheduler or a composition triple.
+
+    A triple takes :class:`ComposedScheduler`'s keywords and reads the
+    study point's ``epsilon`` (share allocation) and ``r`` (srpt
+    ordering).  An unknown name raises a ``ValueError`` listing the valid
+    ones.
+    """
+    entry = NAMED_SCHEDULERS.get(name) if isinstance(name, str) else None
+    if entry is not None:
+        return entry
+    triple = parse_composition(name)
+    if triple is None:
+        raise ValueError(
+            f"unknown scheduler {name!r}; known schedulers: "
+            f"{', '.join(sorted(NAMED_SCHEDULERS))}, or a policy-kernel triple "
+            "like 'srpt+greedy+late' (<ordering>+<allocation>+<redundancy>, "
+            "see repro.policies)"
+        )
+    return SchedulerEntry(partial(ComposedScheduler, *triple), ("epsilon", "r"))
+
+
+def make_scheduler(name: str, /, **kwargs: Any) -> Scheduler:
+    """Build the scheduler registered as ``name`` with the given keywords.
+
+    ``name`` is positional-only, so a triple's own ``name`` keyword (its
+    result-table name) passes through.  A keyword the scheduler does not
+    take raises a ``TypeError`` naming the scheduler and its keywords.
+    """
+    entry = scheduler_entry(name)
+    keywords = inspect.signature(entry.build).parameters
+    unknown = sorted(set(kwargs) - set(keywords))
+    if unknown:
+        raise TypeError(
+            f"scheduler {name!r} takes no keyword {', '.join(unknown)}; "
+            f"its keywords: {', '.join(keywords) or 'none'}"
+        )
+    return entry.build(**kwargs)

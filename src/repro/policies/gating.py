@@ -6,7 +6,7 @@ the stage DAG as: a stage's tasks are launchable once every *predecessor*
 stage has completed (the stage is *ready*).  Map→reduce is the 2-node
 instance: stage 0 is always ready, stage 1 becomes ready when stage 0
 completes.  This module is the single implementation; both the policy
-kernel and the legacy scheduler entry points call these helpers.
+kernel and the offline Algorithm 1 call these helpers.
 
 ``allow_early_reduce=True`` switches to the park-on-machine behaviour of
 the offline algorithm (copies of not-yet-ready stages may occupy machines

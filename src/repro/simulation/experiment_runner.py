@@ -26,8 +26,8 @@ serial execution for the same seeds (only the wall-clock
 ``runtime_seconds`` field differs; it is excluded from
 :meth:`SimulationResult.fingerprint`).
 
-Everything a spec carries must be picklable: scheduler *classes* plus
-keyword arguments (:class:`SchedulerSpec`) rather than closures, and a
+Everything a spec carries must be picklable: scheduler registry names
+plus keyword arguments (:class:`SchedulerSpec`) rather than closures, and a
 :class:`~repro.workload.trace.Trace` instance, a :class:`TraceSpec` naming
 a module-level factory, or a :class:`~repro.workload.stream.StreamSpec`
 recipe for a lazily generated stream.  Lambdas work with ``workers=1``
@@ -244,24 +244,28 @@ class ReplicatedResult:
 class SchedulerSpec:
     """A picklable recipe for constructing a scheduler in a worker process.
 
-    Holds the scheduler *class* (picklable by reference, unlike a lambda
-    closing over parameters) plus its keyword arguments.  Instances are
-    callable so they can stand in anywhere a zero-argument scheduler
-    factory is expected.
+    Holds a scheduler registry name -- a named scheduler such as
+    ``"SRPTMS+C"`` or a composition triple such as ``"srpt+greedy+late"``
+    (see :mod:`repro.policies`) -- plus its keyword arguments; the results
+    cache keys on both.  An unknown name is rejected with the list of
+    valid ones.  Instances are callable so they can stand in anywhere a
+    zero-argument scheduler factory is expected.
     """
 
-    scheduler_cls: type
+    name: str
     kwargs: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.scheduler_cls, type) and issubclass(self.scheduler_cls, Scheduler)):
-            raise TypeError(
-                f"scheduler_cls must be a Scheduler subclass, got {self.scheduler_cls!r}"
-            )
+        # Deferred, like build(): repro.policies imports this package.
+        from repro.policies import scheduler_entry
+
+        scheduler_entry(self.name)
 
     def build(self) -> Scheduler:
-        """Construct the scheduler from the stored class and kwargs."""
-        return self.scheduler_cls(**dict(self.kwargs))
+        """Build the registered scheduler with the stored kwargs."""
+        from repro.policies import make_scheduler
+
+        return make_scheduler(self.name, **self.kwargs)
 
     def __call__(self) -> Scheduler:
         return self.build()

@@ -12,8 +12,8 @@ Keying
 ------
 :func:`run_spec_fingerprint` derives a SHA-256 key from a *canonical
 description* of the spec: every field that can influence the result --
-trace contents or recipe, scheduler class + kwargs, seed, cluster size and
-speed, scenario (including every nested process spec), max_time --
+trace contents or recipe, scheduler registry name + kwargs, seed, cluster
+size and speed, scenario (including every nested process spec), max_time --
 rendered with exact float round-tripping (``repr``), bypassing any class
 ``__repr__`` that rounds.  The ``tag`` field is *excluded*: it is a
 grouping label and does not affect execution.  Change any other field --
@@ -99,7 +99,10 @@ __all__ = [
 #: Version 4 added the rack-locality counters (``local_launches`` and
 #: ``remote_launches``) for topology-aware runs; pre-topology v3 entries
 #: are likewise stale.
-FORMAT_VERSION = 4
+#: Version 5 keys a scheduler by its registry name instead of a class
+#: path and drops the constant ``straggler_factory=None`` line; results
+#: are unchanged, but every v4 key rotates.
+FORMAT_VERSION = 5
 
 
 class UncacheableSpecError(ValueError):
@@ -215,8 +218,6 @@ def canonical_spec_description(spec: "RunSpec") -> str:  # noqa: F821
         f"num_machines={_canon(spec.num_machines)}",
         f"seed={_canon(spec.seed)}",
         f"machine_speed={_canon(spec.machine_speed)}",
-        # A removed RunSpec field, kept as a constant so no stored key changes.
-        "straggler_factory=None",
         f"scenario={_canon(spec.scenario)}",
         f"max_time={_canon(spec.max_time)}",
     ]

@@ -223,11 +223,9 @@ class ComposedScheduler(Scheduler):
     (routing per-job grants through the redundancy policy's
     ``expand_grant`` hook when it is share-based), then the redundancy
     policy's ``finalize`` hook spends the still-free machines on clones or
-    speculative duplicates.  The seven historical schedulers are fixed
-    triples of this driver (see
-    :data:`repro.policies.NAMED_COMPOSITIONS`); their legacy classes are
-    thin subclasses pinning the triple and the historical constructor
-    signature.
+    speculative duplicates.  The seven online named schedulers are fixed
+    triples of this class, built by name through
+    :func:`repro.policies.make_scheduler`.
 
     Parameters
     ----------

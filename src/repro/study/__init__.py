@@ -21,7 +21,6 @@ The layer every comparative evaluation goes through:
 
 from repro.study.core import (
     SCALAR_AXES,
-    SCHEDULER_NAMES,
     STREAM_FACTORIES,
     ScenarioRef,
     SchedulerRef,
@@ -49,7 +48,6 @@ __all__ = [
     "SchedulerRef",
     "ScenarioRef",
     "WorkloadRef",
-    "SCHEDULER_NAMES",
     "STREAM_FACTORIES",
     "SCALAR_AXES",
     "ResultSet",

@@ -15,8 +15,9 @@ Axes
 ----
 Four structural axes are first-class constructor arguments:
 
-* ``schedulers`` -- policy names from :data:`SCHEDULER_NAMES` (optionally
-  with keyword overrides), e.g. ``("SRPTMS+C", {"name": "SRPT", "r": 2})``;
+* ``schedulers`` -- scheduler registry names (:mod:`repro.policies`: a
+  named scheduler or a composition triple), optionally with keyword
+  overrides, e.g. ``("SRPTMS+C", {"name": "SRPT", "r": 2})``;
 * ``scenarios`` -- cluster environments: ``None``/``"none"`` (the paper's
   homogeneous cluster), a preset name from
   :data:`repro.scenarios.SCENARIO_PRESETS`, a table of CLI-style knobs
@@ -64,7 +65,7 @@ from typing import (
 
 from repro.checks import check_count, check_range, check_real
 from repro.experiments.config import generate_google_trace
-from repro.policies import parse_composition
+from repro.policies import NAMED_SCHEDULERS, scheduler_entry
 from repro.scenarios import (
     DEFAULT_MEAN_REPAIR,
     DEFAULT_REMOTE_SLOWDOWN,
@@ -102,7 +103,6 @@ __all__ = [
     "ScenarioRef",
     "WorkloadRef",
     "StudyPoint",
-    "SCHEDULER_NAMES",
     "STREAM_FACTORIES",
     "SCALAR_AXES",
 ]
@@ -116,90 +116,17 @@ def _freeze_kwargs(kwargs: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
 # ------------------------------------------------------------ scheduler axis
 
 
-def _build_srptms_c(point: "StudyPoint", kwargs: Dict[str, Any]) -> SchedulerSpec:
-    from repro.core.srptms_c import SRPTMSCScheduler
-
-    return SchedulerSpec(
-        SRPTMSCScheduler, {"epsilon": point.epsilon, "r": point.r, **kwargs}
-    )
-
-
-def _build_srpt(point: "StudyPoint", kwargs: Dict[str, Any]) -> SchedulerSpec:
-    from repro.schedulers import SRPTScheduler
-
-    return SchedulerSpec(SRPTScheduler, {"r": point.r, **kwargs})
-
-
-def _build_offline(point: "StudyPoint", kwargs: Dict[str, Any]) -> SchedulerSpec:
-    from repro.core.offline import OfflineSRPTScheduler
-
-    return SchedulerSpec(
-        OfflineSRPTScheduler, {"r": point.r, "seed": point.seed, **kwargs}
-    )
-
-
-def _plain_builder(scheduler_classpath: str):
-    def build(point: "StudyPoint", kwargs: Dict[str, Any]) -> SchedulerSpec:
-        import repro.schedulers as schedulers
-
-        return SchedulerSpec(getattr(schedulers, scheduler_classpath), kwargs)
-
-    return build
-
-
-#: Scheduler-name registry: how each named policy consumes the point's
-#: parameters.  SRPTMS+C reads the point's ``epsilon``/``r``, SRPT and the
-#: offline Algorithm 1 read ``r`` (the offline scheduler also receives the
-#: replication seed for its randomised tie-breaking); explicit per-ref
-#: kwargs always win over point parameters.
-_SCHEDULER_BUILDERS = {
-    "SRPTMS+C": _build_srptms_c,
-    "SCA": _plain_builder("SCAScheduler"),
-    "Mantri": _plain_builder("MantriScheduler"),
-    "LATE": _plain_builder("LATEScheduler"),
-    "Fair": _plain_builder("FairScheduler"),
-    "FIFO": _plain_builder("FIFOScheduler"),
-    "SRPT": _build_srpt,
-    "Offline": _build_offline,
-}
-
-#: The policy names a study's ``schedulers`` axis accepts.  Beyond these,
-#: any policy-kernel composition triple ``"<ordering>+<allocation>+
-#: <redundancy>"`` (e.g. ``"srpt+greedy+late"``, ``"fifo+share+clone"``;
-#: see :mod:`repro.policies`) is accepted too -- the triple consumes the
-#: point's ``epsilon`` (share allocation) and ``r`` (srpt ordering) unless
-#: overridden by per-ref kwargs.
-SCHEDULER_NAMES: Tuple[str, ...] = tuple(_SCHEDULER_BUILDERS)
-
-
-def _build_composition(
-    name: str, point: "StudyPoint", kwargs: Dict[str, Any]
-) -> SchedulerSpec:
-    """SchedulerSpec for a policy-kernel triple (``ordering+allocation+redundancy``)."""
-    from repro.simulation.scheduler_api import ComposedScheduler
-
-    ordering, allocation, redundancy = parse_composition(name)
-    composed_kwargs: Dict[str, Any] = {
-        "ordering": ordering,
-        "allocation": allocation,
-        "redundancy": redundancy,
-        "epsilon": point.epsilon,
-        "r": point.r,
-    }
-    composed_kwargs.update(kwargs)
-    return SchedulerSpec(ComposedScheduler, composed_kwargs)
-
-
 @dataclass(frozen=True)
 class SchedulerRef:
     """One labelled point on a study's scheduler axis.
 
-    ``name`` selects a registered policy (:data:`SCHEDULER_NAMES`);
-    ``kwargs`` override the constructor arguments the policy would
-    otherwise derive from the study point (e.g. ``epsilon``/``r``).
-    ``label`` is the coordinate value on result records; it defaults to
-    the policy name, suffixed with the overrides when present so two
-    differently parameterised refs of one policy stay distinguishable.
+    ``name`` is a scheduler registry name: a named scheduler of
+    :data:`repro.policies.NAMED_SCHEDULERS` or a composition triple.
+    ``kwargs`` override the study-point parameters the scheduler reads
+    (e.g. ``epsilon``/``r``) and its other keywords.  ``label`` is the
+    coordinate value on result records; it defaults to the scheduler
+    name, suffixed with the overrides when present so two differently
+    parameterised refs of one scheduler stay distinguishable.
     """
 
     name: str
@@ -207,16 +134,7 @@ class SchedulerRef:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if (
-            self.name not in _SCHEDULER_BUILDERS
-            and parse_composition(self.name) is None
-        ):
-            known = ", ".join(sorted(_SCHEDULER_BUILDERS))
-            raise ValueError(
-                f"unknown scheduler {self.name!r}; known schedulers: {known}, "
-                "or a policy-kernel triple like 'srpt+greedy+late' "
-                "(<ordering>+<allocation>+<redundancy>, see repro.policies)"
-            )
+        scheduler_entry(self.name)  # an unknown name lists the valid ones
         if not self.label:
             object.__setattr__(self, "label", self.default_label())
 
@@ -241,7 +159,7 @@ class SchedulerRef:
             except KeyError:
                 raise ValueError(
                     f"scheduler table {value!r} needs a 'name' key "
-                    f"(one of: {', '.join(sorted(_SCHEDULER_BUILDERS))})"
+                    f"(one of: {', '.join(sorted(NAMED_SCHEDULERS))})"
                 ) from None
             label = data.pop("label", "")
             return cls(name=name, kwargs=_freeze_kwargs(data), label=label)
@@ -251,11 +169,14 @@ class SchedulerRef:
         )
 
     def build(self, point: "StudyPoint") -> SchedulerSpec:
-        """The picklable scheduler recipe for one study point."""
-        builder = _SCHEDULER_BUILDERS.get(self.name)
-        if builder is not None:
-            return builder(point, dict(self.kwargs))
-        return _build_composition(self.name, point, dict(self.kwargs))
+        """The picklable scheduler recipe for one study point.
+
+        The recipe passes the point parameters the registry entry reads;
+        explicit kwargs win over them.
+        """
+        kwargs = {name: getattr(point, name) for name in scheduler_entry(self.name).reads}
+        kwargs.update(self.kwargs)
+        return SchedulerSpec(self.name, kwargs)
 
 
 SchedulerLike = Union[str, Mapping[str, Any], SchedulerRef]

@@ -574,7 +574,7 @@ def _scenario_sweep_render(results: ResultSet, study: Study) -> str:
 # --------------------------------------------------------------- policy grid
 
 #: The novel ordering+allocation+redundancy compositions the grid sweeps
-#: (the seven legacy cells are :data:`repro.policies.NAMED_COMPOSITIONS`).
+#: (the seven named cells are :data:`repro.policies.NAMED_COMPOSITIONS`).
 DEFAULT_GRID: Tuple[str, ...] = (
     "srpt+greedy+clone",
     "srpt+greedy+late",

@@ -6,15 +6,8 @@ import math
 
 import pytest
 
-from repro.schedulers import (
-    FIFOScheduler,
-    FairScheduler,
-    LATEScheduler,
-    MantriScheduler,
-    SCAScheduler,
-    SRPTScheduler,
-)
 from repro.core.speedup import ParetoSpeedup
+from repro.policies import make_scheduler
 from repro.policies.redundancy import LATESpeculation
 from repro.policies.speculation import SpeculationEstimator
 from repro.scenarios import BimodalSpeeds, ScenarioSpec
@@ -30,31 +23,21 @@ from repro.workload.job import JobSpec, Phase, StageSpec, TaskCopy
 from repro.workload.trace import Trace
 
 
-ALL_BASELINES = [
-    FIFOScheduler,
-    FairScheduler,
-    SRPTScheduler,
-    MantriScheduler,
-    LATEScheduler,
-    SCAScheduler,
-]
+ALL_BASELINES = ["FIFO", "Fair", "SRPT", "Mantri", "LATE", "SCA"]
 
 
 class TestAllBaselinesComplete:
-    @pytest.mark.parametrize("scheduler_cls", ALL_BASELINES,
-                             ids=lambda cls: cls.__name__)
-    def test_completes_online_trace(self, scheduler_cls, small_online_trace):
-        result = run_simulation(small_online_trace, scheduler_cls(),
+    @pytest.mark.parametrize("name", ALL_BASELINES)
+    def test_completes_online_trace(self, name, small_online_trace):
+        result = run_simulation(small_online_trace, make_scheduler(name),
                                 num_machines=12, seed=0)
         assert result.num_jobs == small_online_trace.num_jobs
         assert result.over_requests == 0
         assert result.mean_flowtime > 0
 
-    @pytest.mark.parametrize("scheduler_cls", ALL_BASELINES,
-                             ids=lambda cls: cls.__name__)
-    def test_completes_under_scarce_machines(self, scheduler_cls,
-                                              small_online_trace):
-        result = run_simulation(small_online_trace, scheduler_cls(),
+    @pytest.mark.parametrize("name", ALL_BASELINES)
+    def test_completes_under_scarce_machines(self, name, small_online_trace):
+        result = run_simulation(small_online_trace, make_scheduler(name),
                                 num_machines=3, seed=0)
         assert result.num_jobs == small_online_trace.num_jobs
 
@@ -67,14 +50,14 @@ class TestFIFO:
         late = JobSpec(job_id=1, arrival_time=1.0, weight=100.0, num_map_tasks=1,
                        num_reduce_tasks=0, map_duration=Deterministic(1.0),
                        reduce_duration=Deterministic(1.0))
-        result = run_simulation(Trace([early, late]), FIFOScheduler(),
+        result = run_simulation(Trace([early, late]), make_scheduler("FIFO"),
                                 num_machines=4)
         completion = {r.job_id: r.completion_time for r in result.records}
         # All machines go to job 0 first; job 1 runs only after one frees up.
         assert completion[1] == pytest.approx(11.0)
 
     def test_no_cloning(self, small_online_trace):
-        result = run_simulation(small_online_trace, FIFOScheduler(),
+        result = run_simulation(small_online_trace, make_scheduler("FIFO"),
                                 num_machines=30, seed=0)
         assert result.cloning_ratio == pytest.approx(1.0)
 
@@ -82,7 +65,7 @@ class TestFIFO:
 class TestFair:
     def test_splits_machines_between_equal_jobs(self):
         trace = bulk_arrival_trace([8, 8], mean_duration=10.0, cv=0.0)
-        result = run_simulation(trace, FairScheduler(), num_machines=4)
+        result = run_simulation(trace, make_scheduler("Fair"), num_machines=4)
         flowtimes = [r.flowtime for r in result.records]
         # Each job gets 2 machines -> 8 tasks / 2 machines * 10 s = 40 s each
         # for the map part; with the reduce tasks both finish at the same time.
@@ -91,7 +74,7 @@ class TestFair:
     def test_weight_proportional_shares(self):
         trace = bulk_arrival_trace([9, 9], mean_duration=10.0, cv=0.0,
                                    weights=[2.0, 1.0], reduce_fraction=0.0)
-        result = run_simulation(trace, FairScheduler(), num_machines=3)
+        result = run_simulation(trace, make_scheduler("Fair"), num_machines=3)
         completion = {r.job_id: r.completion_time for r in result.records}
         # Job 0 holds ~2 machines, job 1 ~1 machine: job 0 finishes earlier.
         assert completion[0] < completion[1]
@@ -100,13 +83,13 @@ class TestFair:
 class TestSRPT:
     def test_prioritises_short_jobs(self):
         trace = bulk_arrival_trace([2, 30], mean_duration=10.0, cv=0.0)
-        result = run_simulation(trace, SRPTScheduler(), num_machines=4)
+        result = run_simulation(trace, make_scheduler("SRPT"), num_machines=4)
         flowtimes = {r.job_id: r.flowtime for r in result.records}
         assert flowtimes[0] < flowtimes[1]
 
     def test_invalid_r(self):
         with pytest.raises(ValueError):
-            SRPTScheduler(r=-2.0)
+            make_scheduler("SRPT", r=-2.0)
 
 
 class _StubView:
@@ -304,11 +287,11 @@ class TestStragglerEstimates:
 class TestMantri:
     def test_validation(self):
         with pytest.raises(ValueError):
-            MantriScheduler(delta=0.0)
+            make_scheduler("Mantri", delta=0.0)
         with pytest.raises(ValueError):
-            MantriScheduler(delta=1.0)
+            make_scheduler("Mantri", delta=1.0)
         with pytest.raises(ValueError):
-            MantriScheduler(max_copies_per_task=1)
+            make_scheduler("Mantri", max_copies_per_task=1)
 
     def test_speculates_on_engineered_straggler(self):
         # A job with many identical short tasks plus one enormous outlier: the
@@ -320,7 +303,7 @@ class TestMantri:
                     num_reduce_tasks=0, map_duration=short,
                     reduce_duration=short),
         ]
-        scheduler = MantriScheduler(delta=0.25, tick_interval=2.0, min_samples=3)
+        scheduler = make_scheduler("Mantri", delta=0.25, tick_interval=2.0, min_samples=3)
         result = run_simulation(
             Trace(jobs),
             scheduler,
@@ -331,7 +314,7 @@ class TestMantri:
             ),
         )
         assert result.num_jobs == 1
-        assert scheduler.speculative_copies_launched > 0
+        assert scheduler.redundancy.copies_launched > 0
         assert result.total_copies > 30
 
     def test_samples_are_recorded_per_stage(self):
@@ -347,8 +330,8 @@ class TestMantri:
         ]
         jobs = [JobSpec.from_stages(job_id=i, arrival_time=2.0 * i, weight=1.0,
                                     stages=stages) for i in range(3)]
-        scheduler = MantriScheduler(tick_interval=2.0, min_samples=1)
-        estimator = scheduler.estimator
+        scheduler = make_scheduler("Mantri", tick_interval=2.0, min_samples=1)
+        estimator = scheduler.redundancy.estimator
         # A completed job's samples are dropped, so read them just before.
         recorded = {}
         forget = estimator.forget
@@ -403,9 +386,9 @@ class TestMantri:
 
     def test_does_not_speculate_without_variance(self):
         trace = bulk_arrival_trace([10], mean_duration=10.0, cv=0.0)
-        scheduler = MantriScheduler(tick_interval=1.0)
+        scheduler = make_scheduler("Mantri", tick_interval=1.0)
         result = run_simulation(trace, scheduler, num_machines=20, seed=0)
-        assert scheduler.speculative_copies_launched == 0
+        assert scheduler.redundancy.copies_launched == 0
         assert result.cloning_ratio == pytest.approx(1.0)
 
 
@@ -416,8 +399,8 @@ class TestLATE:
         from repro.simulation.engine import SimulationEngine
 
         trace = bulk_arrival_trace([3], mean_duration=10.0, cv=0.0)
-        late = SimulationEngine(trace, LATEScheduler(), num_machines=4)
-        mantri = SimulationEngine(trace, MantriScheduler(), num_machines=4)
+        late = SimulationEngine(trace, make_scheduler("LATE"), num_machines=4)
+        mantri = SimulationEngine(trace, make_scheduler("Mantri"), num_machines=4)
         assert late._notify_task_completion is None
         assert mantri._notify_task_completion is not None
         assert late._notify_job_completion is None
@@ -446,16 +429,16 @@ class TestLATE:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LATEScheduler(slow_task_percentile=0.0)
+            make_scheduler("LATE", slow_task_percentile=0.0)
         with pytest.raises(ValueError):
-            LATEScheduler(speculative_cap=0.0)
+            make_scheduler("LATE", speculative_cap=0.0)
 
     def test_speculative_cap_limits_duplicates(self):
         short = LogNormal(10.0, 3.0)
         jobs = [JobSpec(job_id=0, arrival_time=0.0, weight=1.0, num_map_tasks=40,
                         num_reduce_tasks=0, map_duration=short,
                         reduce_duration=short)]
-        scheduler = LATEScheduler(speculative_cap=0.1, tick_interval=2.0)
+        scheduler = make_scheduler("LATE", speculative_cap=0.1, tick_interval=2.0)
         result = run_simulation(Trace(jobs), scheduler, num_machines=10, seed=0)
         # At most 10% of 10 machines = 1 speculative copy per decision point;
         # the total stays well below the task count.
@@ -465,27 +448,27 @@ class TestLATE:
 class TestSCA:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SCAScheduler(max_copies_per_task=0)
+            make_scheduler("SCA", max_copies_per_task=0)
 
     def test_clones_with_spare_machines(self):
         trace = bulk_arrival_trace([4], mean_duration=10.0, cv=0.3)
-        result = run_simulation(trace, SCAScheduler(), num_machines=12, seed=0)
+        result = run_simulation(trace, make_scheduler("SCA"), num_machines=12, seed=0)
         assert result.cloning_ratio > 1.0
 
     def test_copy_cap_respected(self):
         trace = bulk_arrival_trace([2], mean_duration=10.0, cv=0.3)
-        result = run_simulation(trace, SCAScheduler(max_copies_per_task=3),
+        result = run_simulation(trace, make_scheduler("SCA", max_copies_per_task=3),
                                 num_machines=50, seed=0)
         assert result.total_copies <= 2 * 3
 
     def test_no_cloning_under_contention(self):
         trace = bulk_arrival_trace([40], mean_duration=10.0, cv=0.3)
-        result = run_simulation(trace, SCAScheduler(), num_machines=5, seed=0)
+        result = run_simulation(trace, make_scheduler("SCA"), num_machines=5, seed=0)
         assert result.cloning_ratio == pytest.approx(1.0, abs=0.2)
 
     def test_custom_speedup_function(self):
         trace = bulk_arrival_trace([4], mean_duration=10.0, cv=0.3)
-        scheduler = SCAScheduler(speedup=ParetoSpeedup(alpha=3.0))
+        scheduler = make_scheduler("SCA", speedup=ParetoSpeedup(alpha=3.0))
         result = run_simulation(trace, scheduler, num_machines=12, seed=0)
         assert result.num_jobs == 1
 
@@ -500,7 +483,7 @@ class TestSCA:
                       reduce_duration=LogNormal(10.0, 3.0))
         from repro.simulation.engine import SimulationEngine
 
-        engine = SimulationEngine(Trace([small, big]), SCAScheduler(),
+        engine = SimulationEngine(Trace([small, big]), make_scheduler("SCA"),
                                   num_machines=30, seed=0)
         engine.run()
         small_copies = engine._jobs[0].total_copies_launched()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import _scenario_from_args, build_parser, main
+from repro.policies import NAMED_SCHEDULERS
 from repro.scenarios import scenario_preset
 
 
@@ -131,7 +132,7 @@ class TestProfileCommand:
                 "--workload",
                 "stream:2000",
                 "--scheduler",
-                "fifo",
+                "FIFO",
                 "--top",
                 "15",
                 "--dump",
@@ -155,3 +156,16 @@ class TestProfileCommand:
     def test_profile_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             main(["profile", "--workload", "nonsense"])
+
+    @pytest.mark.parametrize("name", [*NAMED_SCHEDULERS, "srpt+greedy+late"])
+    def test_profile_takes_every_registry_name(self, name, capsys):
+        assert main(["profile", "--scheduler", name, "--workload", "stream:200"]) == 0
+        assert "200 jobs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["srptms+c", "fifo", "bogus+greedy+late"])
+    def test_profile_rejects_unknown_scheduler_listing_the_valid_names(self, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--scheduler", name, "--workload", "stream:200"])
+        message = str(exc.value.code)
+        assert f"unknown scheduler {name!r}" in message
+        assert all(known in message for known in NAMED_SCHEDULERS)

@@ -20,16 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.srptms_c import SRPTMSCScheduler
 from repro.scenarios import MachineFailures, ScenarioSpec, scenario_preset
-from repro.schedulers import (
-    FIFOScheduler,
-    FairScheduler,
-    LATEScheduler,
-    MantriScheduler,
-    SCAScheduler,
-    SRPTScheduler,
-)
 from repro.simulation.experiment_runner import (
     ExperimentRunner,
     RunSpec,
@@ -39,15 +30,19 @@ from repro.workload.generators import poisson_trace
 from repro.workload.job import JobSpec, StageSpec
 from repro.workload.trace import Trace
 
-#: The seven legacy schedulers (the named points of the policy grid).
+#: A run that ticks past this has lost a decision: it fails instead of
+#: ticking forever (the LATE and Mantri cells tick every 5 s).
+MAX_TIME = 1e6
+
+#: The seven named schedulers (the named points of the policy grid).
 LEGACY_SCHEDULER_SPECS = (
-    ("SRPTMS+C", SchedulerSpec(SRPTMSCScheduler, {"epsilon": 0.6, "r": 3.0})),
-    ("SCA", SchedulerSpec(SCAScheduler)),
-    ("Mantri", SchedulerSpec(MantriScheduler)),
-    ("LATE", SchedulerSpec(LATEScheduler)),
-    ("SRPT", SchedulerSpec(SRPTScheduler, {"r": 3.0})),
-    ("Fair", SchedulerSpec(FairScheduler)),
-    ("FIFO", SchedulerSpec(FIFOScheduler)),
+    ("SRPTMS+C", SchedulerSpec("SRPTMS+C", {"epsilon": 0.6, "r": 3.0})),
+    ("SCA", SchedulerSpec("SCA")),
+    ("Mantri", SchedulerSpec("Mantri")),
+    ("LATE", SchedulerSpec("LATE")),
+    ("SRPT", SchedulerSpec("SRPT", {"r": 3.0})),
+    ("Fair", SchedulerSpec("Fair")),
+    ("FIFO", SchedulerSpec("FIFO")),
 )
 
 #: Three policy-kernel composition triples riding along (one per axis
@@ -63,27 +58,11 @@ ALL_SCHEDULER_IDS = tuple(name for name, _ in LEGACY_SCHEDULER_SPECS) + (
 )
 
 
-def _composition_spec(triple: str) -> SchedulerSpec:
-    from repro.simulation.scheduler_api import ComposedScheduler
-
-    ordering, allocation, redundancy = triple.split("+")
-    return SchedulerSpec(
-        ComposedScheduler,
-        {
-            "ordering": ordering,
-            "allocation": allocation,
-            "redundancy": redundancy,
-            "epsilon": 0.6,
-            "r": 3.0,
-        },
-    )
-
-
 def _scheduler_spec(name: str) -> SchedulerSpec:
     for legacy_name, spec in LEGACY_SCHEDULER_SPECS:
         if legacy_name == name:
             return spec
-    return _composition_spec(name)
+    return SchedulerSpec(name, {"epsilon": 0.6, "r": 3.0})
 
 
 def _as_explicit_dag(spec: JobSpec) -> JobSpec:
@@ -160,6 +139,7 @@ def _fingerprints(trace, scheduler_spec, *, scenario, workers, seeds=(0, 1)):
             num_machines=8,
             seed=seed,
             scenario=scenario,
+            max_time=MAX_TIME,
         )
         for seed in seeds
     ]

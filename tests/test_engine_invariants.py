@@ -30,9 +30,8 @@ from collections import Counter
 
 import pytest
 
-from repro.core.srptms_c import SRPTMSCScheduler
+from repro.policies import make_scheduler
 from repro.scenarios import MachineFailures, ScenarioSpec, TopologySpec
-from repro.schedulers import FIFOScheduler, MantriScheduler, SCAScheduler
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.scheduler_api import ComposedScheduler, Scheduler
 from repro.workload.generators import poisson_trace
@@ -116,16 +115,16 @@ class InvariantCheckingScheduler(Scheduler):
 
 def _policies():
     return [
-        pytest.param(lambda: SRPTMSCScheduler(epsilon=0.6, r=3.0), id="srptms_c"),
-        pytest.param(lambda: SCAScheduler(), id="sca"),
-        pytest.param(lambda: MantriScheduler(), id="mantri"),
-        pytest.param(lambda: FIFOScheduler(), id="fifo"),
+        pytest.param(lambda: make_scheduler("SRPTMS+C", epsilon=0.6, r=3.0), id="srptms_c"),
+        pytest.param(lambda: make_scheduler("SCA"), id="sca"),
+        pytest.param(lambda: make_scheduler("Mantri"), id="mantri"),
+        pytest.param(lambda: make_scheduler("FIFO"), id="fifo"),
     ]
 
 
-@pytest.mark.parametrize("make_scheduler", _policies())
+@pytest.mark.parametrize("build", _policies())
 @pytest.mark.parametrize("trace_seed", [11, 23, 47])
-def test_engine_invariants_on_random_traces(make_scheduler, trace_seed):
+def test_engine_invariants_on_random_traces(build, trace_seed):
     trace = poisson_trace(
         num_jobs=15,
         arrival_rate=0.4,
@@ -134,7 +133,7 @@ def test_engine_invariants_on_random_traces(make_scheduler, trace_seed):
         cv=0.8,
         seed=trace_seed,
     )
-    scheduler = InvariantCheckingScheduler(make_scheduler())
+    scheduler = InvariantCheckingScheduler(build())
     engine = SimulationEngine(
         trace,
         scheduler,
@@ -220,7 +219,7 @@ def test_invariants_hold_under_heavy_cloning(trace_seed):
         seed=trace_seed,
     )
     machines = 24  # far more machines than work
-    scheduler = InvariantCheckingScheduler(SRPTMSCScheduler(epsilon=1.0, r=3.0))
+    scheduler = InvariantCheckingScheduler(make_scheduler("SRPTMS+C", epsilon=1.0, r=3.0))
     engine = SimulationEngine(
         trace, scheduler, machines, seed=trace_seed, check_invariants=True
     )

@@ -14,15 +14,7 @@ import pickle
 
 import pytest
 
-from repro.core.srptms_c import SRPTMSCScheduler
-from repro.schedulers import (
-    FIFOScheduler,
-    FairScheduler,
-    LATEScheduler,
-    MantriScheduler,
-    SCAScheduler,
-    SRPTScheduler,
-)
+from repro.policies import make_scheduler
 from repro.simulation.experiment_runner import (
     ExperimentRunner,
     RunSpec,
@@ -36,13 +28,13 @@ from repro.workload.generators import poisson_trace
 
 #: One spec per scheduling policy shipped with the repository.
 ALL_SCHEDULER_SPECS = [
-    SchedulerSpec(SRPTMSCScheduler, {"epsilon": 0.6, "r": 3.0}),
-    SchedulerSpec(SCAScheduler),
-    SchedulerSpec(MantriScheduler),
-    SchedulerSpec(LATEScheduler),
-    SchedulerSpec(SRPTScheduler, {"r": 3.0}),
-    SchedulerSpec(FairScheduler),
-    SchedulerSpec(FIFOScheduler),
+    SchedulerSpec("SRPTMS+C", {"epsilon": 0.6, "r": 3.0}),
+    SchedulerSpec("SCA"),
+    SchedulerSpec("Mantri"),
+    SchedulerSpec("LATE"),
+    SchedulerSpec("SRPT", {"r": 3.0}),
+    SchedulerSpec("Fair"),
+    SchedulerSpec("FIFO"),
 ]
 
 SEEDS = (0, 1, 2, 3)
@@ -59,7 +51,7 @@ class TestParallelSerialEquivalence:
     @pytest.mark.parametrize(
         "scheduler_spec",
         ALL_SCHEDULER_SPECS,
-        ids=lambda s: s.scheduler_cls.__name__,
+        ids=lambda s: s.name,
     )
     def test_workers4_matches_workers1(self, scheduler_spec, small_online_trace):
         specs = _specs_for(scheduler_spec, small_online_trace)
@@ -86,7 +78,7 @@ class TestParallelSerialEquivalence:
                 "seed": 7,
             },
         )
-        scheduler = SchedulerSpec(SRPTMSCScheduler, {"epsilon": 0.6, "r": 3.0})
+        scheduler = SchedulerSpec("SRPTMS+C", {"epsilon": 0.6, "r": 3.0})
         inline = ExperimentRunner(workers=2).run(
             _specs_for(scheduler, small_online_trace)
         )
@@ -96,7 +88,7 @@ class TestParallelSerialEquivalence:
         ]
 
     def test_run_replications_workers_param(self, small_online_trace):
-        scheduler = SchedulerSpec(SCAScheduler)
+        scheduler = SchedulerSpec("SCA")
         serial = run_replications(
             small_online_trace, scheduler, 8, seeds=SEEDS, workers=1
         )
@@ -114,17 +106,17 @@ class TestParallelSerialEquivalence:
         """RunSpec.execute reproduces run_simulation exactly."""
         spec = RunSpec(
             trace=small_online_trace,
-            scheduler=SchedulerSpec(FIFOScheduler),
+            scheduler=SchedulerSpec("FIFO"),
             num_machines=8,
             seed=5,
         )
-        direct = run_simulation(small_online_trace, FIFOScheduler(), 8, seed=5)
+        direct = run_simulation(small_online_trace, make_scheduler("FIFO"), 8, seed=5)
         assert spec.execute().fingerprint() == direct.fingerprint()
 
 
 class TestRunnerMechanics:
     def test_results_keep_spec_order(self, small_online_trace):
-        scheduler = SchedulerSpec(FIFOScheduler)
+        scheduler = SchedulerSpec("FIFO")
         specs = _specs_for(scheduler, small_online_trace)
         results = ExperimentRunner(workers=2).run(specs)
         assert [r.seed for r in results] == list(SEEDS)
@@ -134,8 +126,8 @@ class TestRunnerMechanics:
 
     def test_run_grouped_by_tag(self, small_online_trace):
         points = [
-            (0.4, SchedulerSpec(SRPTMSCScheduler, {"epsilon": 0.4, "r": 0.0}), 8),
-            (0.8, SchedulerSpec(SRPTMSCScheduler, {"epsilon": 0.8, "r": 0.0}), 8),
+            (0.4, SchedulerSpec("SRPTMS+C", {"epsilon": 0.4, "r": 0.0}), 8),
+            (0.8, SchedulerSpec("SRPTMS+C", {"epsilon": 0.8, "r": 0.0}), 8),
         ]
         specs = sweep_specs(small_online_trace, points, seeds=(0, 1))
         grouped = ExperimentRunner(workers=1).run_grouped(specs)
@@ -150,7 +142,7 @@ class TestRunnerMechanics:
     def test_run_replications_requires_seeds(self, small_online_trace):
         with pytest.raises(ValueError):
             ExperimentRunner().run_replications(
-                small_online_trace, SchedulerSpec(FIFOScheduler), 8, seeds=()
+                small_online_trace, SchedulerSpec("FIFO"), 8, seeds=()
             )
 
     def test_worker_count_validation(self):
@@ -167,7 +159,7 @@ class TestRunnerMechanics:
         with pytest.raises(ValueError):
             RunSpec(
                 trace=small_online_trace,
-                scheduler=SchedulerSpec(FIFOScheduler),
+                scheduler=SchedulerSpec("FIFO"),
                 num_machines=0,
             )
         with pytest.raises(TypeError):
@@ -176,7 +168,7 @@ class TestRunnerMechanics:
 
 class TestBatchedDispatch:
     def test_pool_dispatch_is_batched_and_accounted(self, small_online_trace):
-        specs = _specs_for(SchedulerSpec(FIFOScheduler), small_online_trace)
+        specs = _specs_for(SchedulerSpec("FIFO"), small_online_trace)
         runner = ExperimentRunner(workers=2, chunksize=2)
         pooled = runner.run(specs)
         stats = runner.last_dispatch_stats
@@ -191,7 +183,7 @@ class TestBatchedDispatch:
         self, small_online_trace
     ):
         runner = ExperimentRunner(workers=1)
-        runner.run(_specs_for(SchedulerSpec(FIFOScheduler), small_online_trace)[:1])
+        runner.run(_specs_for(SchedulerSpec("FIFO"), small_online_trace)[:1])
         stats = runner.last_dispatch_stats
         assert stats["batches"] == 1
         assert stats["per_worker"] == {os.getpid(): 1}
@@ -199,19 +191,23 @@ class TestBatchedDispatch:
 
 class TestSpecPicklability:
     def test_scheduler_spec_roundtrip(self):
-        spec = SchedulerSpec(SRPTMSCScheduler, {"epsilon": 0.6, "r": 3.0})
+        spec = SchedulerSpec("SRPTMS+C", {"epsilon": 0.6, "r": 3.0})
         clone = pickle.loads(pickle.dumps(spec))
         scheduler = clone.build()
-        assert isinstance(scheduler, SRPTMSCScheduler)
+        assert scheduler.name == "SRPTMS+C"
+        assert scheduler.allocation.epsilon == 0.6
+        assert scheduler.ordering.r == 3.0
 
-    def test_scheduler_spec_rejects_non_scheduler(self):
-        with pytest.raises(TypeError):
-            SchedulerSpec(dict)
+    @pytest.mark.parametrize("name", ["srptms+c", "SRPTMS-C", "srpt+greedy", dict])
+    def test_scheduler_spec_rejects_unknown_name_listing_the_valid_ones(self, name):
+        with pytest.raises(ValueError, match="known schedulers: FIFO, Fair, LATE, Mantri, "
+                                             "Offline, SCA, SRPT, SRPTMS\\+C, or a policy"):
+            SchedulerSpec(name)
 
     def test_run_spec_roundtrip(self, small_online_trace):
         spec = RunSpec(
             trace=small_online_trace,
-            scheduler=SchedulerSpec(SCAScheduler),
+            scheduler=SchedulerSpec("SCA"),
             num_machines=8,
             seed=3,
             tag="sca",
@@ -245,7 +241,7 @@ class TestOnResultCallback:
     """Streaming-progress hook: on_result(spec, result, cache_hit)."""
 
     def test_serial_callback_sees_every_spec_once(self, small_online_trace):
-        specs = _specs_for(SchedulerSpec(FIFOScheduler), small_online_trace)
+        specs = _specs_for(SchedulerSpec("FIFO"), small_online_trace)
         events = []
         runner = ExperimentRunner(workers=1)
         results = runner.run(
@@ -258,7 +254,7 @@ class TestOnResultCallback:
     def test_pooled_callback_fires_in_parent_for_every_spec(
         self, small_online_trace
     ):
-        specs = _specs_for(SchedulerSpec(FIFOScheduler), small_online_trace)
+        specs = _specs_for(SchedulerSpec("FIFO"), small_online_trace)
         seen = []
         runner = ExperimentRunner(workers=2)
         results = runner.run(specs, on_result=lambda s, r, hit: seen.append((s, r)))
@@ -270,7 +266,7 @@ class TestOnResultCallback:
             assert by_spec[id(spec)] is result
 
     def test_cache_hits_are_flagged(self, small_online_trace, tmp_path):
-        specs = _specs_for(SchedulerSpec(FIFOScheduler), small_online_trace)
+        specs = _specs_for(SchedulerSpec("FIFO"), small_online_trace)
         runner = ExperimentRunner(workers=1, cache_dir=tmp_path)
         cold = []
         runner.run(specs, on_result=lambda s, r, hit: cold.append(hit))
@@ -284,7 +280,7 @@ class TestOnResultCallback:
     def test_mixed_hits_report_hits_before_executions(
         self, small_online_trace, tmp_path
     ):
-        specs = _specs_for(SchedulerSpec(FIFOScheduler), small_online_trace)
+        specs = _specs_for(SchedulerSpec("FIFO"), small_online_trace)
         runner = ExperimentRunner(workers=1, cache_dir=tmp_path)
         runner.run(specs[:2])
         events = []
@@ -294,7 +290,7 @@ class TestOnResultCallback:
         assert runner.last_dispatch_stats["cache_hits"] == 2
 
     def test_constructor_callback_and_per_run_override(self, small_online_trace):
-        specs = _specs_for(SchedulerSpec(FIFOScheduler), small_online_trace)[:1]
+        specs = _specs_for(SchedulerSpec("FIFO"), small_online_trace)[:1]
         default_events, override_events = [], []
         runner = ExperimentRunner(
             workers=1,
@@ -313,7 +309,7 @@ class TestOnResultCallback:
         finds it in the cache."""
         from repro.simulation.results_store import run_spec_fingerprint
 
-        specs = _specs_for(SchedulerSpec(FIFOScheduler), small_online_trace)[:2]
+        specs = _specs_for(SchedulerSpec("FIFO"), small_online_trace)[:2]
         runner = ExperimentRunner(workers=1, cache_dir=tmp_path)
         cached_at_callback = []
 
@@ -333,7 +329,7 @@ class TestWorkerSidePersistence:
     def test_pool_persists_worker_side_and_resumes_warm(
         self, small_online_trace, tmp_path
     ):
-        specs = _specs_for(SchedulerSpec(FIFOScheduler), small_online_trace)
+        specs = _specs_for(SchedulerSpec("FIFO"), small_online_trace)
         runner = ExperimentRunner(workers=2, cache_dir=tmp_path)
         cold = runner.run(specs)
         assert runner.last_run_stats["executed"] == len(specs)
@@ -356,7 +352,7 @@ class TestWorkerSidePersistence:
     def test_serial_path_keeps_parent_side_writes(
         self, small_online_trace, tmp_path
     ):
-        specs = _specs_for(SchedulerSpec(FIFOScheduler), small_online_trace)
+        specs = _specs_for(SchedulerSpec("FIFO"), small_online_trace)
         runner = ExperimentRunner(workers=1, cache_dir=tmp_path)
         runner.run(specs)
         # No pool, no delegation: the parent store wrote every entry

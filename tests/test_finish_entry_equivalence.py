@@ -197,6 +197,10 @@ DYNAMIC = {
     ),
 }
 SCENARIOS = {**STATIC, **DYNAMIC}
+#: Far beyond every run below: a lost decision fails the run instead of
+#: ticking forever (the LATE and Mantri compositions tick every 5 s).
+MAX_TIME = 1e6
+
 COMPOSITIONS = sorted(
     {"+".join(triple) for triple in NAMED_COMPOSITIONS.values()}
     | {"srpt+greedy+clone", "fifo+greedy+clone", "srpt+share+sca", "srpt+delay+clone"}
@@ -228,7 +232,9 @@ def _probed(engine_cls, composition, scenario, early, trace, machines):
         ordering, allocation, redundancy, epsilon=0.6, r=1.0, seed=3,
         allow_early_reduce=early,
     )
-    engine = engine_cls(trace, scheduler, machines, seed=5, scenario=SCENARIOS[scenario])
+    engine = engine_cls(
+        trace, scheduler, machines, seed=5, scenario=SCENARIOS[scenario], max_time=MAX_TIME
+    )
     engine.free_lists = []
     engine.winners = []
     return engine

@@ -6,33 +6,24 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bounds import serial_phase_lower_bound
-from repro.core.offline import OfflineSRPTScheduler
-from repro.core.srptms_c import SRPTMSCScheduler
-from repro.schedulers import (
-    FIFOScheduler,
-    FairScheduler,
-    LATEScheduler,
-    MantriScheduler,
-    SCAScheduler,
-    SRPTScheduler,
-)
+from repro.policies import make_scheduler
 from repro.simulation.engine import SimulationEngine
 from repro.workload.generators import bimodal_trace
 
 
 def all_schedulers():
     return [
-        SRPTMSCScheduler(epsilon=0.6, r=3.0),
-        SRPTMSCScheduler(epsilon=1.0, r=0.0),
-        SRPTMSCScheduler(epsilon=0.2, r=0.0, cloning_enabled=False),
-        OfflineSRPTScheduler(r=0.0),
-        OfflineSRPTScheduler(r=3.0, park_reduce_tasks=False),
-        FIFOScheduler(),
-        FairScheduler(),
-        SRPTScheduler(),
-        MantriScheduler(),
-        LATEScheduler(),
-        SCAScheduler(),
+        make_scheduler("SRPTMS+C", epsilon=0.6, r=3.0),
+        make_scheduler("SRPTMS+C", epsilon=1.0, r=0.0),
+        make_scheduler("SRPTMS+C", epsilon=0.2, r=0.0, cloning_enabled=False),
+        make_scheduler("Offline", r=0.0),
+        make_scheduler("Offline", r=3.0, park_reduce_tasks=False),
+        make_scheduler("FIFO"),
+        make_scheduler("Fair"),
+        make_scheduler("SRPT"),
+        make_scheduler("Mantri"),
+        make_scheduler("LATE"),
+        make_scheduler("SCA"),
     ]
 
 
@@ -104,9 +95,9 @@ def test_srpt_ordering_beats_fifo_on_mixed_workload():
     trace = bimodal_trace(15, 3, small_tasks=2, large_tasks=40,
                           small_duration=5.0, large_duration=60.0, cv=0.4,
                           horizon=100.0, seed=11)
-    fifo = SimulationEngine(trace, FIFOScheduler(), num_machines=25, seed=0).run()
+    fifo = SimulationEngine(trace, make_scheduler("FIFO"), num_machines=25, seed=0).run()
     srptms = SimulationEngine(
-        trace, SRPTMSCScheduler(epsilon=0.6, r=1.0), num_machines=25, seed=0
+        trace, make_scheduler("SRPTMS+C", epsilon=0.6, r=1.0), num_machines=25, seed=0
     ).run()
     assert srptms.mean_flowtime < fifo.mean_flowtime
     # Small jobs (2 tasks) specifically should be much faster under SRPTMS+C.
@@ -117,8 +108,8 @@ def test_srpt_ordering_beats_fifo_on_mixed_workload():
 
 
 def test_results_identical_for_identical_seeds(small_online_trace):
-    a = SimulationEngine(small_online_trace, SRPTMSCScheduler(), 12, seed=5).run()
-    b = SimulationEngine(small_online_trace, SRPTMSCScheduler(), 12, seed=5).run()
+    a = SimulationEngine(small_online_trace, make_scheduler("SRPTMS+C"), 12, seed=5).run()
+    b = SimulationEngine(small_online_trace, make_scheduler("SRPTMS+C"), 12, seed=5).run()
     assert [r.completion_time for r in a.records] == [
         r.completion_time for r in b.records
     ]
@@ -126,9 +117,9 @@ def test_results_identical_for_identical_seeds(small_online_trace):
 
 def test_larger_cluster_does_not_hurt(small_online_trace):
     small = SimulationEngine(
-        small_online_trace, SRPTMSCScheduler(), num_machines=6, seed=3
+        small_online_trace, make_scheduler("SRPTMS+C"), num_machines=6, seed=3
     ).run()
     large = SimulationEngine(
-        small_online_trace, SRPTMSCScheduler(), num_machines=30, seed=3
+        small_online_trace, make_scheduler("SRPTMS+C"), num_machines=30, seed=3
     ).run()
     assert large.mean_flowtime <= small.mean_flowtime * 1.05

@@ -11,10 +11,10 @@ of the task lists reports.
 
 from __future__ import annotations
 
-from repro.core.srptms_c import SRPTMSCScheduler
+from repro.policies import make_scheduler
 from repro.scenarios import MachineFailures, ScenarioSpec
-from repro.schedulers.fair import FairScheduler
 from repro.simulation import run_simulation
+from repro.simulation.scheduler_api import ComposedScheduler
 from repro.workload.generators import poisson_trace
 from repro.workload.job import Job, Phase
 
@@ -58,8 +58,8 @@ def counter_values(job: Job) -> dict:
     }
 
 
-class CheckingScheduler(SRPTMSCScheduler):
-    """SRPTMS+C that cross-checks every alive job's counters per decision."""
+class CheckingScheduler(ComposedScheduler):
+    """A composition that cross-checks every alive job's counters per decision."""
 
     checked = 0
 
@@ -72,23 +72,11 @@ class CheckingScheduler(SRPTMSCScheduler):
         return super().schedule(view)
 
 
-class CheckingFair(FairScheduler):
-    """Fair scheduler variant of the cross-check (single-copy path)."""
-
-    checked = 0
-
-    def schedule(self, view):
-        for job in view.alive_jobs:
-            assert counter_values(job) == scanned_counters(job)
-            type(self).checked += 1
-        return super().schedule(view)
-
-
 def test_counters_match_scans_throughout_a_cloning_run():
     CheckingScheduler.checked = 0
     trace = poisson_trace(40, 0.8, seed=11)
     result = run_simulation(
-        trace, CheckingScheduler(epsilon=0.6, r=3.0), 24, seed=4
+        trace, CheckingScheduler("srpt", "share", "clone", epsilon=0.6, r=3.0), 24, seed=4
     )
     assert result.num_jobs == 40
     assert CheckingScheduler.checked > 100
@@ -96,15 +84,16 @@ def test_counters_match_scans_throughout_a_cloning_run():
 
 def test_counters_match_scans_under_machine_failures():
     """Failure kills revert tasks to unscheduled -- the trickiest transition."""
-    CheckingFair.checked = 0
+    CheckingScheduler.checked = 0
     trace = poisson_trace(25, 0.5, seed=2)
     scenario = ScenarioSpec(
         failures=MachineFailures(rate=2e-3, mean_repair=20.0)
     )
-    result = run_simulation(trace, CheckingFair(), 12, seed=6, scenario=scenario)
+    scheduler = CheckingScheduler("fair", "greedy", "none")  # the single-copy path
+    result = run_simulation(trace, scheduler, 12, seed=6, scenario=scenario)
     assert result.num_jobs == 25
     assert result.machine_failures > 0
-    assert CheckingFair.checked > 50
+    assert CheckingScheduler.checked > 50
 
 
 def test_recount_is_idempotent_after_a_run():
@@ -113,7 +102,7 @@ def test_recount_is_idempotent_after_a_run():
 
     trace = poisson_trace(30, 0.8, seed=7)
     engine = SimulationEngine(
-        trace, SRPTMSCScheduler(epsilon=0.6, r=3.0), 16, seed=3
+        trace, make_scheduler("SRPTMS+C", epsilon=0.6, r=3.0), 16, seed=3
     )
     engine.run()
     for job in engine._jobs:

@@ -11,8 +11,8 @@ end one of two ways:
 
 The knobs come from the schema itself, never from a list kept here: the
 study's scalar fields and seeds, the scenario table keys, the google, bulk
-and stream-factory workload keys, and the constructor keywords of every
-named scheduler.  A knob added to any of them is covered without editing
+and stream-factory workload keys, and the keywords of every named
+scheduler in the scheduler registry.  A knob added to any of them is covered without editing
 this file.  The cases are an explicit parametrization, so the test is
 deterministic.
 """
@@ -28,6 +28,7 @@ import pytest
 
 from repro.checks import MAX_REAL, check_count, check_range, check_real
 from repro.experiments import ExperimentConfig
+from repro.policies import NAMED_SCHEDULERS
 from repro.scenarios import ZipfSpeeds
 from repro.study import STREAM_FACTORIES, StudySpecError, study_from_dict
 from repro.study import core as study_core
@@ -98,11 +99,6 @@ def _study(**overrides: Any) -> Dict[str, Any]:
     return {"study": table}
 
 
-def _scheduler_class(name: str) -> type:
-    [spec] = study_from_dict(_study(schedulers=[name])).compile()
-    return spec.scheduler.scheduler_cls
-
-
 def _cases() -> List[Any]:
     cases: List[Any] = []
 
@@ -146,8 +142,8 @@ def _cases() -> List[Any]:
                 workloads=[{"kind": "stream", "factory": f, **b, k: v}]))
 
     # Every named scheduler's number keywords.
-    for name in study_core.SCHEDULER_NAMES:
-        for knob in _number_knobs(_scheduler_class(name).__init__):
+    for name, entry in NAMED_SCHEDULERS.items():
+        for knob in _number_knobs(entry.build):
             add(f"scheduler.{name}", knob,
                 lambda v, n=name, k=knob: _study(schedulers=[{"name": n, k: v}]))
     return cases

@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.srptms_c import SRPTMSCScheduler
 from repro.simulation.metrics import JobRecord, SimulationResult
 from repro.simulation import run_replications, run_simulation
-from repro.schedulers.fifo import FIFOScheduler
+from repro.policies import make_scheduler
 
 
 def record(job_id=0, arrival=0.0, completion=10.0, weight=1.0, maps=2, reduces=1,
@@ -104,7 +103,7 @@ class TestSimulationResult:
 class TestRunner:
     def test_run_simulation_fills_runtime_and_seed(self, deterministic_online_trace):
         result = run_simulation(
-            deterministic_online_trace, FIFOScheduler(), num_machines=6, seed=3
+            deterministic_online_trace, make_scheduler("FIFO"), num_machines=6, seed=3
         )
         assert result.num_jobs == deterministic_online_trace.num_jobs
         assert result.runtime_seconds > 0
@@ -113,7 +112,7 @@ class TestRunner:
     def test_run_replications_aggregates(self, small_online_trace):
         replicated = run_replications(
             small_online_trace,
-            lambda: SRPTMSCScheduler(epsilon=0.6, r=1.0),
+            lambda: make_scheduler("SRPTMS+C", epsilon=0.6, r=1.0),
             num_machines=20,
             seeds=(0, 1, 2),
         )
@@ -127,7 +126,7 @@ class TestRunner:
     def test_replicated_cdf_averages_curves(self, small_online_trace):
         replicated = run_replications(
             small_online_trace,
-            lambda: FIFOScheduler(),
+            lambda: make_scheduler("FIFO"),
             num_machines=20,
             seeds=(0, 1),
         )
@@ -139,12 +138,12 @@ class TestRunner:
     def test_replications_require_seeds(self, small_online_trace):
         with pytest.raises(ValueError):
             run_replications(
-                small_online_trace, lambda: FIFOScheduler(), 10, seeds=()
+                small_online_trace, lambda: make_scheduler("FIFO"), 10, seeds=()
             )
 
     def test_summary_keys(self, small_online_trace):
         replicated = run_replications(
-            small_online_trace, lambda: FIFOScheduler(), 20, seeds=(0,)
+            small_online_trace, lambda: make_scheduler("FIFO"), 20, seeds=(0,)
         )
         summary = replicated.summary()
         assert {"scheduler", "replications", "mean_flowtime",

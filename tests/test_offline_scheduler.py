@@ -1,11 +1,11 @@
-"""Tests for the paper's offline Algorithm 1 (OfflineSRPTScheduler)."""
+"""Tests for the paper's offline Algorithm 1 (OfflineScheduler)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.theory import offline_bound_check
-from repro.core.offline import OfflineSRPTScheduler
+from repro.core.offline import OfflineScheduler
 from repro.simulation import run_simulation
 from repro.workload.generators import bulk_arrival_trace
 
@@ -15,7 +15,7 @@ class TestPriorityOrdering:
         # Equal weights: SRPT priority = 1/phi, so the smallest job finishes
         # first under bulk arrival when machines are scarce.
         trace = bulk_arrival_trace([2, 6, 20], mean_duration=10.0, cv=0.0)
-        result = run_simulation(trace, OfflineSRPTScheduler(), num_machines=4)
+        result = run_simulation(trace, OfflineScheduler(), num_machines=4)
         by_job = {record.job_id: record.flowtime for record in result.records}
         assert by_job[0] < by_job[1] < by_job[2]
 
@@ -25,13 +25,13 @@ class TestPriorityOrdering:
         trace = bulk_arrival_trace(
             [2, 20], mean_duration=10.0, cv=0.0, weights=[1.0, 100.0]
         )
-        result = run_simulation(trace, OfflineSRPTScheduler(), num_machines=2)
+        result = run_simulation(trace, OfflineScheduler(), num_machines=2)
         by_job = {record.job_id: record.completion_time for record in result.records}
         assert by_job[1] < by_job[0]
 
     def test_no_cloning_is_performed(self):
         trace = bulk_arrival_trace([4, 8], mean_duration=10.0, cv=0.3)
-        result = run_simulation(trace, OfflineSRPTScheduler(), num_machines=30)
+        result = run_simulation(trace, OfflineScheduler(), num_machines=30)
         assert result.cloning_ratio == pytest.approx(1.0)
         assert result.wasted_work == 0.0
 
@@ -50,21 +50,21 @@ class TestPriorityOrdering:
                         num_reduce_tasks=0, map_duration=LogNormal(10.0, 8.0),
                         reduce_duration=LogNormal(10.0, 8.0))
         trace = Trace([stable, noisy])
-        scheduler = OfflineSRPTScheduler(r=3.0)
+        scheduler = OfflineScheduler(r=3.0)
         result = run_simulation(trace, scheduler, num_machines=1, seed=0)
         by_job = {record.job_id: record.completion_time for record in result.records}
         assert by_job[0] < by_job[1]
 
     def test_invalid_r(self):
         with pytest.raises(ValueError):
-            OfflineSRPTScheduler(r=-1.0)
+            OfflineScheduler(r=-1.0)
 
 
 class TestParkingBehaviour:
     def test_parking_disabled_never_blocks_machines(self):
         trace = bulk_arrival_trace([6], mean_duration=10.0, cv=0.0,
                                    reduce_fraction=0.5)
-        scheduler = OfflineSRPTScheduler(park_reduce_tasks=False)
+        scheduler = OfflineScheduler(park_reduce_tasks=False)
         result = run_simulation(trace, scheduler, num_machines=10, seed=0)
         # 3 maps in parallel (10 s) then 3 reduces in parallel (10 s) = 20 s.
         assert result.records[0].flowtime == pytest.approx(20.0)
@@ -73,7 +73,7 @@ class TestParkingBehaviour:
         trace = bulk_arrival_trace([6], mean_duration=10.0, cv=0.0,
                                    reduce_fraction=0.5)
         parked = run_simulation(
-            trace, OfflineSRPTScheduler(park_reduce_tasks=True), num_machines=10
+            trace, OfflineScheduler(park_reduce_tasks=True), num_machines=10
         )
         assert parked.records[0].flowtime == pytest.approx(20.0)
 
@@ -82,10 +82,10 @@ class TestParkingBehaviour:
         trace = bulk_arrival_trace([4, 4], mean_duration=10.0, cv=0.0,
                                    reduce_fraction=0.5)
         parked = run_simulation(
-            trace, OfflineSRPTScheduler(park_reduce_tasks=True), num_machines=4
+            trace, OfflineScheduler(park_reduce_tasks=True), num_machines=4
         )
         unparked = run_simulation(
-            trace, OfflineSRPTScheduler(park_reduce_tasks=False), num_machines=4
+            trace, OfflineScheduler(park_reduce_tasks=False), num_machines=4
         )
         assert unparked.total_flowtime <= parked.total_flowtime
 
@@ -111,7 +111,7 @@ class TestParkingBehaviour:
         tiny = JobSpec(job_id=1, arrival_time=7.0, weight=1.0, num_map_tasks=1,
                        num_reduce_tasks=0, map_duration=Deterministic(1.0),
                        reduce_duration=Deterministic(1.0))
-        scheduler = OfflineSRPTScheduler(park_reduce_tasks=park_reduce_tasks)
+        scheduler = OfflineScheduler(park_reduce_tasks=park_reduce_tasks)
         engine = SimulationEngine(Trace([chain, tiny]), scheduler, num_machines=6)
         result = engine.run()
         assert {r.job_id: r.flowtime for r in result.records} == {0: 15.0, 1: 1.0}
@@ -136,7 +136,7 @@ class TestTheoremValidation:
         trace = bulk_arrival_trace(
             [2, 3, 5, 8, 12, 20, 30], mean_duration=10.0, cv=0.0
         )
-        result = run_simulation(trace, OfflineSRPTScheduler(), num_machines=10)
+        result = run_simulation(trace, OfflineScheduler(), num_machines=10)
         report = offline_bound_check(result, trace, num_machines=10, r=0.0)
         assert report.fraction_satisfying_bound == 1.0
         assert report.empirical_competitive_ratio <= 2.0
@@ -146,7 +146,7 @@ class TestTheoremValidation:
             [2, 3, 5, 8, 12, 20, 30], mean_duration=10.0, cv=0.3
         )
         result = run_simulation(
-            trace, OfflineSRPTScheduler(r=3.0), num_machines=10, seed=1
+            trace, OfflineScheduler(r=3.0), num_machines=10, seed=1
         )
         report = offline_bound_check(result, trace, num_machines=10, r=3.0)
         assert report.fraction_satisfying_bound >= report.theoretical_probability

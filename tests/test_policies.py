@@ -1,21 +1,21 @@
 """The policy kernel: gating, compositions, bit-identity, redundancy counter.
 
-The heart of this suite is the bit-identity contract: every legacy
-scheduler name maps to an ordering x allocation x redundancy composition
-(:data:`repro.policies.NAMED_COMPOSITIONS`), and running the legacy class
-and an explicitly composed :class:`ComposedScheduler` over the same spec
-produces byte-identical :class:`SimulationResult`s -- serially, on a
-process pool, and under adversity scenarios.
+The heart of this suite is the bit-identity contract: every named
+scheduler maps to an ordering x allocation x redundancy composition
+(:data:`repro.policies.NAMED_COMPOSITIONS`), and running the named
+scheduler and its plain composition triple over the same spec produces
+byte-identical :class:`SimulationResult`s -- serially, on a process pool,
+and under adversity scenarios.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from repro.core.srptms_c import SRPTMSCScheduler
 from repro.policies import (
     ALLOCATION_POLICIES,
     NAMED_COMPOSITIONS,
@@ -33,18 +33,11 @@ from repro.policies import (
     make_allocation,
     make_ordering,
     make_redundancy,
+    make_scheduler,
     parse_composition,
     schedulable_jobs,
 )
 from repro.scenarios import BimodalSpeeds, ScenarioSpec, scenario_preset
-from repro.schedulers import (
-    FairScheduler,
-    FIFOScheduler,
-    LATEScheduler,
-    MantriScheduler,
-    SCAScheduler,
-    SRPTScheduler,
-)
 from repro.simulation import (
     ExperimentRunner,
     RunSpec,
@@ -59,36 +52,27 @@ from repro.workload.distributions import Deterministic, LogNormal
 from repro.workload.trace import Trace
 
 
-#: Legacy scheduler name -> (legacy kwargs, composed kwargs).  The composed
-#: side pins the legacy result-table name so the fingerprints (which include
+#: Composition key -> (named scheduler spec, triple kwargs).  The triple
+#: side pins the named result-table name so the fingerprints (which include
 #: ``scheduler_name``) are comparable bit for bit.
 LEGACY_EQUIVALENTS = {
-    "fifo": (SchedulerSpec(FIFOScheduler), {"name": "FIFO"}),
-    "fair": (SchedulerSpec(FairScheduler), {"name": "Fair"}),
-    "srpt": (SchedulerSpec(SRPTScheduler, {"r": 2.0}), {"r": 2.0, "name": "SRPT"}),
-    "sca": (SchedulerSpec(SCAScheduler), {"name": "SCA"}),
-    "late": (SchedulerSpec(LATEScheduler), {"name": "LATE"}),
-    "mantri": (SchedulerSpec(MantriScheduler), {"name": "Mantri"}),
+    "fifo": (SchedulerSpec("FIFO"), {"name": "FIFO"}),
+    "fair": (SchedulerSpec("Fair"), {"name": "Fair"}),
+    "srpt": (SchedulerSpec("SRPT", {"r": 2.0}), {"r": 2.0, "name": "SRPT"}),
+    "sca": (SchedulerSpec("SCA"), {"name": "SCA"}),
+    "late": (SchedulerSpec("LATE"), {"name": "LATE"}),
+    "mantri": (SchedulerSpec("Mantri"), {"name": "Mantri"}),
     "srptms_c": (
-        SchedulerSpec(SRPTMSCScheduler, {"epsilon": 0.6, "r": 3.0}),
+        SchedulerSpec("SRPTMS+C", {"epsilon": 0.6, "r": 3.0}),
         {"epsilon": 0.6, "r": 3.0, "name": "SRPTMS+C"},
     ),
 }
 
 
 def composed_spec(legacy_name: str) -> SchedulerSpec:
-    """The ComposedScheduler spec equivalent to one legacy scheduler name."""
-    ordering, allocation, redundancy = NAMED_COMPOSITIONS[legacy_name]
+    """The composition-triple spec equivalent to one named scheduler."""
     _, kwargs = LEGACY_EQUIVALENTS[legacy_name]
-    return SchedulerSpec(
-        ComposedScheduler,
-        {
-            "ordering": ordering,
-            "allocation": allocation,
-            "redundancy": redundancy,
-            **kwargs,
-        },
-    )
+    return SchedulerSpec(composition_label(*NAMED_COMPOSITIONS[legacy_name]), kwargs)
 
 
 SCENARIOS = {
@@ -205,7 +189,7 @@ class TestRedundantCopiesCounter:
                 )
             ]
         )
-        scheduler = MantriScheduler(delta=0.25, tick_interval=2.0, min_samples=3)
+        scheduler = make_scheduler("Mantri", delta=0.25, tick_interval=2.0, min_samples=3)
         result = run_simulation(
             trace,
             scheduler,
@@ -218,13 +202,13 @@ class TestRedundantCopiesCounter:
         assert result.redundant_copies_launched > 0
         assert (
             result.redundant_copies_launched
-            == scheduler.speculative_copies_launched
+            == scheduler.redundancy.copies_launched
         )
 
     def test_cloning_schedulers_count_clones(self, small_online_trace):
         result = run_simulation(
             small_online_trace,
-            SRPTMSCScheduler(epsilon=0.6, r=3.0),
+            make_scheduler("SRPTMS+C", epsilon=0.6, r=3.0),
             num_machines=12,
             seed=0,
         )
@@ -237,7 +221,7 @@ class TestRedundantCopiesCounter:
 
     def test_counter_in_summary_and_canonical_dict(self, small_online_trace):
         result = run_simulation(
-            small_online_trace, FIFOScheduler(), num_machines=12, seed=0
+            small_online_trace, make_scheduler("FIFO"), num_machines=12, seed=0
         )
         assert result.summary()["redundant_copies_launched"] == 0
         assert result.canonical_dict()["redundant_copies_launched"] == 0
@@ -367,7 +351,7 @@ class TestRedundancyKnobValidation:
             pytest.param(lambda v: MantriSpeculation(min_samples=v),
                          id="mantri-min-samples"),
             pytest.param(lambda v: PaperCloning(max_copies_per_task=v), id="clone-cap"),
-            pytest.param(lambda v: SRPTMSCScheduler(max_copies_per_task=v),
+            pytest.param(lambda v: make_scheduler("SRPTMS+C", max_copies_per_task=v),
                          id="srptms-c-cap"),
             pytest.param(lambda v: SCACloning(max_copies_per_task=v), id="sca-cap"),
         ],
@@ -448,9 +432,21 @@ class TestComposedGrid:
         assert len(specs) == 3
         # Triples consume the study's epsilon/r like SRPTMS+C does.
         composed = specs[2].scheduler
-        assert composed.scheduler_cls is ComposedScheduler
+        assert composed.name == "fifo+share+clone"
         assert composed.kwargs["epsilon"] == study.epsilon
         assert composed.kwargs["r"] == study.r
+
+    @pytest.mark.parametrize(
+        "name, knob",
+        [("FIFO", "epsilon"), ("Mantri", "seed"), ("srpt+greedy+late", "ordering")],
+    )
+    def test_an_unknown_keyword_names_the_scheduler(self, name, knob):
+        with pytest.raises(TypeError, match=f"scheduler '{re.escape(name)}' takes no keyword {knob}"):
+            make_scheduler(name, **{knob: 1})
+        with pytest.raises(TypeError, match=knob):
+            study_from_toml(
+                f'[study]\nname = "k"\nschedulers = [{{ name = "{name}", {knob} = 1 }}]\n'
+            ).compile()
 
     def test_study_axis_rejects_unknown_triples(self):
         from repro.study import Study

@@ -11,10 +11,9 @@ from repro.core.allocation import fractional_shares, ranked_shares
 from repro.core.bounds import theorem1_probability, lemma1_probability
 from repro.core.effective_workload import accumulated_higher_priority_workload
 from repro.core.speedup import LogSpeedup, ParetoSpeedup, PowerSpeedup
-from repro.core.srptms_c import SRPTMSCScheduler
 from repro.policies.redundancy import CheckpointRedundancy
 from repro.scenarios import MachineFailures, ScenarioSpec, TopologySpec
-from repro.schedulers.fifo import FIFOScheduler
+from repro.policies import make_scheduler
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.scheduler_api import ComposedScheduler
 from repro.workload.distributions import BoundedPareto, Deterministic, LogNormal
@@ -208,7 +207,7 @@ class TestSimulationProperties:
                                                        use_srptms, seed):
         trace = Trace(specs)
         scheduler = (
-            SRPTMSCScheduler(epsilon=0.6, r=1.0) if use_srptms else FIFOScheduler()
+            make_scheduler("SRPTMS+C", epsilon=0.6, r=1.0) if use_srptms else make_scheduler("FIFO")
         )
         engine = SimulationEngine(trace, scheduler, num_machines=machines,
                                   seed=seed, check_invariants=True)

@@ -202,6 +202,9 @@ def workload(name):
 
 
 WORKLOADS = ("google", "poisson", "chain", "diamond")
+#: Far beyond every run below: a lost decision fails the run instead of
+#: ticking forever (the LATE cells tick every 2 s).
+MAX_TIME = 1e6
 #: A short delay-scheduling wait, so deferred tasks do launch remotely.
 LOCALITY_WAIT = 2.0
 SCENARIOS = {
@@ -227,7 +230,7 @@ def _run(allocation, ordering, redundancy, early, name, scenario):
     )
     return run_simulation(
         trace, scheduler, num_machines=machines, seed=5,
-        scenario=SCENARIOS[scenario], check_invariants=True,
+        scenario=SCENARIOS[scenario], max_time=MAX_TIME, check_invariants=True,
     )
 
 
@@ -279,5 +282,5 @@ def test_every_allocation_ranks_psi_only(allocation, scenario, early):
     scheduler.ordering = RecordingOrdering(scheduler.ordering, early)
     trace, machines = workload("poisson")
     run_simulation(trace, scheduler, num_machines=machines, seed=5,
-                   scenario=SCENARIOS[scenario])
+                   scenario=SCENARIOS[scenario], max_time=MAX_TIME)
     assert scheduler.ordering.ranked > 0

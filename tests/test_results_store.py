@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.cluster.stragglers import DynamicStragglers
-from repro.core.srptms_c import SRPTMSCScheduler
 from repro.scenarios import (
     BimodalSpeeds,
     MachineFailures,
@@ -16,7 +15,7 @@ from repro.scenarios import (
     TopologySpec,
     UniformSpeeds,
 )
-from repro.schedulers.fifo import FIFOScheduler
+from repro.policies import make_scheduler
 from repro.simulation import (
     ExperimentRunner,
     ResultsStore,
@@ -36,7 +35,7 @@ def make_spec(**overrides) -> RunSpec:
         trace=TraceSpec(factory=poisson_trace, kwargs={"num_jobs": 40,
                                                        "arrival_rate": 1.0,
                                                        "seed": 5}),
-        scheduler=SchedulerSpec(SRPTMSCScheduler, {"epsilon": 0.6, "r": 3.0}),
+        scheduler=SchedulerSpec("SRPTMS+C", {"epsilon": 0.6, "r": 3.0}),
         num_machines=16,
         seed=7,
     )
@@ -55,9 +54,8 @@ class TestFingerprint:
             {"num_machines": 17},
             {"machine_speed": 1.5},
             {"max_time": 1e6},
-            {"scheduler": SchedulerSpec(SRPTMSCScheduler,
-                                        {"epsilon": 0.61, "r": 3.0})},
-            {"scheduler": SchedulerSpec(FIFOScheduler)},
+            {"scheduler": SchedulerSpec("SRPTMS+C", {"epsilon": 0.61, "r": 3.0})},
+            {"scheduler": SchedulerSpec("FIFO")},
             {"trace": TraceSpec(factory=poisson_trace,
                                 kwargs={"num_jobs": 40, "arrival_rate": 1.0,
                                         "seed": 6})},
@@ -124,14 +122,14 @@ class TestFingerprint:
         )
 
     def test_lambdas_are_uncacheable(self):
-        spec = make_spec(scheduler=lambda: FIFOScheduler())
+        spec = make_spec(scheduler=lambda: make_scheduler("FIFO"))
         with pytest.raises(UncacheableSpecError):
             run_spec_fingerprint(spec)
 
     def test_canonical_description_text_is_pinned(self):
         """Every key line of a fully populated spec, byte for byte: field
-        order, float rendering and the constant ``straggler_factory=None``
-        line cannot drift without rotating every stored key."""
+        order, float rendering and the scheduler's registry name cannot
+        drift without rotating every stored key."""
         spec = make_spec(
             machine_speed=1.5,
             max_time=1e6,
@@ -146,17 +144,15 @@ class TestFingerprint:
             ),
         )
         assert canonical_spec_description(spec).splitlines() == [
-            "format=4",
+            "format=5",
             "trace=repro.simulation.experiment_runner.TraceSpec("
             "factory=function:repro.workload.generators.poisson_trace, "
             "kwargs={'arrival_rate': 1.0, 'num_jobs': 40, 'seed': 5})",
             "scheduler=repro.simulation.experiment_runner.SchedulerSpec("
-            "scheduler_cls=class:repro.core.srptms_c.SRPTMSCScheduler, "
-            "kwargs={'epsilon': 0.6, 'r': 3.0})",
+            "name='SRPTMS+C', kwargs={'epsilon': 0.6, 'r': 3.0})",
             "num_machines=16",
             "seed=7",
             "machine_speed=1.5",
-            "straggler_factory=None",
             "scenario=repro.scenarios.ScenarioSpec("
             "speeds=repro.scenarios.BimodalSpeeds("
             "slow_fraction=0.25, slow_speed=0.25, fast_speed=1.0), "
@@ -169,7 +165,7 @@ class TestFingerprint:
             "max_time=1000000.0",
         ]
         assert run_spec_fingerprint(spec) == (
-            "c3b19325574d86ec0d02a4170ed41b2520f9982737a90097cd31449ab1810b41"
+            "bbf582c1250d5cd934f4860a233f41d5cdf8946e6cf1685130014c772c127034"
         )
 
 
@@ -233,7 +229,7 @@ class TestResultsStore:
         rebuilt with silently-defaulted fields."""
         from repro.simulation.results_store import FORMAT_VERSION
 
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
         store = ResultsStore(tmp_path)
         spec = make_spec()
         key = run_spec_fingerprint(spec)
@@ -288,7 +284,8 @@ class TestResultsStore:
         assert store.load(key) is None
         assert store.corrupt == 1 and store.misses == 1 and store.hits == 0
 
-        # A cached runner recomputes the cell and heals it to v4.
+        # A cached runner recomputes the cell and heals it to the current
+        # format.
         runner = ExperimentRunner(workers=1, store=store)
         (recomputed,) = runner.run([spec])
         assert runner.last_run_stats["executed"] == 1
@@ -338,7 +335,7 @@ class TestCachedRunner:
 
     def test_uncacheable_specs_bypass_the_cache(self, tmp_path):
         runner = ExperimentRunner(workers=1, cache_dir=tmp_path)
-        spec = make_spec(scheduler=lambda: FIFOScheduler())
+        spec = make_spec(scheduler=lambda: make_scheduler("FIFO"))
         for _ in range(2):
             (result,) = runner.run([spec])
             assert result.num_jobs == 40

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.simulation import ExperimentRunner, RunSpec, SchedulerSpec
-from repro.schedulers.fifo import FIFOScheduler
 from repro.workload.distributions import (
     BoundedPareto,
     Deterministic,
@@ -134,7 +133,7 @@ _STREAM_CASES = [
 def test_engine_batched_sampling_identical_serial_vs_pooled(spec):
     run = RunSpec(
         trace=spec,
-        scheduler=SchedulerSpec(FIFOScheduler),
+        scheduler=SchedulerSpec("FIFO"),
         num_machines=8,
         seed=3,
     )

@@ -30,7 +30,7 @@ from repro.scenarios import (
     scenario_preset,
     speed_rng,
 )
-from repro.schedulers import LATEScheduler, MantriScheduler, SCAScheduler
+from repro.policies import make_scheduler
 from repro.simulation.engine import SimulationEngine, SimulationError
 from repro.simulation.events import Event
 from repro.simulation.experiment_runner import ExperimentRunner, RunSpec, SchedulerSpec
@@ -334,7 +334,7 @@ class TestMachineFailures:
         )
         result = run_simulation(
             trace,
-            SCAScheduler(),
+            make_scheduler("SCA"),
             6,
             seed=4,
             scenario=scenario,
@@ -350,11 +350,11 @@ class TestScenarioDeterminism:
     @pytest.mark.parametrize(
         "scheduler_spec",
         [
-            SchedulerSpec(SCAScheduler),
-            SchedulerSpec(LATEScheduler),
-            SchedulerSpec(MantriScheduler),
+            SchedulerSpec("SCA"),
+            SchedulerSpec("LATE"),
+            SchedulerSpec("Mantri"),
         ],
-        ids=lambda s: s.scheduler_cls.__name__,
+        ids=lambda s: s.name,
     )
     def test_pooled_matches_serial(
         self, scenario_name, scheduler_spec, small_online_trace
@@ -377,7 +377,7 @@ class TestScenarioDeterminism:
     def test_scenario_run_spec_pickles(self, small_online_trace):
         spec = RunSpec(
             trace=small_online_trace,
-            scheduler=SchedulerSpec(SCAScheduler),
+            scheduler=SchedulerSpec("SCA"),
             num_machines=8,
             seed=1,
             scenario=DETERMINISM_SCENARIOS["failures"],
@@ -389,7 +389,7 @@ class TestScenarioDeterminism:
         with pytest.raises(TypeError):
             RunSpec(
                 trace=small_online_trace,
-                scheduler=SchedulerSpec(SCAScheduler),
+                scheduler=SchedulerSpec("SCA"),
                 num_machines=4,
                 scenario="hostile",
             )

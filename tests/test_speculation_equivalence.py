@@ -184,6 +184,10 @@ class ReferenceMantri(MantriSpeculation):
 
 # ------------------------------------------------------------------ cases
 
+#: Far beyond every run below: an engine fault that loses a decision fails
+#: the run instead of ticking forever.
+MAX_TIME = 1e6
+
 #: Policy parameters of every case: a short tick and a generous cap make
 #: the small traces speculate often.
 LATE_KWARGS = {"speculative_cap": 0.5, "tick_interval": 1.0}
@@ -256,7 +260,7 @@ def _run(policy, ordering, scenario, seed, shape="two-phase", **options):
     scheduler = ComposedScheduler(ordering, "greedy", policy, **options)
     return run_simulation(
         trace, scheduler, num_machines=machines, seed=seed,
-        scenario=SCENARIOS[scenario], check_invariants=True,
+        scenario=SCENARIOS[scenario], max_time=MAX_TIME, check_invariants=True,
     )
 
 

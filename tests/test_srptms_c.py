@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.srptms_c import SRPTMSCScheduler
+from repro.policies import make_scheduler
 from repro.simulation.engine import SimulationEngine
 from repro.simulation import run_simulation
 from repro.workload.distributions import Deterministic, LogNormal
@@ -34,19 +34,19 @@ class TestConstruction:
     @pytest.mark.parametrize("epsilon", [0.0, -0.1, 1.5])
     def test_invalid_epsilon(self, epsilon):
         with pytest.raises(ValueError):
-            SRPTMSCScheduler(epsilon=epsilon)
+            make_scheduler("SRPTMS+C", epsilon=epsilon)
 
     def test_invalid_r(self):
         with pytest.raises(ValueError):
-            SRPTMSCScheduler(r=-1.0)
+            make_scheduler("SRPTMS+C", r=-1.0)
 
     def test_invalid_copy_cap(self):
         with pytest.raises(ValueError):
-            SRPTMSCScheduler(max_copies_per_task=-1)
+            make_scheduler("SRPTMS+C", max_copies_per_task=-1)
 
     def test_name_reflects_cloning_switch(self):
-        assert SRPTMSCScheduler().name == "SRPTMS+C"
-        assert SRPTMSCScheduler(cloning_enabled=False).name == "SRPTMS"
+        assert make_scheduler("SRPTMS+C").name == "SRPTMS+C"
+        assert make_scheduler("SRPTMS+C", cloning_enabled=False).name == "SRPTMS"
 
 
 class TestCloningBehaviour:
@@ -54,7 +54,7 @@ class TestCloningBehaviour:
         # One alive job owns the whole cluster; with 8 machines and 3 tasks it
         # should clone tasks so that all 8 machines are used.
         trace = single_job_trace(maps=3, reduces=0)
-        engine = SimulationEngine(trace, SRPTMSCScheduler(epsilon=0.6, r=0.0),
+        engine = SimulationEngine(trace, make_scheduler("SRPTMS+C", epsilon=0.6, r=0.0),
                                   num_machines=8)
         result = engine.run()
         assert result.total_copies == 8
@@ -62,14 +62,14 @@ class TestCloningBehaviour:
 
     def test_cloning_disabled_launches_single_copies(self):
         trace = single_job_trace(maps=3, reduces=0)
-        scheduler = SRPTMSCScheduler(epsilon=0.6, r=0.0, cloning_enabled=False)
+        scheduler = make_scheduler("SRPTMS+C", epsilon=0.6, r=0.0, cloning_enabled=False)
         result = run_simulation(trace, scheduler, num_machines=8)
         assert result.total_copies == 3
         assert result.cloning_ratio == pytest.approx(1.0)
 
     def test_copy_cap_limits_clones(self):
         trace = single_job_trace(maps=2, reduces=0)
-        scheduler = SRPTMSCScheduler(epsilon=0.6, r=0.0, max_copies_per_task=2)
+        scheduler = make_scheduler("SRPTMS+C", epsilon=0.6, r=0.0, max_copies_per_task=2)
         result = run_simulation(trace, scheduler, num_machines=10)
         assert result.total_copies <= 4
 
@@ -78,7 +78,7 @@ class TestCloningBehaviour:
         # run as single copies because pending tasks exceed the allocation;
         # only the final 2-task wave is cloned to fill the 4 machines.
         trace = single_job_trace(maps=10, reduces=0)
-        engine = SimulationEngine(trace, SRPTMSCScheduler(epsilon=0.6, r=0.0),
+        engine = SimulationEngine(trace, make_scheduler("SRPTMS+C", epsilon=0.6, r=0.0),
                                   num_machines=4)
         result = engine.run()
         assert result.total_copies == 12
@@ -93,11 +93,11 @@ class TestCloningBehaviour:
         trace = uniform_trace(4, tasks_per_job=4, reduce_tasks_per_job=0,
                               mean_duration=20.0, cv=1.0, inter_arrival=0.0)
         with_clones = run_simulation(
-            trace, SRPTMSCScheduler(epsilon=0.6, r=0.0), num_machines=64, seed=3
+            trace, make_scheduler("SRPTMS+C", epsilon=0.6, r=0.0), num_machines=64, seed=3
         )
         without = run_simulation(
             trace,
-            SRPTMSCScheduler(epsilon=0.6, r=0.0, cloning_enabled=False),
+            make_scheduler("SRPTMS+C", epsilon=0.6, r=0.0, cloning_enabled=False),
             num_machines=64,
             seed=3,
         )
@@ -107,7 +107,7 @@ class TestCloningBehaviour:
 class TestSharingBehaviour:
     def test_reduce_waits_for_map_completion_by_default(self):
         trace = single_job_trace(maps=2, reduces=2)
-        engine = SimulationEngine(trace, SRPTMSCScheduler(epsilon=0.6, r=0.0),
+        engine = SimulationEngine(trace, make_scheduler("SRPTMS+C", epsilon=0.6, r=0.0),
                                   num_machines=8)
         engine.run()
         job = engine._jobs[0]
@@ -118,7 +118,7 @@ class TestSharingBehaviour:
     def test_epsilon_small_prioritises_smallest_job(self):
         # With a tiny epsilon only the highest-priority (smallest) job runs.
         trace = bulk_arrival_trace([2, 20], mean_duration=10.0, cv=0.0)
-        result = run_simulation(trace, SRPTMSCScheduler(epsilon=0.05, r=0.0),
+        result = run_simulation(trace, make_scheduler("SRPTMS+C", epsilon=0.05, r=0.0),
                                 num_machines=4)
         flowtimes = {record.job_id: record.flowtime for record in result.records}
         assert flowtimes[0] < flowtimes[1]
@@ -128,7 +128,7 @@ class TestSharingBehaviour:
         # three quarters of the machines and finishes earlier.
         trace = bulk_arrival_trace([8, 8], mean_duration=10.0, cv=0.0,
                                    weights=[3.0, 1.0])
-        result = run_simulation(trace, SRPTMSCScheduler(epsilon=1.0, r=0.0),
+        result = run_simulation(trace, make_scheduler("SRPTMS+C", epsilon=1.0, r=0.0),
                                 num_machines=4)
         completion = {record.job_id: record.completion_time
                       for record in result.records}
@@ -145,7 +145,7 @@ class TestSharingBehaviour:
                         num_reduce_tasks=0, map_duration=Deterministic(5.0),
                         reduce_duration=Deterministic(5.0))
         trace = Trace([big, small])
-        result = run_simulation(trace, SRPTMSCScheduler(epsilon=0.6, r=0.0),
+        result = run_simulation(trace, make_scheduler("SRPTMS+C", epsilon=0.6, r=0.0),
                                 num_machines=4)
         flowtimes = {record.job_id: record.flowtime for record in result.records}
         # The small job waits for the big job's 30 s tasks, then runs 5 s.
@@ -154,13 +154,13 @@ class TestSharingBehaviour:
 
     def test_never_over_requests(self, small_online_trace):
         result = run_simulation(small_online_trace,
-                                SRPTMSCScheduler(epsilon=0.6, r=3.0),
+                                make_scheduler("SRPTMS+C", epsilon=0.6, r=3.0),
                                 num_machines=16, seed=2)
         assert result.over_requests == 0
 
     def test_all_jobs_complete_under_scarce_machines(self, small_online_trace):
         result = run_simulation(small_online_trace,
-                                SRPTMSCScheduler(epsilon=0.6, r=3.0),
+                                make_scheduler("SRPTMS+C", epsilon=0.6, r=3.0),
                                 num_machines=4, seed=2)
         assert result.num_jobs == small_online_trace.num_jobs
 
@@ -179,7 +179,7 @@ class TestSharingBehaviour:
         trace = Trace([long_map, other])
 
         def reduce_launch_time(park: bool) -> float:
-            scheduler = SRPTMSCScheduler(
+            scheduler = make_scheduler("SRPTMS+C",
                 epsilon=1.0, r=0.0, cloning_enabled=False,
                 schedule_reduce_before_map_completion=park,
             )
@@ -196,13 +196,12 @@ class TestComparisonAgainstSimplePolicies:
     def test_beats_fifo_on_weighted_flowtime(self):
         # Small weighted jobs arriving behind a huge job: SRPTMS+C should
         # easily beat FIFO on the weighted metric.
-        from repro.schedulers.fifo import FIFOScheduler
         from repro.workload.generators import bimodal_trace
 
         trace = bimodal_trace(12, 2, small_tasks=2, large_tasks=60,
                               small_duration=5.0, large_duration=60.0,
                               cv=0.3, horizon=50.0, seed=5)
-        srpt = run_simulation(trace, SRPTMSCScheduler(epsilon=0.6, r=1.0),
+        srpt = run_simulation(trace, make_scheduler("SRPTMS+C", epsilon=0.6, r=1.0),
                               num_machines=20, seed=0)
-        fifo = run_simulation(trace, FIFOScheduler(), num_machines=20, seed=0)
+        fifo = run_simulation(trace, make_scheduler("FIFO"), num_machines=20, seed=0)
         assert srpt.mean_flowtime < fifo.mean_flowtime

@@ -23,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.srptms_c import SRPTMSCScheduler
 from repro.simulation import (
     ResultsStore,
     RunSpec,
@@ -46,7 +45,7 @@ def _spec(seed: int = 7) -> RunSpec:
             factory=poisson_trace,
             kwargs={"num_jobs": 20, "arrival_rate": 1.0, "seed": 5},
         ),
-        scheduler=SchedulerSpec(SRPTMSCScheduler, {"epsilon": 0.6, "r": 3.0}),
+        scheduler=SchedulerSpec("SRPTMS+C", {"epsilon": 0.6, "r": 3.0}),
         num_machines=8,
         seed=seed,
     )
@@ -323,6 +322,27 @@ class TestCacheMaintenance:
         out = capsys.readouterr().out
         assert "removed 1" in out
         assert cache_stats(tmp_path)["entries"] == 2
+
+    def test_a_format_4_entry_is_stale_and_pruned(self, tmp_path, capsys):
+        """Format 5 keys name the registry entry; a format-4 entry never hits."""
+        from repro.cli import main
+
+        paths = self._populate(tmp_path, seeds=(0, 1))
+        entry = json.loads(paths[0].read_text())
+        assert entry["format"] == FORMAT_VERSION == 5
+        assert "SchedulerSpec(name='SRPTMS+C'" in entry["spec"]
+        assert "class:" not in entry["spec"]
+        assert "straggler_factory" not in entry["spec"]
+        entry["format"] = 4
+        paths[0].write_text(json.dumps(entry))
+
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "stale entries:  1" in out and "format 4: 1" in out
+        assert main(["cache", "prune", "--stale", "--cache-dir", str(tmp_path)]) == 0
+        assert "removed 1" in capsys.readouterr().out
+        assert not paths[0].exists() and paths[1].exists()
+        assert cache_stats(tmp_path)["stale"] == 0
 
     def test_cache_cli_prune_requires_stale_flag(self, tmp_path):
         from repro.cli import main

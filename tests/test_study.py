@@ -290,6 +290,37 @@ class TestCompile:
         fingerprints = {run_spec_fingerprint(s) for s in tiny_study().compile()}
         assert len(fingerprints) == tiny_study().num_points()
 
+    def test_a_scheduler_key_holds_only_the_point_parameters_it_reads(self):
+        """A scheduler that does not read epsilon keeps one cache key across
+        an epsilon axis, so a sweep over it runs each of its cells once."""
+        from repro.simulation.results_store import run_spec_fingerprint
+
+        study = tiny_study(
+            schedulers=("SRPTMS+C", "SCA", "LATE", "Offline", "srpt+greedy+late"),
+            axes={"epsilon": (0.4, 0.6, 0.8)},
+        )
+        keys = {}
+        for point in study.points():
+            scheduler = dict(point.coords)["scheduler"]
+            keys.setdefault(scheduler, set()).add(run_spec_fingerprint(point.to_run_spec()))
+        # One key per (epsilon, seed) for the schedulers that read epsilon ...
+        assert len(keys["SRPTMS+C"]) == len(keys["srpt+greedy+late"]) == 3 * 2
+        # ... and one per seed for those that do not (Offline reads r and seed).
+        assert len(keys["SCA"]) == len(keys["LATE"]) == len(keys["Offline"]) == 2
+        assert len(set().union(*keys.values())) == 2 * 6 + 3 * 2
+
+    def test_the_adversity_example_compiles_to_thirty_keys(self):
+        from pathlib import Path
+
+        from repro.simulation.results_store import run_spec_fingerprint
+        from repro.study import load_study
+
+        path = Path(__file__).parent.parent / "examples" / "studies" / "clone_vs_adversity.toml"
+        specs = load_study(path).compile()
+        # SRPTMS+C: 3 scenarios x 3 epsilons x 2 seeds; SCA and LATE: 3 x 2 each.
+        assert len(specs) == 54
+        assert len({run_spec_fingerprint(spec) for spec in specs}) == 18 + 6 + 6
+
 
 class TestExecution:
     def test_serial_and_pooled_are_bit_identical(self):

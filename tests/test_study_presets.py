@@ -48,20 +48,21 @@ DRIVER_NAMES = (
 
 
 #: First 12 hex digits of the sha256 of each preset's concatenated run-spec
-#: fingerprints (its results-cache keys) at scale 0.005, seed 0.
+#: fingerprints (its results-cache keys) at scale 0.005, seed 0, under
+#: results-store format 5 (schedulers keyed by registry name).
 CACHE_KEY_DIGESTS = {
     "table2": "e3b0c44298fc",  # no runs: the digest of the empty string
-    "figure1": "e53b77112cd4",
-    "figure2": "0eabe1643c62",
-    "figure3": "778b7fe0f3fe",
-    "figure4": "70603b338681",
-    "figure5": "70603b338681",
-    "figure6": "70603b338681",
-    "offline-bound": "9625ac219e14",
-    "scenario-sweep": "c98aee4dafce",
-    "policy-grid": "9f42ebc918a1",
-    "dag-redundancy": "a1772fe6cc1f",
-    "locality": "0ae93562953a",
+    "figure1": "fcea52f2d585",
+    "figure2": "c1ba9ab3d44c",
+    "figure3": "29f43f364a3a",
+    "figure4": "122eba6291a3",
+    "figure5": "122eba6291a3",
+    "figure6": "122eba6291a3",
+    "offline-bound": "7be978011f25",
+    "scenario-sweep": "1f2088228698",
+    "policy-grid": "d63189fa8c86",
+    "dag-redundancy": "b86f340f2954",
+    "locality": "d3596c3e3bfc",
 }
 
 
@@ -193,8 +194,6 @@ class TestPresetVsLegacyRecomputation:
 
     def test_figure6_preset_equals_legacy_computation(self, config):
         from repro.analysis.comparison import ComparisonTable
-        from repro.core.srptms_c import SRPTMSCScheduler
-        from repro.schedulers import MantriScheduler, SCAScheduler
         from repro.simulation.experiment_runner import (
             ReplicatedResult,
             SchedulerSpec,
@@ -205,10 +204,10 @@ class TestPresetVsLegacyRecomputation:
         # ReplicatedResults per policy.
         factories = {
             "SRPTMS+C": SchedulerSpec(
-                SRPTMSCScheduler, {"epsilon": config.epsilon, "r": config.r}
+                "SRPTMS+C", {"epsilon": config.epsilon, "r": config.r}
             ),
-            "SCA": SchedulerSpec(SCAScheduler),
-            "Mantri": SchedulerSpec(MantriScheduler),
+            "SCA": SchedulerSpec("SCA"),
+            "Mantri": SchedulerSpec("Mantri"),
         }
         specs = sweep_specs(
             config.trace_source(),

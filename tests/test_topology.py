@@ -27,16 +27,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.srptms_c import SRPTMSCScheduler
 from repro.scenarios import MachineFailures, ScenarioSpec, TopologySpec
-from repro.schedulers import (
-    FIFOScheduler,
-    FairScheduler,
-    LATEScheduler,
-    MantriScheduler,
-    SCAScheduler,
-    SRPTScheduler,
-)
 from repro.simulation.experiment_runner import (
     ExperimentRunner,
     RunSpec,
@@ -44,15 +35,15 @@ from repro.simulation.experiment_runner import (
 )
 from repro.workload.generators import poisson_trace
 
-#: The seven legacy schedulers (the named points of the policy grid).
+#: The seven named schedulers (the named points of the policy grid).
 LEGACY_SCHEDULER_SPECS = (
-    ("SRPTMS+C", SchedulerSpec(SRPTMSCScheduler, {"epsilon": 0.6, "r": 3.0})),
-    ("SCA", SchedulerSpec(SCAScheduler)),
-    ("Mantri", SchedulerSpec(MantriScheduler)),
-    ("LATE", SchedulerSpec(LATEScheduler)),
-    ("SRPT", SchedulerSpec(SRPTScheduler, {"r": 3.0})),
-    ("Fair", SchedulerSpec(FairScheduler)),
-    ("FIFO", SchedulerSpec(FIFOScheduler)),
+    ("SRPTMS+C", SchedulerSpec("SRPTMS+C", {"epsilon": 0.6, "r": 3.0})),
+    ("SCA", SchedulerSpec("SCA")),
+    ("Mantri", SchedulerSpec("Mantri")),
+    ("LATE", SchedulerSpec("LATE")),
+    ("SRPT", SchedulerSpec("SRPT", {"r": 3.0})),
+    ("Fair", SchedulerSpec("Fair")),
+    ("FIFO", SchedulerSpec("FIFO")),
 )
 
 #: Three policy-kernel composition triples riding along -- one per
@@ -92,27 +83,11 @@ MULTI_RACK_SCHEDULER_IDS = (
 )
 
 
-def _composition_spec(triple: str) -> SchedulerSpec:
-    from repro.simulation.scheduler_api import ComposedScheduler
-
-    ordering, allocation, redundancy = triple.split("+")
-    return SchedulerSpec(
-        ComposedScheduler,
-        {
-            "ordering": ordering,
-            "allocation": allocation,
-            "redundancy": redundancy,
-            "epsilon": 0.6,
-            "r": 3.0,
-        },
-    )
-
-
 def _scheduler_spec(name: str) -> SchedulerSpec:
     for legacy_name, spec in LEGACY_SCHEDULER_SPECS:
         if legacy_name == name:
             return spec
-    return _composition_spec(name)
+    return SchedulerSpec(name, {"epsilon": 0.6, "r": 3.0})
 
 
 @pytest.fixture(scope="module")

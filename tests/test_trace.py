@@ -11,7 +11,6 @@ from repro.workload.generators import (
     poisson_trace,
     uniform_trace,
 )
-from repro.schedulers import FIFOScheduler
 from repro.simulation.experiment_runner import RunSpec, SchedulerSpec
 from repro.simulation.results_store import run_spec_fingerprint
 from repro.workload.job import JobSpec
@@ -97,7 +96,7 @@ class TestTrace:
 
     def test_shifted_and_bulk_keep_a_two_phase_cache_key(self):
         def key(trace):
-            spec = RunSpec(trace=trace, scheduler=SchedulerSpec(FIFOScheduler), num_machines=2)
+            spec = RunSpec(trace=trace, scheduler=SchedulerSpec("FIFO"), num_machines=2)
             return run_spec_fingerprint(spec)
 
         trace = Trace([make_spec(0, 10.0), make_spec(1, 20.0)])

@@ -6,13 +6,12 @@ import math
 
 import pytest
 
-from repro.core.srptms_c import SRPTMSCScheduler
 from repro.policies.gating import launchable_tasks
-from repro.schedulers.fifo import FIFOScheduler
+from repro.policies import make_scheduler
 from repro.simulation import ExperimentRunner, RunSpec, SchedulerSpec
 from repro.simulation.engine import SimulationEngine, SimulationError
 from repro.simulation import run_simulation
-from repro.simulation.scheduler_api import LaunchRequest, Scheduler
+from repro.simulation.scheduler_api import ComposedScheduler, LaunchRequest, Scheduler
 from repro.workload.distributions import Deterministic
 from repro.workload.job import JobSpec
 from repro.workload.stream import (
@@ -154,8 +153,8 @@ class TestEngineStreaming:
         spec = poisson_spec(num_jobs=150)
         trace = Trace(list(spec.build()), name="materialised")
         for scheduler_factory in (
-            lambda: SRPTMSCScheduler(epsilon=0.6, r=3.0),
-            FIFOScheduler,
+            lambda: make_scheduler("SRPTMS+C", epsilon=0.6, r=3.0),
+            lambda: make_scheduler("FIFO"),
         ):
             streamed = run_simulation(spec.build(), scheduler_factory(), 24, seed=9)
             materialised = run_simulation(trace, scheduler_factory(), 24, seed=9)
@@ -164,13 +163,13 @@ class TestEngineStreaming:
     def test_total_tasks_accumulated_for_streams(self):
         spec = poisson_spec(num_jobs=30)
         trace = Trace(list(spec.build()), name="materialised")
-        result = run_simulation(spec.build(), FIFOScheduler(), 16, seed=1)
+        result = run_simulation(spec.build(), make_scheduler("FIFO"), 16, seed=1)
         assert result.total_tasks == trace.total_tasks
 
     def test_engine_does_not_retain_stream_jobs(self):
         """Bounded memory: finished jobs of a stream are dropped."""
         engine = SimulationEngine(
-            poisson_spec(num_jobs=60).build(), FIFOScheduler(), 16, seed=2
+            poisson_spec(num_jobs=60).build(), make_scheduler("FIFO"), 16, seed=2
         )
         result = engine.run()
         assert result.num_jobs == 60
@@ -181,7 +180,7 @@ class TestEngineStreaming:
         """The engine's working set tracks *alive* jobs, not trace size."""
         peak = {"alive": 0}
 
-        class SpyScheduler(FIFOScheduler):
+        class SpyScheduler(ComposedScheduler):
             def schedule(self, view):
                 peak["alive"] = max(peak["alive"], view.num_alive_jobs)
                 return super().schedule(view)
@@ -192,7 +191,7 @@ class TestEngineStreaming:
             kwargs={"tasks_per_job": 1, "reduce_tasks_per_job": 0,
                     "mean_duration": 10.0, "inter_arrival": 1.0},
         )
-        result = run_simulation(spec.build(), SpyScheduler(), 16, seed=0)
+        result = run_simulation(spec.build(), SpyScheduler("fifo", "greedy", "none"), 16, seed=0)
         assert result.num_jobs == num_jobs
         # Offered load ~0.6 on 16 machines: the alive set is a tiny, trace-
         # size-independent fraction of the 2000 streamed jobs.
@@ -200,7 +199,7 @@ class TestEngineStreaming:
 
     def test_trace_runs_still_retain_jobs_for_inspection(self):
         trace = Trace(list(poisson_spec(num_jobs=12).build()))
-        engine = SimulationEngine(trace, FIFOScheduler(), 8, seed=0)
+        engine = SimulationEngine(trace, make_scheduler("FIFO"), 8, seed=0)
         engine.run()
         assert len(engine._jobs) == 12
         assert all(job.is_complete for job in engine._jobs)
@@ -227,7 +226,7 @@ class TestEngineStreaming:
                 return truncated
 
         with pytest.raises(SimulationError, match="yielded 4 of its declared 10"):
-            SimulationEngine(Truncated(), FIFOScheduler(), 4).run()
+            SimulationEngine(Truncated(), make_scheduler("FIFO"), 4).run()
         del spec
 
     def test_duplicate_job_id_stream_raises(self):
@@ -245,7 +244,7 @@ class TestEngineStreaming:
                 return iter([spec, spec])
 
         with pytest.raises(SimulationError, match="duplicate job_id"):
-            SimulationEngine(Duplicated(), FIFOScheduler(), 4).run()
+            SimulationEngine(Duplicated(), make_scheduler("FIFO"), 4).run()
 
     def test_out_of_order_stream_raises(self):
         duration = Deterministic(5.0)
@@ -268,7 +267,7 @@ class TestEngineStreaming:
                 )
 
         with pytest.raises(SimulationError, match="out of order"):
-            SimulationEngine(Unsorted(), FIFOScheduler(), 4).run()
+            SimulationEngine(Unsorted(), make_scheduler("FIFO"), 4).run()
 
     def test_simultaneous_stream_arrivals_share_a_batch(self):
         """Lookahead pumping must not split same-instant arrivals."""
@@ -305,7 +304,7 @@ class TestRunnerStreaming:
         with pytest.raises(TypeError, match="StreamSpec"):
             RunSpec(
                 trace=poisson_spec(num_jobs=5).build(),
-                scheduler=FIFOScheduler,
+                scheduler=SchedulerSpec("FIFO"),
                 num_machines=4,
             )
 
@@ -313,7 +312,7 @@ class TestRunnerStreaming:
         spec = poisson_spec(num_jobs=60)
         runner = ExperimentRunner(workers=1)
         base = RunSpec(
-            trace=spec, scheduler=SchedulerSpec(FIFOScheduler), num_machines=16
+            trace=spec, scheduler=SchedulerSpec("FIFO"), num_machines=16
         )
         results = runner.run([base.with_seed(seed) for seed in (0, 1, 0)])
         assert results[0].fingerprint() == results[2].fingerprint()
@@ -323,7 +322,7 @@ class TestRunnerStreaming:
         spec = poisson_spec(num_jobs=80)
         base = RunSpec(
             trace=spec,
-            scheduler=SchedulerSpec(SRPTMSCScheduler, {"epsilon": 0.6, "r": 3.0}),
+            scheduler=SchedulerSpec("SRPTMS+C", {"epsilon": 0.6, "r": 3.0}),
             num_machines=16,
         )
         specs = [base.with_seed(seed) for seed in range(4)]
