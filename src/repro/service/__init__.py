@@ -14,7 +14,8 @@ Guarantees (the reason this exists instead of ad-hoc process spawning):
 * **dedup** -- a fingerprint-keyed in-flight registry collapses identical
   RunSpecs across concurrent client studies to one engine run per unique
   fingerprint; every waiting study observes the same (byte-identical)
-  result (:mod:`repro.service.registry`);
+  result, and a later study asking for a delivered fingerprint is filled
+  from memory at submit (:mod:`repro.service.registry`);
 * **resume** -- results are persisted to the cache before a study
   observes them, so a killed-and-restarted daemon (same ``--cache-dir``)
   re-executes only cache misses when specs are resubmitted;

@@ -155,11 +155,13 @@ def main_submit(argv: Optional[Sequence[str]] = None) -> int:
         study_id = summary["id"]
         print(
             f"submitted study {summary['name']!r} as {study_id} "
-            f"({summary['total']} points, {summary['unique_specs']} unique specs)"
+            f"({summary['total']} points, {summary['unique_specs']} unique specs): "
+            f"{summary['status']}"
         )
         if args.no_wait:
             return 0
-        summary = client.wait(study_id, timeout=args.timeout, interval=args.poll)
+        if summary["status"] != "completed":
+            summary = client.wait(study_id, timeout=args.timeout, interval=args.poll)
         print(
             f"study {study_id} completed: "
             f"{summary['slots_from_cache']} from cache, "

@@ -55,7 +55,8 @@ class ServiceClient:
             with urllib.request.urlopen(request, timeout=self.timeout) as reply:
                 return reply.read()
         except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", errors="replace")
+            with exc:  # the error reply holds the connection open
+                detail = exc.read().decode("utf-8", errors="replace")
             try:
                 detail = json.loads(detail).get("error", detail)
             except (ValueError, AttributeError):

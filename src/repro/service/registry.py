@@ -1,4 +1,4 @@
-"""Study registry: state machine, fingerprint dedup index, executor pool.
+"""Study registry: state machine, fingerprint dedup indexes, executor pool.
 
 The registry is the daemon's brain.  Every submitted
 :class:`~repro.study.core.Study` becomes a :class:`StudyState` -- its
@@ -11,32 +11,55 @@ the state machine::
 ``queued``    compiled and registered, no result delivered yet;
 ``running``   at least one result slot filled;
 ``completed`` every slot filled (the full ResultSet is available);
-``failed``    a spec's engine run raised, or the study compiled to an
-              uncacheable spec -- the error rides on the state.
+``failed``    a spec's engine run raised -- the error rides on the state.
+
+A study whose every key was already delivered is ``completed`` when
+:meth:`StudyRegistry.submit` returns.
 
 Dedup contract
 --------------
 Specs are keyed by
-:func:`~repro.simulation.results_store.run_spec_fingerprint`.  The
-*in-flight index* maps each fingerprint to the single pending execution
-and the list of ``(study, slot)`` waiters; a spec whose fingerprint is
-already in flight joins the waiter list instead of enqueueing a second
-execution, so N concurrent studies asking overlapping questions cost one
-engine run per *unique* fingerprint and every waiter receives the same
-result object (byte-identical by construction).  Cross-*process* dedup
-(two daemons, or a daemon next to an offline sweep, sharing one
-``cache_dir``) is handled one layer down by
+:func:`~repro.simulation.results_store.run_spec_fingerprint`, and
+``submit`` looks each key up, under the registry lock, in two indexes:
+
+* the *delivered index* holds every key whose result this registry has
+  delivered: that result (an object the studies that waited for it
+  already hold, so nothing is copied) and its fingerprint.  A slot whose
+  key is there is filled at once and counts as served from cache.  A key
+  whose run failed is never indexed, so resubmitting it runs it again.
+* the *in-flight index* maps each fingerprint to the single pending
+  execution and the list of ``(study, slot)`` waiters; a spec whose
+  fingerprint is already in flight joins the waiter list instead of
+  enqueueing a second execution.
+
+A key in neither index enters the in-flight index and the queue.  So N
+concurrent studies asking overlapping questions cost one engine run per
+*unique* fingerprint, and every slot of a key holds the same result
+object (byte-identical by construction).  ``submit`` never reads the
+results store: the delivered index lives in memory, and a restarted
+daemon, which starts with it empty, resumes through the executor's
+store reads.  Cross-*process* dedup (two daemons, or a daemon next to an
+offline sweep, sharing one ``cache_dir``) is handled one layer down by
 :meth:`~repro.simulation.results_store.ResultsStore.shard_lock`: the
 executor holds the shard lock across its miss-check-then-run window, so
 the race loser re-reads the winner's entry instead of recomputing.
+
+Fingerprints
+------------
+:meth:`StudyRegistry.deliver` fingerprints each result once, outside the
+lock, and indexes it with the result.  A study's ResultSet fingerprint
+is computed once, from those, by
+:func:`~repro.study.resultset.resultset_fingerprint` in the critical
+section that completes it; status summaries only read it, so polling a
+completed study never re-serialises its records.
 
 Execution
 ---------
 :class:`ServiceExecutor` drains the registry's queue on worker threads;
 each unique spec runs through a shared
-:class:`~repro.simulation.experiment_runner.ExperimentRunner` whose
-``on_result`` callback delivers into the registry (cache hits are
-recognised there too, so a restarted daemon resumes with only misses).
+:class:`~repro.simulation.experiment_runner.ExperimentRunner`, and its
+result is then delivered into the registry (cache hits are recognised
+there too, so a restarted daemon resumes with only misses).
 """
 
 from __future__ import annotations
@@ -57,7 +80,7 @@ from repro.simulation.results_store import (
     run_spec_fingerprint,
 )
 from repro.study.core import Study, StudyPoint
-from repro.study.resultset import ResultSet, StudyRun
+from repro.study.resultset import ResultSet, StudyRun, resultset_fingerprint
 
 __all__ = [
     "StudySubmitError",
@@ -108,27 +131,41 @@ class StudyState:
         self.shared_at_submit = 0
         self.created_at = time.time()
         self.finished_at: Optional[float] = None
+        #: The ResultSet fingerprint, set by :meth:`complete`.
+        self.fingerprint: Optional[str] = None
 
     @property
     def total(self) -> int:
         """Number of result slots (compiled study points)."""
         return len(self.points)
 
-    def fill(self, index: int, result: SimulationResult, cache_hit: bool) -> None:
-        """Deliver ``result`` into slot ``index`` (registry-lock held)."""
+    def fill(self, index: int, result: SimulationResult, cache_hit: bool) -> bool:
+        """Deliver ``result`` into slot ``index`` (registry-lock held).
+
+        Returns whether that filled the last slot; the registry then
+        calls :meth:`complete`.
+        """
         if self.results[index] is not None or self.status in ("completed", "failed"):
-            return
+            return False
         self.results[index] = result
         self.filled += 1
         if cache_hit:
             self.slots_from_cache += 1
         else:
             self.slots_from_runs += 1
-        if self.filled == self.total:
-            self.status = "completed"
-            self.finished_at = time.time()
-        elif self.status == "queued":
+        if self.status == "queued":
             self.status = "running"
+        return self.filled == self.total
+
+    def complete(self, fingerprint: str) -> None:
+        """Move to ``completed`` with its ResultSet ``fingerprint`` (registry-lock held).
+
+        The fingerprint is set before the status, so a reader that sees
+        ``completed`` without the lock sees the fingerprint too.
+        """
+        self.fingerprint = fingerprint
+        self.finished_at = time.time()
+        self.status = "completed"
 
     def fail(self, error: str) -> None:
         """Move to ``failed`` with ``error`` (terminal; registry-lock held)."""
@@ -167,10 +204,11 @@ class StudyState:
 
     def summary(self) -> Dict[str, Any]:
         """JSON-ready status snapshot (the ``GET /studies/{id}`` payload)."""
+        status = self.status
         payload: Dict[str, Any] = {
             "id": self.study_id,
             "name": self.study.name,
-            "status": self.status,
+            "status": status,
             "total": self.total,
             "completed": self.filled,
             "unique_specs": len(set(self.keys)),
@@ -183,8 +221,8 @@ class StudyState:
             payload["error"] = self.error
         if self.finished_at is not None:
             payload["finished_at"] = self.finished_at
-        if self.status == "completed":
-            payload["resultset_fingerprint"] = self.result_set().fingerprint()
+        if status == "completed":
+            payload["resultset_fingerprint"] = self.fingerprint
         return payload
 
 
@@ -199,12 +237,14 @@ class _InFlight:
 
 
 class StudyRegistry:
-    """Thread-safe study table + fingerprint-keyed in-flight dedup index."""
+    """Thread-safe study table + fingerprint-keyed delivered and in-flight indexes."""
 
     def __init__(self, store: ResultsStore) -> None:
         self.store = store
         self._lock = threading.Lock()
         self._studies: "OrderedDict[str, StudyState]" = OrderedDict()
+        #: Key -> (delivered result, its fingerprint).
+        self._delivered: Dict[str, Tuple[SimulationResult, str]] = {}
         self._inflight: Dict[str, _InFlight] = {}
         self._queue: "queue.Queue[str]" = queue.Queue()
         self._ids = itertools.count(1)
@@ -215,13 +255,15 @@ class StudyRegistry:
         self.cache_hits = 0
         #: Submit-time dedup events (a spec joining an in-flight entry).
         self.dedup_shared = 0
+        #: Slots filled at submit from the delivered index.
+        self.index_hits = 0
         #: Every distinct fingerprint ever registered.
         self.unique_keys_seen = 0
 
     # -- submission ---------------------------------------------------------
 
     def submit(self, study: Study) -> StudyState:
-        """Register ``study``, enqueue its not-yet-in-flight unique specs.
+        """Register ``study``: fill its delivered keys, enqueue its new ones.
 
         Raises :class:`StudySubmitError` when any compiled spec has no
         stable fingerprint (the service is content-addressed end to end;
@@ -241,6 +283,11 @@ class StudyRegistry:
             state = StudyState(study_id, study, points, keys)
             self._studies[study_id] = state
             for index, (spec, key) in enumerate(zip(specs, keys)):
+                delivered = self._delivered.get(key)
+                if delivered is not None:
+                    self.index_hits += 1
+                    self._fill(state, index, delivered[0], cache_hit=True)
+                    continue
                 entry = self._inflight.get(key)
                 if entry is None:
                     entry = _InFlight(spec)
@@ -254,8 +301,7 @@ class StudyRegistry:
             if not points:
                 # Zero-point studies (empty scheduler axis) are complete
                 # on arrival -- nothing to execute.
-                state.status = "completed"
-                state.finished_at = time.time()
+                self._complete(state)
         for key in to_enqueue:
             self._queue.put(key)
         return state
@@ -276,17 +322,40 @@ class StudyRegistry:
             return entry.spec if entry is not None else None
 
     def deliver(self, key: str, result: SimulationResult, cache_hit: bool) -> None:
-        """Fan ``result`` out to every slot waiting on ``key``."""
+        """Index ``result`` under ``key`` and fan it out to every slot waiting on it."""
+        fingerprint = result.fingerprint()  # once per key, outside the lock
         with self._lock:
             entry = self._inflight.pop(key, None)
             if entry is None:
                 return
+            self._delivered[key] = (result, fingerprint)
             if cache_hit:
                 self.cache_hits += 1
             else:
                 self.engine_runs += 1
             for study_id, index in entry.waiters:
-                self._studies[study_id].fill(index, result, cache_hit)
+                self._fill(self._studies[study_id], index, result, cache_hit)
+
+    def _fill(
+        self, state: StudyState, index: int, result: SimulationResult, cache_hit: bool
+    ) -> None:
+        """Fill one slot, completing the study on its last (lock held)."""
+        if state.fill(index, result, cache_hit):
+            self._complete(state)
+
+    def _complete(self, state: StudyState) -> None:
+        """Complete ``state`` with its ResultSet fingerprint (lock held).
+
+        Every slot is filled, so every key is in the delivered index, and
+        the rows hash without touching a record.
+        """
+        delivered = self._delivered
+        state.complete(
+            resultset_fingerprint(
+                (point.coords, delivered[key][1])
+                for point, key in zip(state.points, state.keys)
+            )
+        )
 
     def fail_key(self, key: str, error: str) -> None:
         """Fail every study waiting on ``key`` (terminal for those studies)."""
@@ -321,6 +390,7 @@ class StudyRegistry:
                 "engine_runs": self.engine_runs,
                 "cache_hits": self.cache_hits,
                 "dedup_shared": self.dedup_shared,
+                "index_hits": self.index_hits,
                 "in_flight": len(self._inflight),
                 "queue_depth": self._queue.qsize(),
             }
@@ -347,6 +417,7 @@ class ServiceExecutor:
     the runner's own load-miss-execute-store cycle runs inside the lock,
     so a concurrent process computing the same key makes this executor's
     runner *re-read* a cache hit instead of double-running the engine.
+    The result is delivered to the registry after the lock is released.
     Engine runs happen in-process (the simulation is pure Python); more
     ``workers`` overlap runs across threads.
     """
@@ -394,11 +465,10 @@ class ServiceExecutor:
             spec = registry.spec_for(key)
             if spec is None:
                 continue
+            landed: List[Tuple[SimulationResult, bool]] = []
 
-            def relay(
-                spec: RunSpec, result: SimulationResult, cache_hit: bool, _key: str = key
-            ) -> None:
-                registry.deliver(_key, result, cache_hit)
+            def land(spec: RunSpec, result: SimulationResult, cache_hit: bool) -> None:
+                landed.append((result, cache_hit))
 
             try:
                 # The shard lock brackets the runner's whole
@@ -406,6 +476,9 @@ class ServiceExecutor:
                 # computing the same key serialises here, and the loser's
                 # load() inside run() re-reads the winner's entry.
                 with store.shard_lock(key):
-                    self.runner.run([spec], on_result=relay)
+                    self.runner.run([spec], on_result=land)
+                # Persisted before run() returned; delivered (and
+                # fingerprinted) once the shard lock is released.
+                registry.deliver(key, *landed[0])
             except Exception as exc:  # noqa: BLE001 - surfaced on the study
                 registry.fail_key(key, f"{type(exc).__name__}: {exc}")

@@ -18,7 +18,10 @@ API surface
 ``POST /studies``
     Body is a Study spec -- JSON by default, TOML when the
     ``Content-Type`` is ``application/toml`` or ``text/toml``.  Replies
-    ``202`` with the study's status summary (including its ``id``).
+    ``202`` with the study's status summary (including its ``id``).  A
+    study whose every run the daemon has already delivered is filled from
+    memory at submit, so that ``202`` may already be ``completed`` (with
+    its ``resultset_fingerprint``).
     Invalid specs -- including a knob that fails its constructor's check
     when the study compiles -- are ``400``; uncacheable studies are
     ``422``.
@@ -26,7 +29,8 @@ API surface
     Status summaries of every registered study, oldest first.
 ``GET  /studies/{id}``
     One study's status summary (``404`` for unknown ids).  Completed
-    studies include their ``resultset_fingerprint``.
+    studies include their ``resultset_fingerprint``, computed once when
+    the study completed.
 ``GET  /studies/{id}/results?format=csv|json[&partial=1]``
     The study's ResultSet export -- byte-identical to the same study's
     offline :meth:`~repro.study.core.Study.run` export.  ``409`` while

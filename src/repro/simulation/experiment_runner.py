@@ -41,10 +41,14 @@ has already executed: construct it with ``cache_dir`` (or pass a
 spec is content-addressed by :func:`~repro.simulation.results_store.
 run_spec_fingerprint` and persisted; subsequent :meth:`ExperimentRunner.run`
 calls over the same specs return byte-equal results without touching the
-engine (``last_run_stats`` records how many specs were executed vs served
-from cache -- the zero-runs-on-second-sweep property is asserted in
+engine (``last_run_stats`` records how many keys were executed vs specs
+served from cache -- the zero-runs-on-second-sweep property is asserted in
 ``tests/test_results_store.py``).  Specs containing lambdas or other
 unstable components simply bypass the cache and execute normally.
+
+The same key also dedupes within one call, cache or no cache: specs
+whose canonical descriptions are equal (a sweep axis the scheduler
+ignores, say) run once, and every one of them receives that result.
 
 Streaming progress
 ------------------
@@ -52,9 +56,10 @@ Long sweeps should not need to poll the cache directory to see progress:
 pass ``on_result`` (to the constructor, or per-call to :meth:`ExperimentRunner.run`)
 and the runner invokes ``on_result(spec, result, cache_hit)`` for every
 spec as its result lands -- cache hits first (in spec order, with
-``cache_hit=True``), then executed specs as they complete (spec order on
-both the serial and the batched pool path).  On the miss path the result
-is persisted to the store *before* the callback fires, so an observer
+``cache_hit=True``), then executed specs as their key's run completes
+(keys in order of their first spec on both the serial and the batched
+pool path, and the specs of one key in spec order).  On the miss path the
+result is persisted to the store *before* the callbacks fire, so an observer
 that saw a result can rely on a killed-and-restarted sweep finding it in
 the cache.  The ``repro-mapreduce serve`` daemon's study registry is the
 first consumer (:mod:`repro.service`).
@@ -530,8 +535,9 @@ class ExperimentRunner:
         self.store = ResultsStore(cache_dir) if cache_dir is not None else store
         self.on_result = on_result
         #: Stats of the most recent :meth:`run` call:
-        #: ``executed`` engine runs, ``cache_hits`` served from the store,
-        #: ``uncacheable`` specs that bypassed the cache.
+        #: ``executed`` engine runs (one per distinct key), ``cache_hits``
+        #: specs served from the store, ``uncacheable`` specs without a
+        #: stable key (each run on its own).
         self.last_run_stats: Dict[str, int] = {
             "executed": 0,
             "cache_hits": 0,
@@ -641,12 +647,16 @@ class ExperimentRunner:
     ) -> List[SimulationResult]:
         """Execute every spec and return results in spec order.
 
-        With a results store configured, specs whose results are already
-        cached are served from disk (byte-equal to a fresh run); only the
-        remaining specs touch the engine, and their results are persisted
-        for the next invocation.  ``on_result`` (or the constructor
-        default) streams every result as it lands -- cache hits first,
-        then executions, each persisted before its callback fires.
+        Specs sharing a cache key (equal canonical descriptions, e.g. one
+        SCA point per epsilon of a sweep SCA ignores) run once: the one
+        result is handed to every spec of the key, exactly as a results
+        cache would serve it.  With a results store configured, keys
+        already cached are served from disk (byte-equal to a fresh run);
+        only the remaining keys touch the engine, and their results are
+        persisted for the next invocation.  Uncacheable specs have no key
+        and each runs on its own.  ``on_result`` (or the constructor
+        default) streams every spec's result as it lands -- cache hits
+        first, then executions, each persisted before its callbacks fire.
         """
         specs = list(specs)
         callback = self.on_result if on_result is None else on_result
@@ -655,34 +665,37 @@ class ExperimentRunner:
         if not specs:
             return []
         store = self.store
-        if store is None:
-            stats["executed"] = len(specs)
-            if callback is None:
-                return self._execute(specs)
-
-            def relay(position: int, result: SimulationResult) -> None:
-                callback(specs[position], result, False)
-
-            return self._execute(specs, relay)
-
         results: List[Optional[SimulationResult]] = [None] * len(specs)
-        pending: List[int] = []
-        keys: Dict[int, Optional[str]] = {}
+        # One group per cache key, in order of its first spec; an
+        # uncacheable spec is a group of its own.
+        groups: List[Tuple[Optional[str], List[int]]] = []
+        group_of: Dict[str, List[int]] = {}
         for index, spec in enumerate(specs):
             try:
                 key = run_spec_fingerprint(spec)
             except UncacheableSpecError:
-                key = None
                 stats["uncacheable"] += 1
-            keys[index] = key
-            cached = store.load(key) if key is not None else None
-            if cached is not None:
+                groups.append((None, [index]))
+                continue
+            members = group_of.get(key)
+            if members is None:
+                members = group_of[key] = []
+                groups.append((key, members))
+            members.append(index)
+
+        pending: List[Tuple[Optional[str], List[int]]] = []
+        for key, members in groups:
+            cached = store.load(key) if store is not None and key is not None else None
+            if cached is None:
+                pending.append((key, members))
+                continue
+            stats["cache_hits"] += len(members)
+            for index in members:
                 results[index] = cached
-                stats["cache_hits"] += 1
-                if callback is not None:
-                    callback(spec, cached, True)
-            else:
-                pending.append(index)
+        if callback is not None and stats["cache_hits"]:
+            for spec, result in zip(specs, results):
+                if result is not None:
+                    callback(spec, result, True)
 
         # On the pool path, delegate persistence to the workers themselves
         # (they store each result before shipping it back, so writes scale
@@ -698,19 +711,17 @@ class ExperimentRunner:
         def on_each(position: int, result: SimulationResult) -> None:
             # Persist before observing: a callback consumer that saw this
             # result may rely on a restarted sweep finding it in the cache.
-            index = pending[position]
-            key = keys[index]
-            if key is not None and not workers_persist:
-                store.store(
-                    key, canonical_spec_description(specs[index]), result
-                )
-            results[index] = result
+            key, members = pending[position]
+            if store is not None and key is not None and not workers_persist:
+                store.store(key, canonical_spec_description(specs[members[0]]), result)
             stats["executed"] += 1
-            if callback is not None:
-                callback(specs[index], result, False)
+            for index in members:
+                results[index] = result
+                if callback is not None:
+                    callback(specs[index], result, False)
 
         self._execute(
-            [specs[index] for index in pending],
+            [specs[members[0]] for _, members in pending],
             on_each,
             worker_store_dir=worker_store_dir,
         )

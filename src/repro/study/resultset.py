@@ -20,7 +20,8 @@ like a small tidy data frame:
 ``ResultSet.fingerprint()`` hashes every run's coordinates together with
 its result fingerprint; two sets are bit-identical if and only if their
 fingerprints match (this is what the serial-vs-pooled and cold-vs-warm
-CLI equivalence tests compare).
+CLI equivalence tests compare).  :func:`resultset_fingerprint` is that
+hash over rows whose result fingerprints the caller already holds.
 """
 
 from __future__ import annotations
@@ -47,7 +48,13 @@ import numpy as np
 
 from repro.simulation.metrics import SimulationResult
 
-__all__ = ["StudyRun", "ResultSet", "DEFAULT_METRICS", "AGGREGATE_STATS"]
+__all__ = [
+    "StudyRun",
+    "ResultSet",
+    "DEFAULT_METRICS",
+    "AGGREGATE_STATS",
+    "resultset_fingerprint",
+]
 
 #: Metrics exported by default (all are ``SimulationResult`` attributes).
 DEFAULT_METRICS: Tuple[str, ...] = (
@@ -325,12 +332,26 @@ class ResultSet:
         at identical coordinates in identical order (wall-clock runtime
         excluded).
         """
-        digest = hashlib.sha256()
-        for run in self.runs:
-            coords = json.dumps(
-                {key: repr(v) for key, v in run.coords.items()}, sort_keys=True
-            )
-            digest.update(coords.encode("utf-8"))
-            digest.update(run.result.fingerprint().encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
+        return resultset_fingerprint(
+            (run.coords.items(), run.result.fingerprint()) for run in self.runs
+        )
+
+
+def resultset_fingerprint(
+    rows: Iterable[Tuple[Iterable[Tuple[str, Any]], str]],
+) -> str:
+    """SHA-256 over ``(coordinate pairs, result fingerprint)`` rows, in order.
+
+    The one hashing routine behind :meth:`ResultSet.fingerprint`.  A caller
+    that already holds each result's
+    :meth:`~repro.simulation.metrics.SimulationResult.fingerprint` (the
+    sweep service's registry) passes it here instead of re-serialising the
+    result.
+    """
+    digest = hashlib.sha256()
+    for coords, result_fingerprint in rows:
+        text = json.dumps({key: repr(v) for key, v in coords}, sort_keys=True)
+        digest.update(text.encode("utf-8"))
+        digest.update(result_fingerprint.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()

@@ -343,6 +343,55 @@ class TestCachedRunner:
                 "executed": 1, "cache_hits": 0, "uncacheable": 1,
             }
 
+    def test_equal_specs_in_one_call_run_once(self, tmp_path):
+        """Specs sharing a key (here: equal but for the tag) run once per
+        call, each spec receives that result and its own callback."""
+        specs = [
+            dataclasses.replace(make_spec().with_seed(seed), tag=tag)
+            for tag, seed in (("a", 0), ("b", 1), ("c", 0), ("d", 0))
+        ]
+        for runner in (
+            ExperimentRunner(workers=1),
+            ExperimentRunner(workers=1, cache_dir=tmp_path),
+        ):
+            seen = []
+            results = runner.run(specs, on_result=lambda s, r, hit: seen.append((s.tag, r, hit)))
+            assert runner.last_run_stats == {
+                "executed": 2, "cache_hits": 0, "uncacheable": 0,
+            }
+            assert results[0] is results[2] is results[3]
+            # Each key's specs fire together, in spec order, as the key lands.
+            assert [(tag, hit) for tag, _, hit in seen] == [
+                ("a", False), ("c", False), ("d", False), ("b", False),
+            ]
+            assert [r for _, r, _ in seen] == [results[i] for i in (0, 2, 3, 1)]
+            assert results[0].fingerprint() == make_spec().with_seed(0).execute().fingerprint()
+        # Warm: one load per key, a hit per spec, reported in spec order.
+        warm = []
+        runner.run(specs, on_result=lambda s, r, hit: warm.append((s.tag, hit)))
+        assert runner.last_run_stats == {"executed": 0, "cache_hits": 4, "uncacheable": 0}
+        assert runner.store.hits == 2
+        assert warm == [("a", True), ("b", True), ("c", True), ("d", True)]
+
+    def test_equal_uncacheable_specs_each_run(self):
+        spec = make_spec(scheduler=lambda: make_scheduler("FIFO"))
+        runner = ExperimentRunner(workers=1)
+        first, second = runner.run([spec, spec])
+        assert runner.last_run_stats == {
+            "executed": 2, "cache_hits": 0, "uncacheable": 2,
+        }
+        assert first is not second
+        assert first.fingerprint() == second.fingerprint()
+
+    def test_pooled_call_runs_each_key_once(self):
+        specs = [make_spec().with_seed(seed) for seed in (0, 1, 0, 2, 1)]
+        runner = ExperimentRunner(workers=2)
+        results = runner.run(specs)
+        assert runner.last_run_stats["executed"] == 3
+        assert results[0] is results[2] and results[1] is results[4]
+        alone = [ExperimentRunner(workers=1).run([spec])[0] for spec in specs]
+        assert [r.fingerprint() for r in results] == [r.fingerprint() for r in alone]
+
     def test_pooled_cold_run_then_cached_warm_run(self, tmp_path):
         specs = [make_spec().with_seed(seed) for seed in range(3)]
         pooled = ExperimentRunner(workers=2, cache_dir=tmp_path)

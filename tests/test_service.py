@@ -9,11 +9,16 @@ The acceptance properties of PR 9:
     ``Study.run``;
 (c) killing the daemon mid-sweep and restarting it on the same cache
     directory resumes with only cache misses.
+
+And of the delivered-results index: a resubmitted study whose keys the
+daemon has delivered is filled at submit, without the executor or the
+results store, and polling a completed study re-serialises no record.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import urllib.request
 
@@ -26,6 +31,8 @@ from repro.service import (
     StudySubmitError,
     create_service,
 )
+from repro.simulation.experiment_runner import default_workers
+from repro.simulation.metrics import SimulationResult
 from repro.simulation.results_store import ResultsStore, UncacheableSpecError, cache_stats
 from repro.study import Study
 
@@ -43,11 +50,23 @@ def bulk_study(name: str, schedulers, seeds=(0, 1)) -> Study:
     )
 
 
+def deliver_queued(registry: StudyRegistry) -> int:
+    """Run every queued key by hand, as an executor would; returns how many."""
+    delivered = 0
+    while True:
+        key = registry.next_key(timeout=0.05)
+        if key is None:
+            return delivered
+        registry.deliver(key, registry.spec_for(key).execute(), cache_hit=False)
+        delivered += 1
+
+
 @pytest.fixture
 def service(tmp_path):
     """An in-process daemon: HTTP serving, executor NOT yet started."""
     svc = create_service(cache_dir=tmp_path / "cache", workers=2)
-    threading.Thread(target=svc.serve_forever, daemon=True).start()
+    # A short poll interval lets stop() return promptly at teardown.
+    threading.Thread(target=svc.serve_forever, args=(0.05,), daemon=True).start()
     yield svc
     svc.stop()
 
@@ -144,7 +163,8 @@ class TestEndpoints:
         request = urllib.request.Request(service.url + "/nope")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
-        assert excinfo.value.code == 404
+        with excinfo.value:  # the error reply holds the connection open
+            assert excinfo.value.code == 404
 
     def test_invalid_spec_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
@@ -318,6 +338,157 @@ class TestAcceptance:
         )
 
 
+class TestDeliveredIndex:
+    """Submit fills slots from the results the daemon already delivered."""
+
+    def test_resubmitted_delivered_study_is_completed_in_its_202(
+        self, service, client
+    ):
+        # The fixture never starts the executor: only submit can fill it.
+        study = bulk_study("again", ("FIFO", "SCA"))
+        first = client.submit(study)
+        assert deliver_queued(service.registry) == study.num_points()
+        assert client.status(first["id"])["status"] == "completed"
+        runs = client.metrics()["runs"]["engine_runs"]
+
+        reply = client.submit(study)
+        assert reply["status"] == "completed"
+        assert reply["slots_from_cache"] == reply["total"] == study.num_points()
+        assert reply["slots_from_runs"] == 0
+        metrics = client.metrics()
+        assert metrics["runs"]["engine_runs"] == runs
+        assert metrics["runs"]["index_hits"] == study.num_points()
+        assert metrics["runs"]["in_flight"] == metrics["runs"]["queue_depth"] == 0
+        # Nothing was read from (or written to) the results store.
+        assert metrics["store"]["hits"] == metrics["store"]["misses"] == 0
+        offline = study.run()
+        assert reply["resultset_fingerprint"] == offline.fingerprint()
+        assert client.results(reply["id"]) == offline.to_csv().encode("utf-8")
+
+    def test_mixed_delivered_in_flight_and_new_keys_match_offline(
+        self, service, client
+    ):
+        client.submit(bulk_study("delivered", ("FIFO",)))
+        deliver_queued(service.registry)
+        client.submit(bulk_study("in-flight", ("SCA",)))
+        mixed = bulk_study("mixed", ("FIFO", "SCA", "SRPT"))
+        reply = client.submit(mixed)
+        # FIFO filled from the index, SCA joined in flight, SRPT new.
+        assert reply["status"] == "running"
+        assert reply["completed"] == reply["slots_from_cache"] == 2
+        assert reply["shared_at_submit"] == 2
+
+        service.start()
+        final = client.wait(reply["id"], timeout=60)
+        metrics = client.metrics()["runs"]
+        assert metrics["engine_runs"] == metrics["unique_keys_seen"] == 6
+        assert metrics["cache_hits"] == 0
+        offline = mixed.run()
+        assert final["resultset_fingerprint"] == offline.fingerprint()
+        assert client.results(final["id"]) == offline.to_csv().encode("utf-8")
+        assert client.results(final["id"], format="json") == offline.to_json().encode(
+            "utf-8"
+        )
+
+    def test_a_failed_key_is_not_indexed_and_runs_again(self, service, client):
+        study = bulk_study("retry", ("FIFO",), seeds=(0,))
+        first = client.submit(study)
+        key = service.registry.next_key(timeout=1.0)
+        service.registry.fail_key(key, "RuntimeError: transient")
+        assert client.status(first["id"])["status"] == "failed"
+
+        second = client.submit(study)
+        assert second["status"] == "queued" and second["slots_from_cache"] == 0
+        assert service.registry.next_key(timeout=1.0) == key  # enqueued again
+        service.registry.deliver(
+            key, service.registry.spec_for(key).execute(), cache_hit=False
+        )
+        assert client.status(second["id"])["status"] == "completed"
+        assert client.status(first["id"])["status"] == "failed"
+        assert client.metrics()["runs"]["index_hits"] == 0
+
+    def test_concurrent_submits_while_the_executor_delivers(self, service, client):
+        """More submitting threads than cores, switching often: one engine
+        run per unique key, and every study equal to its offline run."""
+        pairs = [("FIFO", "SCA"), ("SCA", "SRPT"), ("SRPT", "Fair"), ("Fair", "FIFO")]
+        threads = max(8, default_workers() + 2)
+        studies = [
+            bulk_study(f"s{number}", pairs[number % len(pairs)], seeds=(0, 1, 2))
+            for number in range(threads)
+        ]
+        finals, errors = [], []
+        barrier = threading.Barrier(threads)
+
+        def submit_twice(study):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(2):
+                    summary = client.submit(study)
+                    finals.append((study, client.wait(summary["id"], timeout=60)))
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            service.start()
+            workers = [
+                threading.Thread(target=submit_twice, args=(study,), daemon=True)
+                for study in studies
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(finals) == 2 * threads
+        metrics = client.metrics()["runs"]
+        unique = 4 * 3  # four schedulers x three seeds
+        assert metrics["engine_runs"] == metrics["unique_keys_seen"] == unique
+        assert metrics["cache_hits"] == 0
+        assert metrics["in_flight"] == metrics["queue_depth"] == 0
+        offline = {}
+        for study, final in finals:
+            if study.schedulers not in offline:
+                offline[study.schedulers] = study.run().fingerprint()
+            assert final["resultset_fingerprint"] == offline[study.schedulers]
+
+    def test_polls_of_completed_studies_fingerprint_no_record(
+        self, service, client, monkeypatch
+    ):
+        calls = []
+        fingerprint = SimulationResult.fingerprint
+
+        def counting(result):
+            calls.append(id(result))
+            return fingerprint(result)
+
+        monkeypatch.setattr(SimulationResult, "fingerprint", counting)
+        service.start()
+        studies = [
+            bulk_study("a", ("FIFO", "SCA")),
+            bulk_study("b", ("SCA", "SRPT")),
+            bulk_study("a", ("FIFO", "SCA")),
+        ]
+        ids = [client.wait(client.submit(s)["id"], timeout=60)["id"] for s in studies]
+        unique = 3 * 2  # three schedulers x two seeds
+        assert len(calls) == len(set(calls)) <= unique
+        before = len(calls)
+        for _ in range(3):
+            summaries = [client.status(study_id) for study_id in ids]
+            listed = client.list_studies()
+        assert len(calls) == before
+        monkeypatch.undo()
+        assert [s["resultset_fingerprint"] for s in listed] == [
+            s["resultset_fingerprint"] for s in summaries
+        ]
+        for study, summary in zip(studies, summaries):
+            assert summary["resultset_fingerprint"] == study.run().fingerprint()
+
+
 class TestServiceCli:
     def test_serve_parser_defaults(self):
         from repro.service.cli import DEFAULT_PORT, _serve_parser
@@ -396,3 +567,7 @@ class TestServiceCli:
         assert "completed" in out
         offline = bulk_study("cli-round-trip", ("FIFO",), seeds=(0,))
         assert csv_path.read_bytes() == offline.run().to_csv().encode("utf-8")
+        # A resubmission is filled at submit: the first line says so.
+        assert main(["submit", "--spec", str(spec), "--url", service.url]) == 0
+        first_line = capsys.readouterr().out.splitlines()[0]
+        assert first_line.endswith("(1 points, 1 unique specs): completed")

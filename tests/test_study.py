@@ -322,6 +322,35 @@ class TestCompile:
         assert len({run_spec_fingerprint(spec) for spec in specs}) == 18 + 6 + 6
 
 
+class TestOneRunPerKey:
+    """A study whose specs share cache keys runs each key once per call."""
+
+    def test_the_adversity_example_executes_thirty_keys(self, tmp_path):
+        from pathlib import Path
+
+        from repro.study import StudyRun, load_study
+
+        path = Path(__file__).parent.parent / "examples" / "studies" / "clone_vs_adversity.toml"
+        study = load_study(path)
+        alone = ResultSet(
+            [
+                StudyRun(point.coords, ExperimentRunner(workers=1).run([point.to_run_spec()])[0])
+                for point in study.points()
+            ],
+            name=study.name,
+        )
+        runner = ExperimentRunner(workers=1, cache_dir=str(tmp_path))
+        hits = []
+        cold = study.run_incremental(lambda point, result, hit: hits.append(hit), runner=runner)
+        assert runner.last_run_stats == {"executed": 30, "cache_hits": 0, "uncacheable": 0}
+        assert hits == [False] * 54  # one callback per spec
+        assert cold.fingerprint() == alone.fingerprint()
+        assert cold.to_csv() == alone.to_csv()
+        warm = study.run(runner=runner)
+        assert runner.last_run_stats == {"executed": 0, "cache_hits": 54, "uncacheable": 0}
+        assert warm.to_csv() == alone.to_csv()
+
+
 class TestExecution:
     def test_serial_and_pooled_are_bit_identical(self):
         study = tiny_study()

@@ -8,8 +8,9 @@
 #   1. the CSV downloaded from the daemon is byte-identical to the same
 #      spec executed offline via `repro-mapreduce sweep --spec`;
 #   2. resubmitting the identical spec performs ZERO new engine runs
-#      (every slot served from the shared results cache) and yields the
-#      same bytes again;
+#      (every slot served from the results the daemon already delivered),
+#      is `completed` in the submit reply itself, and yields the same
+#      bytes again;
 #   3. `repro-mapreduce cache stats` sees exactly the entries the daemon
 #      persisted, all at the current format version.
 #
@@ -66,8 +67,14 @@ grep -q ", 0 executed," "${name}-submit2.log" || {
     echo "resubmission performed engine runs -- dedup/cache broken" >&2
     exit 1
 }
+# The submit reply's status ends the first line: the daemon fills a
+# resubmitted study from the results it delivered, before replying.
+head -n 1 "${name}-submit2.log" | grep -q ": completed$" || {
+    echo "resubmission was not completed in its submit reply" >&2
+    exit 1
+}
 cmp "${name}.csv" "${name}-resubmit.csv"
-echo "resubmission served entirely from cache, bytes identical"
+echo "resubmission completed at submit, served entirely from cache, bytes identical"
 
 python -m repro cache stats --cache-dir "$cache" | tee "${name}-cache-stats.log"
 grep -q "stale entries:  0" "${name}-cache-stats.log"
