@@ -65,27 +65,21 @@ def offline_bound_check(
     num_machines: int,
     r: float,
     slack: float = 1e-6,
-    include_map_critical_path: bool = True,
 ) -> OfflineBoundReport:
     """Compare measured per-job flowtimes against the Theorem 1 bounds.
 
-    ``include_map_critical_path`` (default) adds the per-job
-    ``E_i^m + r sigma_i^m`` correction of
-    :func:`repro.core.bounds.map_critical_path_correction`: the literal
-    Theorem 1 bound omits the job's own map->reduce serial path and can
-    therefore fall below the trivial lower bound for small two-phase jobs.
-    ``slack`` additionally absorbs floating-point noise and the integrality
-    of whole tasks on whole machines.
+    Each job's bound is :func:`repro.core.bounds.offline_flowtime_bound`:
+    its stage DAG's critical path plus ``f_i^s / M``.  ``slack`` absorbs
+    floating-point noise and the integrality of whole tasks on whole
+    machines.
 
-    For the zero-variance (deterministic) regime the reported theoretical
-    probability is 1.0 (Remark 2: the bound is deterministic); otherwise it
-    is the Theorem 1 value ``(1 - 1/r^2)^2``.
+    When every stage of every job has zero variance (the deterministic
+    regime) the reported theoretical probability is 1.0 (Remark 2: the
+    bound is deterministic); otherwise it is the Theorem 1 value
+    ``(1 - 1/r^2)^2``.
     """
     bounds: Dict[int, float] = offline_flowtime_bounds(
-        list(trace),
-        num_machines,
-        r,
-        include_map_critical_path=include_map_critical_path,
+        list(trace), num_machines, r
     )
     satisfied = 0
     worst_violation = 0.0
@@ -99,8 +93,7 @@ def offline_bound_check(
         result.total_weighted_flowtime, list(trace), num_machines
     )
     zero_variance = all(
-        spec.map_duration.std == 0 and spec.reduce_duration.std == 0
-        for spec in trace
+        stage.duration.std == 0 for spec in trace for stage in spec.stage_specs
     )
     probability = 1.0 if zero_variance else theorem1_probability(max(r, 1.0))
     return OfflineBoundReport(

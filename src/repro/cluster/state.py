@@ -3,14 +3,12 @@
 :class:`ClusterState` tracks which machines are free, busy or down, which
 task copy runs where (a static run's kept copy sits on the machines of its
 launch request's other copies too, see :class:`~repro.workload.job
-.TaskCopy`), and the per-phase machine counts ``M(t)`` (map) and
-``R(t)`` (reduce) that appear in constraints (1h)-(1j) of the paper's
-optimisation program.  Machines may carry *individual* speeds (heterogeneous
-scenarios); all speed queries go through :meth:`speed_of` rather than a
-single cluster-wide scalar, so heterogeneity can never silently read the
-wrong rate.  The simulation engine is the only writer; schedulers receive a
-read-only view through
-:class:`repro.simulation.scheduler_api.SchedulerView`.
+.TaskCopy`), and, under a rack topology, how many copies each rack runs.
+Machines may carry *individual* speeds (heterogeneous scenarios); all speed
+queries go through :meth:`speed_of` rather than a single cluster-wide
+scalar, so heterogeneity can never silently read the wrong rate.  The
+simulation engine is the only writer; schedulers receive a read-only view
+through :class:`repro.simulation.scheduler_api.SchedulerView`.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import List, Optional, Sequence
 
 from repro.checks import check_count, check_real
 from repro.cluster.machine import Machine
-from repro.workload.job import Phase, TaskCopy
+from repro.workload.job import TaskCopy
 
 __all__ = ["ClusterState"]
 
@@ -49,10 +47,6 @@ class ClusterState:
             Machine(machine_id=i, speed=per_machine[i]) for i in range(num_machines)
         ]
         self._free_ids: List[int] = list(range(num_machines - 1, -1, -1))
-        # Plain int counters per phase (dict-of-Phase hashing is measurable
-        # on the placement hot path).
-        self._map_running = 0
-        self._reduce_running = 0
         self._num_down = 0
         # Rack topology (None unless configure_topology() was called):
         # machine -> rack, and running-copy counts per rack.
@@ -103,10 +97,6 @@ class ClusterState:
     def machines(self) -> List[Machine]:
         """All machines (the engine may mutate them; schedulers must not)."""
         return self._machines
-
-    def num_running(self, phase: Phase) -> int:
-        """``M(t)`` or ``R(t)``: machines occupied by copies of ``phase``."""
-        return self._map_running if phase is Phase.MAP else self._reduce_running
 
     @property
     def utilization(self) -> float:
@@ -181,11 +171,6 @@ class ClusterState:
             )
         machine = self._machines[machine_id]
         machine.assign(copy)
-        # Task.phase avoided (property call): stage 0 is the map phase.
-        if copy.task.stage == 0:
-            self._map_running += 1
-        else:
-            self._reduce_running += 1
         if self._rack_of is not None:
             self._rack_running[self._rack_of[machine_id]] += 1
         return machine
@@ -198,10 +183,6 @@ class ClusterState:
         machine = self._machines[machine_id]
         machine.release()
         self._free_ids.append(machine_id)
-        if copy.task.stage == 0:
-            self._map_running -= 1
-        else:
-            self._reduce_running -= 1
         if self._rack_of is not None:
             self._rack_running[self._rack_of[machine_id]] -= 1
         return machine
@@ -265,9 +246,6 @@ class ClusterState:
         down_machines = [m for m in self._machines if m.is_down]
         assert len(busy_machines) == self.num_busy, "free-list inconsistent"
         assert len(down_machines) == self.num_down, "down count inconsistent"
-        assert (
-            self._map_running + self._reduce_running == self.num_busy
-        ), "phase counts inconsistent"
         assert self.num_busy + self.num_free + self.num_down == self.num_machines
         for machine in down_machines:
             assert machine.is_free, "down machine still hosts a copy"

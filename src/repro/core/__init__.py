@@ -12,12 +12,12 @@
 
 from repro.core.allocation import epsilon_shares, fractional_shares, ranked_shares
 from repro.core.bounds import (
+    critical_path,
     empirical_competitive_ratio,
     lemma1_probability,
     offline_flowtime_bound,
     offline_flowtime_bounds,
     online_competitive_bound,
-    serial_phase_lower_bound,
     srpt_relaxation_lower_bound,
     theorem1_probability,
     weighted_flowtime_lower_bound,
@@ -63,7 +63,7 @@ __all__ = [
     "theorem1_probability",
     "offline_flowtime_bound",
     "offline_flowtime_bounds",
-    "serial_phase_lower_bound",
+    "critical_path",
     "srpt_relaxation_lower_bound",
     "weighted_flowtime_lower_bound",
     "empirical_competitive_ratio",

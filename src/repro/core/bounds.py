@@ -8,20 +8,27 @@ the ``offline_bound`` experiment can check them against measured flowtimes:
   r sigma_i^r]`` (Lemma 1);
 * :func:`theorem1_probability` -- the probability ``1 + 1/r^4 - 2/r^2`` with
   which the Theorem 1 flowtime bound holds for one job;
+* :func:`critical_path` -- the longest path of ``E_s + r sigma_s`` through
+  a job's stage DAG;
 * :func:`offline_flowtime_bound` / :func:`offline_flowtime_bounds` -- the
-  bound ``E_i^r + r sigma_i^r + f_i^s / M`` itself;
+  per-job bound ``critical_path(spec, r) + f_i^s / M``, Theorem 1's
+  ``E_i^r + r sigma_i^r + f_i^s / M`` with the job's whole critical path in
+  place of its final stage;
 * lower bounds on the optimal weighted flowtime
-  (:func:`serial_phase_lower_bound`, :func:`srpt_relaxation_lower_bound`,
-  :func:`weighted_flowtime_lower_bound`) used to evaluate empirical
-  competitive ratios, following the argument of Remark 2: every job needs at
-  least one reduce (and one map) task's worth of serial time, and no
+  (:func:`srpt_relaxation_lower_bound`, :func:`weighted_flowtime_lower_bound`)
+  used to evaluate empirical competitive ratios, following the argument of
+  Remark 2: every job needs its critical path's worth of serial time, and no
   scheduler on ``M`` unit machines beats the single speed-``M`` machine SRPT
   relaxation.
+
+Every bound reads a job through its stage DAG
+(:attr:`~repro.workload.job.JobSpec.stage_specs`); the paper's map→reduce
+job is the 2-node case.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.effective_workload import accumulated_higher_priority_workload
 from repro.workload.job import JobSpec
@@ -29,10 +36,9 @@ from repro.workload.job import JobSpec
 __all__ = [
     "lemma1_probability",
     "theorem1_probability",
+    "critical_path",
     "offline_flowtime_bound",
     "offline_flowtime_bounds",
-    "map_critical_path_correction",
-    "serial_phase_lower_bound",
     "srpt_relaxation_lower_bound",
     "weighted_flowtime_lower_bound",
     "empirical_competitive_ratio",
@@ -64,92 +70,61 @@ def theorem1_probability(r: float) -> float:
     return min(1.0, base * base)
 
 
-def _final_phase_moments(spec: JobSpec) -> tuple[float, float]:
-    """Mean and std of the job's final phase (reduce if present, else map)."""
-    if spec.num_reduce_tasks > 0:
-        return spec.reduce_duration.mean, spec.reduce_duration.std
-    return spec.map_duration.mean, spec.map_duration.std
+def critical_path(spec: JobSpec, r: float = 0.0) -> float:
+    """Longest path through the job's stage DAG, a stage costing ``E_s + r sigma_s``.
+
+    All tasks of a stage may run at once, so a stage is as long as one of
+    its tasks, and it cannot start before its predecessors finish.  A stage
+    with no tasks costs nothing: it completes the instant it becomes ready,
+    and passes its predecessors' path on.  At ``r = 0`` this is the job's
+    flowtime on an otherwise idle cluster with enough unit-speed machines
+    and deterministic durations; for the 2-node map→reduce DAG it is
+    ``E_i^m + r sigma_i^m + E_i^r + r sigma_i^r``.
+    """
+    if r < 0:
+        raise ValueError(f"r must be non-negative, got {r}")
+    finish: List[float] = []
+    for stage in spec.stage_specs:
+        start = max([finish[dep] for dep in stage.deps], default=0.0)
+        if stage.num_tasks:
+            duration = stage.duration
+            start += duration.mean + r * duration.std
+        finish.append(start)
+    return max(finish)
 
 
 def offline_flowtime_bound(
     spec: JobSpec, accumulated_workload: float, num_machines: int, r: float
 ) -> float:
-    """Theorem 1's bound ``E_i^r + r sigma_i^r + f_i^s / M`` for one job.
+    """Theorem 1's per-job bound ``critical_path(spec, r) + f_i^s / M``.
 
     ``accumulated_workload`` is ``f_i^s`` from Equation (3) (see
     :func:`repro.core.effective_workload.accumulated_higher_priority_workload`).
-    For a job without reduce tasks the final (map) phase moments are used,
-    since it is the last task of the final phase that dictates completion.
+    Theorem 1's fluid-style argument charges one final-stage task
+    ``E_i^r + r sigma_i^r`` on top of ``f_i^s / M``; that under-counts a
+    small, high-priority job, whose own stages must still run one after
+    another.  So the whole critical path is charged: on the 2-node DAG that
+    adds ``E_i^m + r sigma_i^m``, and a job's bound never falls below its
+    own serial time.
     """
     if num_machines <= 0:
         raise ValueError(f"num_machines must be positive, got {num_machines}")
     if accumulated_workload < 0:
         raise ValueError("accumulated_workload must be non-negative")
-    if r < 0:
-        raise ValueError(f"r must be non-negative, got {r}")
-    mean, std = _final_phase_moments(spec)
-    return mean + r * std + accumulated_workload / num_machines
-
-
-def map_critical_path_correction(spec: JobSpec, r: float) -> float:
-    """Additive correction ``E_i^m + r sigma_i^m`` for two-phase jobs.
-
-    Theorem 1's fluid-style argument charges only one reduce-task duration
-    on top of the accumulated higher-priority workload ``f_i^s / M``.  For a
-    *small, high-priority* job this under-counts the job's own serial
-    critical path: one map task must finish before any reduce task can
-    start, so even on an otherwise idle cluster the flowtime is at least
-    ``E_i^m + E_i^r``.  Adding this term yields the bound the reproduction
-    checks empirically (see EXPERIMENTS.md); it vanishes for map-only jobs.
-    """
-    if r < 0:
-        raise ValueError(f"r must be non-negative, got {r}")
-    if spec.num_map_tasks == 0 or spec.num_reduce_tasks == 0:
-        return 0.0
-    return spec.map_duration.mean + r * spec.map_duration.std
+    return critical_path(spec, r) + accumulated_workload / num_machines
 
 
 def offline_flowtime_bounds(
-    specs: Sequence[JobSpec],
-    num_machines: int,
-    r: float,
-    include_map_critical_path: bool = False,
+    specs: Sequence[JobSpec], num_machines: int, r: float
 ) -> Dict[int, float]:
-    """Theorem 1 bounds for every job of a bulk-arrival instance.
-
-    With ``include_map_critical_path`` the per-job bound additionally
-    includes :func:`map_critical_path_correction`, which is the form the
-    empirical validation uses (the literal Theorem 1 bound can fall below
-    the trivial serial lower bound of a small two-phase job).
-    """
+    """Theorem 1 bounds for every job of a bulk-arrival instance."""
     accumulated = accumulated_higher_priority_workload(specs, r)
-    bounds = {}
-    for spec in specs:
-        bound = offline_flowtime_bound(
+    return {
+        spec.job_id: offline_flowtime_bound(
             spec, accumulated[spec.job_id], num_machines, r
         )
-        if include_map_critical_path:
-            bound += map_critical_path_correction(spec, r)
-        bounds[spec.job_id] = bound
-    return bounds
-
-
-def serial_phase_lower_bound(spec: JobSpec) -> float:
-    """A per-job flowtime lower bound from the Map->Reduce precedence.
-
-    Any schedule must run at least one map task and then one reduce task of
-    the job back to back, so the flowtime is at least ``E_i^m + E_i^r`` in
-    the zero-variance regime (just ``E_i^m`` if the job has no reduce
-    tasks).  With non-zero variance this is a lower bound on the *expected*
-    flowtime only when cloning cannot beat the mean, so the competitive-ratio
-    experiments use it for deterministic workloads.
-    """
-    bound = 0.0
-    if spec.num_map_tasks > 0:
-        bound += spec.map_duration.mean
-    if spec.num_reduce_tasks > 0:
-        bound += spec.reduce_duration.mean
-    return bound
+        for spec in specs
+    }
 
 
 def srpt_relaxation_lower_bound(
@@ -160,14 +135,24 @@ def srpt_relaxation_lower_bound(
     Pooling the ``M`` unit-speed machines into one machine of speed ``M``
     and dropping the precedence constraints can only reduce the optimal
     weighted flowtime; weighted SRPT is optimal for that relaxation, and for
-    a bulk arrival its weighted flowtime is ``sum_i w_i f_i^s / M`` with
-    ``f_i^s`` computed at ``r = 0`` (Remark 2).
+    a bulk arrival it finishes job ``i`` at ``f_i / M``, where ``f_i`` sums
+    the ``r = 0`` workloads of ``i`` and every job it runs after (Remark 2).
+    Jobs of equal priority run one after another, in any order (every order
+    gives the same weighted sum).  Equation (3)'s ``f_i^s`` charges each of
+    them the whole tie's workload instead, which can exceed the optimum.
     """
     if num_machines <= 0:
         raise ValueError(f"num_machines must be positive, got {num_machines}")
-    accumulated = accumulated_higher_priority_workload(specs, r=0.0)
+    workloads = {spec.job_id: spec.effective_workload(0.0) for spec in specs}
+    finished: Dict[int, float] = {}
+    total = 0.0
+    for spec in sorted(
+        specs, key=lambda spec: spec.weight / workloads[spec.job_id], reverse=True
+    ):
+        total += workloads[spec.job_id]
+        finished[spec.job_id] = total
     return sum(
-        spec.weight * accumulated[spec.job_id] / num_machines for spec in specs
+        spec.weight * finished[spec.job_id] / num_machines for spec in specs
     )
 
 
@@ -176,11 +161,12 @@ def weighted_flowtime_lower_bound(
 ) -> float:
     """Best available lower bound on the optimal weighted sum of flowtimes.
 
-    The maximum of the serial-phase bound (summed with weights) and the
-    single-fast-machine SRPT relaxation; both are valid lower bounds for a
-    bulk-arrival instance with deterministic task durations.
+    The maximum of the weighted critical paths (:func:`critical_path` at
+    ``r = 0``) and the single-fast-machine SRPT relaxation; both are valid
+    lower bounds for a bulk-arrival instance with deterministic task
+    durations on unit-speed machines.
     """
-    serial = sum(spec.weight * serial_phase_lower_bound(spec) for spec in specs)
+    serial = sum(spec.weight * critical_path(spec) for spec in specs)
     relaxation = srpt_relaxation_lower_bound(specs, num_machines)
     return max(serial, relaxation)
 

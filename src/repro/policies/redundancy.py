@@ -35,7 +35,7 @@ from repro.core.speedup import ParetoSpeedup, SpeedupFunction
 from repro.checks import check_count, check_range, check_real
 from repro.policies.speculation import QUIET_MARGIN, SpeculationEstimator
 from repro.simulation.scheduler_api import LaunchRequest, SchedulerView
-from repro.workload.job import Job, Phase, Task
+from repro.workload.job import Job, Task
 
 __all__ = [
     "RedundancyPolicy",
@@ -288,14 +288,15 @@ class SCACloning(RedundancyPolicy):
 
     Remaining free machines are handed out one at a time to the task whose
     additional clone yields the largest marginal reduction in expected
-    weighted phase-completion time,
+    weighted stage-completion time,
 
-        gain = w_i * (E / s(x) - E / s(x + 1)) / (#unfinished tasks in phase),
+        gain = w_i * (E / s(x) - E / s(x + 1)) / n,
 
-    where ``x`` is the task's current planned copy count.  Dividing by the
-    number of unfinished tasks in the phase captures that a phase only
-    completes when *all* its tasks do, which makes SCA clone *small* jobs
-    aggressively -- the behaviour [26] reports.
+    where ``x`` is the task's current planned copy count and ``n`` the
+    job's unfinished tasks that must finish with it (:meth:`_pending_count`).
+    Dividing by ``n`` captures that a stage only completes when *all* its
+    tasks do, which makes SCA clone *small* jobs aggressively -- the
+    behaviour [26] reports.
     """
 
     name = "sca"
@@ -313,15 +314,22 @@ class SCACloning(RedundancyPolicy):
 
     # -- clone allocation -------------------------------------------------------------
 
-    def _phase_pending_count(self, job: Job, phase: Phase) -> int:
-        """Unfinished task count of one phase, used to scale marginal gains."""
-        return job.num_incomplete_tasks(phase)
+    @staticmethod
+    def _pending_count(job: Job, stage: int) -> int:
+        """Unfinished tasks that scale the marginal gain of a ``stage`` task.
 
-    def _marginal_gain(self, task: Task, copies: int, pending_in_phase: int) -> float:
-        """Weighted reduction in expected phase time from one more clone."""
+        Stage 0 counts its own unfinished tasks; every later stage counts
+        the unfinished tasks of all later stages together.  On the 2-node
+        map→reduce DAG that is the task's own stage.
+        """
+        first = job.num_incomplete_stage_tasks(0)
+        return first if stage == 0 else job.num_remaining_tasks - first
+
+    def _marginal_gain(self, task: Task, copies: int, pending: int) -> float:
+        """Weighted reduction in expected stage time from one more clone."""
         mean = task.duration_distribution.mean
         gain = self.speedup.marginal_gain(mean, copies)
-        return task.job.weight * gain / max(1, pending_in_phase)
+        return task.job.weight * gain / max(1, pending)
 
     def _allocate_clones(
         self,
@@ -338,9 +346,9 @@ class SCACloning(RedundancyPolicy):
         pending_cache: Dict[tuple, int] = {}
         for task_id, copies in planned_copies.items():
             task = tasks_by_id[task_id]
-            key = (task.job.job_id, task.phase)
+            key = (task.job.job_id, task.stage > 0)
             if key not in pending_cache:
-                pending_cache[key] = self._phase_pending_count(task.job, task.phase)
+                pending_cache[key] = self._pending_count(task.job, task.stage)
             gain = self._marginal_gain(task, copies, pending_cache[key])
             heapq.heappush(heap, (-gain, next(counter), task_id))
 
@@ -356,7 +364,7 @@ class SCACloning(RedundancyPolicy):
             free -= 1
             new_count = current + 1
             if new_count < self.max_copies_per_task:
-                key = (task.job.job_id, task.phase)
+                key = (task.job.job_id, task.stage > 0)
                 gain = self._marginal_gain(task, new_count, pending_cache[key])
                 heapq.heappush(heap, (-gain, next(counter), task_id))
         return extra

@@ -9,8 +9,9 @@ per-slot stepping because machine allocations only change at those points.
 Semantics enforced here (Section III of the paper):
 
 * each machine holds at most one copy at a time;
-* a reduce copy placed before its job's map phase completes occupies its
-  machine but makes no progress until the map phase finishes;
+* a copy placed before every predecessor of its stage has completed
+  (a reduce copy before its job's map stage finishes, on the 2-node DAG)
+  occupies its machine but makes no progress until the stage is ready;
 * a task completes when its earliest-finishing copy completes; surviving
   clones are killed at that instant and their machines freed;
 * the scheduler is consulted after every batch of simultaneous events.
@@ -548,10 +549,6 @@ class SimulationEngine:
                                         job._copies_launched += 1
                                         free_ids.pop()
                                         machine.current_copy = copy
-                                        if stage == 0:
-                                            cluster._map_running += 1
-                                        else:
-                                            cluster._reduce_running += 1
                                         result.total_copies += 1
                                         copy.start_time = now
                                         copy.finish_version = 1
@@ -762,15 +759,10 @@ class SimulationEngine:
         task._num_active = num_active
         job._active_copies -= 1
         # Inlined ClusterState.release (a finishing copy is always placed
-        # on its own machine); Task.phase avoided -- stage 0 is the map
-        # phase.
+        # on its own machine).
         machine_id = copy.machine_id
         cluster._machines[machine_id].current_copy = None
         cluster._free_ids.append(machine_id)
-        if stage == 0:
-            cluster._map_running -= 1
-        else:
-            cluster._reduce_running -= 1
         if topology:
             cluster._rack_running[self._rack_of[machine_id]] -= 1
         if dynamic:
@@ -820,10 +812,6 @@ class SimulationEngine:
             result.wasted_work = wasted_work
             task._num_active = 0
             job._active_copies -= num_active
-            if stage == 0:
-                cluster._map_running -= num_active
-            else:
-                cluster._reduce_running -= num_active
 
         # Inlined Job.notify_task_completion (the engine calls it exactly
         # once per completion, so its ownership checks are elided).
@@ -1380,10 +1368,6 @@ class SimulationEngine:
         task._num_active = num_active + n
         job._active_copies += n
         job._copies_launched += n
-        if stage == 0:
-            cluster._map_running += n
-        else:
-            cluster._reduce_running += n
         result.total_copies += n
         if not ready:
             self._parked += n
@@ -1436,9 +1420,7 @@ class SimulationEngine:
                 return
         elif self._events:
             return
-        pending_tasks = sum(
-            job.num_unscheduled_tasks for job in self._alive.values()
-        )
+        pending_tasks = sum(job._unscheduled_total for job in self._alive.values())
         if pending_tasks == 0:
             return
         if self.cluster.has_free_machine():

@@ -8,7 +8,7 @@ engine places the requested copies on free machines.
 The view deliberately does *not* expose the sampled workload of running
 copies: like a real cluster, a scheduler can observe progress and history,
 not the future.  The duration *distribution moments* (``mean``/``std`` of
-each job phase) are available through the job specs, matching the paper's
+each job stage) are available through the job specs, matching the paper's
 assumption that only the first and second moments are known a priori.
 """
 
@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.checks import check_count
-from repro.workload.job import Job, Phase, Task, TaskCopy
+from repro.workload.job import Job, Task, TaskCopy
 
 if TYPE_CHECKING:  # pragma: no cover - avoid an import cycle at runtime
     from repro.policies import (
@@ -76,10 +76,6 @@ class SchedulerView:
     def num_down_machines(self) -> int:
         """Machines currently failed (0 outside failure scenarios)."""
         return self._engine.cluster.num_down
-
-    def num_running(self, phase: Phase) -> int:
-        """``M(t)`` / ``R(t)`` -- machines running copies of the given phase."""
-        return self._engine.cluster.num_running(phase)
 
     def machine_speed(self, machine_id: int) -> float:
         """Base speed of one machine (heterogeneous scenarios expose these)."""
@@ -245,9 +241,10 @@ class ComposedScheduler(Scheduler):
         Seed of the scheduler's private RNG (the random task subsets and
         clone spreading of the paper's cloning policy).
     allow_early_reduce:
-        If True, reduce tasks may be placed before their job's map phase
-        completes (they park without progress) -- the offline algorithm's
-        behaviour, exposed for ablations.
+        If True, a task may be placed before its stage is ready (a reduce
+        task before its job's map stage completes, on the 2-node DAG); it
+        parks without progress -- the offline algorithm's behaviour,
+        exposed for ablations.
     name:
         Result-table name; defaults to the composition label
         (``"srpt+share+clone"`` style).

@@ -33,7 +33,6 @@ from repro.workload.distributions import (
 from repro.workload.job import (
     Job,
     JobSpec,
-    Phase,
     Task,
     TaskCopy,
     TaskStatus,
@@ -67,7 +66,6 @@ __all__ = [
     "Uniform",
     "Job",
     "JobSpec",
-    "Phase",
     "Task",
     "TaskCopy",
     "TaskStatus",

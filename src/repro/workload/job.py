@@ -22,18 +22,21 @@ The model generalises Section III of the paper:
 ``JobSpec`` is the immutable description found in a trace.  Legacy
 map→reduce specs (``num_map_tasks`` / ``num_reduce_tasks``) compile to the
 canonical 2-node DAG; :meth:`JobSpec.from_stages` builds arbitrary DAGs.
+Those two-phase fields are builders only: everything downstream of a spec
+(runtime state, schedulers, bounds, trace statistics) reads the stages
+through :attr:`JobSpec.stage_specs` and stage indices.
 ``Job``, ``Task`` and ``TaskCopy`` are the mutable runtime objects owned by
 the simulation engine.
 
 Performance invariants (the engine hot path depends on these)
 -------------------------------------------------------------
 ``Job``, ``Task`` and ``TaskCopy`` are ``__slots__`` classes, and the
-scheduler-facing counters -- unscheduled tasks per stage ``m_i(l)`` /
-``r_i(l)``, running copies ``sigma_i(l)``, incomplete tasks per stage --
-are maintained *incrementally* on every copy/task state transition instead
-of being recomputed by scanning task lists.  A task is counted
-"unscheduled" exactly while it is not completed and has no active copy;
-the transitions that preserve this invariant are:
+scheduler-facing counters -- unscheduled tasks per stage (the paper's
+``m_i(l)`` / ``r_i(l)`` for the 2-node DAG), running copies ``sigma_i(l)``,
+incomplete tasks per stage -- are maintained *incrementally* on every
+copy/task state transition instead of being recomputed by scanning task
+lists.  A task is counted "unscheduled" exactly while it is not completed
+and has no active copy; the transitions that preserve this invariant are:
 
 * :meth:`Task.add_copy`    -- ``0 -> 1`` active copies: leave unscheduled;
 * copy finish/kill         -- ``1 -> 0`` active copies on an incomplete
@@ -61,23 +64,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from repro.checks import check_count, check_real
 from repro.workload.distributions import DurationDistribution
 
-__all__ = ["Phase", "TaskStatus", "StageSpec", "JobSpec", "Job", "Task", "TaskCopy"]
-
-
-class Phase(enum.Enum):
-    """The two MapReduce phases; ``c`` in the paper's notation.
-
-    With the stage-DAG generalisation, stage 0 presents as ``MAP`` and
-    every later stage as ``REDUCE`` (see :attr:`Task.phase`), so per-phase
-    consumers -- cluster occupancy counters, report slices -- keep working
-    unchanged on arbitrary DAGs.
-    """
-
-    MAP = "map"
-    REDUCE = "reduce"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
+__all__ = ["TaskStatus", "StageSpec", "JobSpec", "Job", "Task", "TaskCopy"]
 
 
 class TaskStatus(enum.Enum):
@@ -225,11 +212,13 @@ class JobSpec:
     weight:
         ``w_i`` -- the job priority/weight used by weighted flowtime.
     num_map_tasks / num_reduce_tasks:
-        ``m_i`` and ``r_i``.  For a DAG job these are summary views:
-        stage 0's task count and the total of all later stages.
+        ``m_i`` and ``r_i`` of a legacy spec.  For a DAG job they are
+        builder fields only: stage 0's task count and the total of all
+        later stages (read the stages through :attr:`stage_specs`).
     map_duration / reduce_duration:
-        Per-phase task duration distributions.  The schedulers may only read
-        ``mean`` and ``std``; the simulator samples actual workloads.
+        Task duration distributions of a legacy spec's two stages.  The
+        schedulers may only read ``mean`` and ``std``; the simulator
+        samples actual workloads.
     stages:
         Optional explicit stage DAG.  ``None`` (the legacy map→reduce
         case) compiles to the canonical 2-node DAG -- stage ``"map"`` with
@@ -299,9 +288,10 @@ class JobSpec:
         """Build a DAG job spec, deriving the legacy summary fields.
 
         ``num_map_tasks`` becomes stage 0's task count, ``num_reduce_tasks``
-        the total of all later stages, and the per-phase durations come from
-        the first (and, when present, second) stage -- so phase-level
-        consumers see a sensible two-phase summary of any DAG.
+        the total of all later stages, and the two durations come from the
+        first (and, when present, second) stage.  Those fields only keep
+        the spec's equality, hash and validation as they were; every
+        consumer reads :attr:`stage_specs`.
         """
         stage_tuple = tuple(stages)
         if not stage_tuple:
@@ -362,18 +352,6 @@ class JobSpec:
     def num_stages(self) -> int:
         """Number of stages in the job's DAG (2 for legacy map→reduce)."""
         return 2 if self.stages is None else len(self.stages)
-
-    def num_tasks(self, phase: Phase) -> int:
-        """Number of tasks in ``phase`` (summary view for DAG jobs)."""
-        if phase is Phase.MAP:
-            return self.num_map_tasks
-        return self.num_reduce_tasks
-
-    def duration(self, phase: Phase) -> DurationDistribution:
-        """Duration distribution of tasks in ``phase`` (summary view)."""
-        if phase is Phase.MAP:
-            return self.map_duration
-        return self.reduce_duration
 
     @property
     def total_tasks(self) -> int:
@@ -672,16 +650,6 @@ class Task:
         return f"Task({self.task_id!r}, copies={len(self.copies)})"
 
     @property
-    def phase(self) -> Phase:
-        """Two-phase summary view: stage 0 is ``MAP``, every later stage ``REDUCE``.
-
-        Keeps per-phase consumers (cluster occupancy counters, report
-        slices) working unchanged on DAG jobs; for the canonical 2-node DAG
-        this is exactly the legacy phase.
-        """
-        return Phase.MAP if self.stage == 0 else Phase.REDUCE
-
-    @property
     def stage_name(self) -> str:
         """Name of the owning stage (from the job's stage DAG)."""
         return self.job._stages[self.stage].name
@@ -781,8 +749,8 @@ class Task:
 class Job:
     """Runtime state of one job, owning the task lists of its stage DAG.
 
-    All scheduler-facing counters (``m_i(l)``, ``r_i(l)``, ``sigma_i(l)``,
-    incomplete tasks per stage, ready-stage unscheduled tasks) are
+    All scheduler-facing counters (unscheduled and incomplete tasks per
+    stage, ``sigma_i(l)``, ready-stage unscheduled tasks) are
     maintained incrementally by the task / copy state transitions, making
     every priority and allocation query O(1) per job (see the module
     docstring for the invariant).
@@ -1012,37 +980,12 @@ class Job:
         """The job's stage DAG (shared with the spec)."""
         return self._stages
 
-    @property
-    def map_tasks(self) -> List[Task]:
-        """Stage 0's task list (the map phase of the 2-node DAG)."""
-        return self.stage_tasks[0]
-
-    @property
-    def reduce_tasks(self) -> List[Task]:
-        """Every non-stage-0 task (the reduce phase of the 2-node DAG)."""
-        if len(self.stage_tasks) == 2:
-            return self.stage_tasks[1]
-        result: List[Task] = []
-        for tasks in self.stage_tasks[1:]:
-            result.extend(tasks)
-        return result
-
     def all_tasks(self) -> Iterator[Task]:
         """Iterate over every task in stage order."""
         for tasks in self.stage_tasks:
             yield from tasks
 
     # -- precedence state machine -------------------------------------------
-
-    @property
-    def map_phase_completion_time(self) -> Optional[float]:
-        """Completion time of stage 0 (the map phase of the 2-node DAG)."""
-        return self._stage_completion[0]
-
-    @property
-    def map_phase_complete(self) -> bool:
-        """True once every stage-0 task has completed (or there were none)."""
-        return self._stage_completion[0] is not None
 
     def stage_is_ready(self, stage: int) -> bool:
         """True once every predecessor of ``stage`` has completed (O(1))."""
@@ -1153,33 +1096,9 @@ class Job:
             if task.completion_time is None and task._num_active == 0
         ]
 
-    def unscheduled_tasks(self, phase: Phase) -> List[Task]:
-        """Unscheduled tasks of ``phase`` (summary view for DAG jobs)."""
-        if phase is Phase.MAP:
-            return self.unscheduled_stage_tasks(0)
-        result: List[Task] = []
-        for stage in range(1, len(self._stages)):
-            result.extend(self.unscheduled_stage_tasks(stage))
-        return result
-
-    @property
-    def num_unscheduled_map_tasks(self) -> int:
-        """``m_i(l)`` in the paper's online-algorithm notation (O(1))."""
-        return self._unscheduled[0]
-
-    @property
-    def num_unscheduled_reduce_tasks(self) -> int:
-        """``r_i(l)`` in the paper's online-algorithm notation (O(1))."""
-        return self._unscheduled_total - self._unscheduled[0]
-
     def num_unscheduled_stage_tasks(self, stage: int) -> int:
         """Unscheduled tasks of ``stage`` (O(1))."""
         return self._unscheduled[stage]
-
-    @property
-    def num_unscheduled_tasks(self) -> int:
-        """Unscheduled tasks across every stage (O(1))."""
-        return self._unscheduled_total
 
     @property
     def num_unscheduled_ready_tasks(self) -> int:
@@ -1189,12 +1108,6 @@ class Job:
         job has work that could start making progress right now.
         """
         return self._unscheduled_ready
-
-    def num_incomplete_tasks(self, phase: Phase) -> int:
-        """Tasks of ``phase`` not yet completed (O(1))."""
-        if phase is Phase.MAP:
-            return self._incomplete[0]
-        return self._incomplete_total - self._incomplete[0]
 
     def num_incomplete_stage_tasks(self, stage: int) -> int:
         """Tasks of ``stage`` not yet completed (O(1))."""

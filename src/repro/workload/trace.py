@@ -126,33 +126,30 @@ class Trace:
         horizon = max(self.duration, 1.0)
         return self.total_expected_work / (num_machines * horizon)
 
-    def statistics(
-        self, rng: Optional[np.random.Generator] = None, samples_per_phase: int = 1
-    ) -> TraceStatistics:
+    def statistics(self, rng: Optional[np.random.Generator] = None) -> TraceStatistics:
         """Compute Table II statistics.
 
         Task-duration extrema and averages are computed from one sampled
-        duration per task (using ``rng``), which is how a measured trace
-        would report them; when ``rng`` is omitted the per-phase means are
-        used instead (deterministic, still the right average).
+        duration per task of every stage (using ``rng``, job by job and
+        stage by stage), which is how a measured trace would report them;
+        when ``rng`` is omitted each stage's mean stands for its tasks
+        instead (deterministic, still the right average).
         """
         durations: List[float] = []
         weights: List[float] = []
         for spec in self._jobs:
             weights.append(spec.weight)
-            for phase_count, dist in (
-                (spec.num_map_tasks, spec.map_duration),
-                (spec.num_reduce_tasks, spec.reduce_duration),
-            ):
-                if phase_count == 0:
+            for stage in spec.stage_specs:
+                count = stage.num_tasks
+                if count == 0:
                     continue
+                dist = stage.duration
                 if rng is None:
-                    durations.extend([dist.mean] * phase_count)
+                    durations.extend([dist.mean] * count)
                 else:
-                    n = phase_count * max(1, samples_per_phase)
                     # Batched draw: bit-identical to per-task sampling by
                     # the sample_batch RNG-consumption contract.
-                    durations.extend(dist.sample_batch(rng, n).tolist())
+                    durations.extend(dist.sample_batch(rng, count).tolist())
         durations_arr = np.asarray(durations, dtype=float)
         return TraceStatistics(
             total_jobs=self.num_jobs,

@@ -254,7 +254,7 @@ def reference_expand_grant(policy, candidates, machines, rng):
 @pytest.mark.parametrize("cap", [0, 1, 2, 3], ids=lambda cap: f"cap{cap}")
 def test_expand_grant_matches_the_per_task_walk(cap, enabled):
     job = make_job(0, 1.0, tasks=7)
-    candidates = job.map_tasks
+    candidates = job.stage_tasks[0]
     # Some candidates already run copies, so the cap bites unevenly.
     for index, task in enumerate(candidates[:3]):
         for copy_id in range(index + 1):

@@ -19,7 +19,7 @@ from repro.simulation.scheduler_api import (
 )
 from repro.workload.distributions import Deterministic, LogNormal
 from repro.workload.generators import bulk_arrival_trace
-from repro.workload.job import JobSpec, Phase, StageSpec, TaskCopy
+from repro.workload.job import JobSpec, StageSpec, TaskCopy
 from repro.workload.trace import Trace
 
 
@@ -148,7 +148,7 @@ class TestLATECandidates:
             def schedule(self, view):
                 self.seen.append((view.time, late._candidates(view)))
                 return [LaunchRequest(task) for job in view.alive_jobs
-                        for task in job.unscheduled_tasks(Phase.MAP)]
+                        for task in job.unscheduled_stage_tasks(0)]
 
         spec = JobSpec(job_id=0, arrival_time=0.0, weight=1.0, num_map_tasks=1,
                        num_reduce_tasks=0, map_duration=Deterministic(10.0),
@@ -156,7 +156,7 @@ class TestLATECandidates:
         probe = Probe()
         engine = SimulationEngine(Trace([spec]), probe, num_machines=1)
         engine.run()
-        task = engine._jobs[0].map_tasks[0]
+        task = engine._jobs[0].stage_tasks[0][0]
         [copy] = task.copies
         # Launched at t=0 (nothing running yet), ticks at 4 and 8, done at 10.
         assert [time for time, _ in probe.seen] == [0.0, 4.0, 8.0]
@@ -176,7 +176,7 @@ class TestLATECandidates:
         # percentile; a copy with no elapsed time has no rate at all.
         late = LATESpeculation(min_progress=0.25, min_elapsed=1.0)
         job = _map_job(5)
-        tasks = job.map_tasks
+        tasks = job.stage_tasks[0]
         slow = _running_copy(tasks[0], 0, 0.0, 500.0)     # rate 0.002, progress 0.02
         twin_a = _running_copy(tasks[1], 1, 0.0, 40.0)    # progress 0.25, two copies
         twin_b = _running_copy(tasks[1], 2, 0.0, 40.0)
@@ -197,17 +197,17 @@ class TestLATECandidates:
         late = LATESpeculation(min_progress=0.5, min_elapsed=0.0)
         job = _map_job(2)
         copies = [_running_copy(task, i, 0.0, 100.0)
-                  for i, task in enumerate(job.map_tasks)]
+                  for i, task in enumerate(job.stage_tasks[0])]
         assert late._candidates(_StubView(40.0, copies)) == []
         [first, second] = late._candidates(_StubView(50.0, copies))
-        assert first[-1] is job.map_tasks[0] and second[-1] is job.map_tasks[1]
+        assert first[-1] is job.stage_tasks[0][0] and second[-1] is job.stage_tasks[0][1]
 
 
 class TestStragglerEstimates:
     def test_straggler_probability_requires_samples(self):
         estimator = SpeculationEstimator(min_samples=3)
         job = _map_job(4)
-        tasks = job.map_tasks
+        tasks = job.stage_tasks[0]
         # elapsed 5 of 20: progress 0.25, time left 5 * 0.75 / 0.25 = 15.
         running = _running_copy(tasks[3], 9, 0.0, 20.0)
         view = _StubView(5.0, [running])
@@ -231,7 +231,7 @@ class TestStragglerEstimates:
     def test_copies_at_the_copy_cap_are_skipped(self):
         estimator = SpeculationEstimator(min_samples=1)
         job = _map_job(3)
-        tasks = job.map_tasks
+        tasks = job.stage_tasks[0]
         _finished_copy(tasks[0], 0, 0.0, 1.0)
         estimator.record_completion(tasks[0], 1.0)
         single = _running_copy(tasks[1], 1, 0.0, 20.0)
@@ -248,7 +248,7 @@ class TestStragglerEstimates:
         estimator = SpeculationEstimator(min_samples=1)
         cap = estimator.max_samples
         job = _map_job(cap + 11)
-        *done, last = job.map_tasks
+        *done, last = job.stage_tasks[0]
         durations = [float((7 * i) % 23 + 1) for i in range(len(done))]
         for index, (task, duration) in enumerate(zip(done, durations)):
             _finished_copy(task, index, 0.0, duration)

@@ -9,7 +9,7 @@ import pytest
 from repro.cluster.machine import Machine
 from repro.cluster.state import ClusterState
 from repro.workload.distributions import Deterministic
-from repro.workload.job import Job, JobSpec, Phase, TaskCopy
+from repro.workload.job import Job, JobSpec, TaskCopy
 
 
 def make_job(maps: int = 2, reduces: int = 1) -> Job:
@@ -41,7 +41,7 @@ class TestMachine:
     def test_assign_and_release(self):
         machine = Machine(machine_id=0)
         job = make_job()
-        copy = make_copy(job.map_tasks[0], 0)
+        copy = make_copy(job.stage_tasks[0][0], 0)
         machine.assign(copy)
         assert not machine.is_free
         released = machine.release()
@@ -51,9 +51,9 @@ class TestMachine:
     def test_double_assign_rejected(self):
         machine = Machine(machine_id=0)
         job = make_job()
-        machine.assign(make_copy(job.map_tasks[0], 0))
+        machine.assign(make_copy(job.stage_tasks[0][0], 0))
         with pytest.raises(ValueError):
-            machine.assign(make_copy(job.map_tasks[1], 0, copy_id=1))
+            machine.assign(make_copy(job.stage_tasks[0][1], 0, copy_id=1))
 
     def test_release_free_machine_rejected(self):
         with pytest.raises(ValueError):
@@ -85,16 +85,13 @@ class TestClusterState:
         cluster = ClusterState(2)
         job = make_job()
         machine_id = cluster.peek_free_machine()
-        copy = make_copy(job.map_tasks[0], machine_id)
+        copy = make_copy(job.stage_tasks[0][0], machine_id)
         cluster.place(copy)
         assert cluster.num_busy == 1
-        assert cluster.num_running(Phase.MAP) == 1
-        assert cluster.num_running(Phase.REDUCE) == 0
         assert cluster.machine_of(copy) == machine_id
         cluster.check_invariants()
         cluster.release(copy)
         assert cluster.num_free == 2
-        assert cluster.num_running(Phase.MAP) == 0
         assert cluster.machine_of(copy) is None
         cluster.check_invariants()
 
@@ -102,7 +99,7 @@ class TestClusterState:
         cluster = ClusterState(2)
         job = make_job()
         wrong_id = (cluster.peek_free_machine() + 1) % 2
-        copy = make_copy(job.map_tasks[0], wrong_id)
+        copy = make_copy(job.stage_tasks[0][0], wrong_id)
         with pytest.raises(ValueError):
             cluster.place(copy)
         # The free machine must not have been consumed by the failed attempt.
@@ -111,27 +108,28 @@ class TestClusterState:
     def test_place_fails_when_full(self):
         cluster = ClusterState(1)
         job = make_job()
-        copy = make_copy(job.map_tasks[0], cluster.peek_free_machine())
+        copy = make_copy(job.stage_tasks[0][0], cluster.peek_free_machine())
         cluster.place(copy)
         with pytest.raises(ValueError):
-            cluster.place(make_copy(job.map_tasks[1], 0, copy_id=1))
+            cluster.place(make_copy(job.stage_tasks[0][1], 0, copy_id=1))
 
     def test_release_unplaced_copy_rejected(self):
         cluster = ClusterState(1)
         job = make_job()
-        copy = make_copy(job.map_tasks[0], 0)
+        copy = make_copy(job.stage_tasks[0][0], 0)
         with pytest.raises(ValueError):
             cluster.release(copy)
 
-    def test_phase_counts_track_reduce_copies(self):
+    def test_copies_of_every_stage_occupy_machines(self):
         cluster = ClusterState(2)
         job = make_job()
-        map_copy = make_copy(job.map_tasks[0], cluster.peek_free_machine())
+        map_copy = make_copy(job.stage_tasks[0][0], cluster.peek_free_machine())
         cluster.place(map_copy)
-        reduce_copy = make_copy(job.reduce_tasks[0], cluster.peek_free_machine(), 1)
+        reduce_copy = make_copy(job.stage_tasks[1][0], cluster.peek_free_machine(), 1)
         cluster.place(reduce_copy)
-        assert cluster.num_running(Phase.MAP) == 1
-        assert cluster.num_running(Phase.REDUCE) == 1
+        assert cluster.num_busy == 2
+        assert cluster.machine_of(map_copy) != cluster.machine_of(reduce_copy)
+        cluster.check_invariants()
         assert not cluster.has_free_machine()
         assert cluster.peek_free_machine() is None
 
@@ -187,14 +185,14 @@ class TestClusterFailureState:
         cluster.mark_down(0)
         job = make_job()
         with pytest.raises(ValueError):
-            cluster.machine(0).assign(make_copy(job.map_tasks[0], 0))
+            cluster.machine(0).assign(make_copy(job.stage_tasks[0][0], 0))
         with pytest.raises(ValueError):
             cluster.machine(0).processing_time(10.0)
 
     def test_mark_down_requires_idle_machine(self):
         cluster = ClusterState(1)
         job = make_job()
-        copy = make_copy(job.map_tasks[0], cluster.peek_free_machine())
+        copy = make_copy(job.stage_tasks[0][0], cluster.peek_free_machine())
         cluster.place(copy)
         with pytest.raises(ValueError):
             cluster.mark_down(0)
@@ -223,7 +221,7 @@ class TestKeptCopyInvariants:
     @staticmethod
     def place_group(cluster, machine_ids, position):
         # The engine's layout: one copy object on every machine of the request.
-        task = make_job().map_tasks[0]
+        task = make_job().stage_tasks[0][0]
         own = machine_ids[position]
         others = machine_ids[:position] + machine_ids[position + 1:]
         copy = TaskCopy(copy_id=position, task=task, machine_id=own,
@@ -232,7 +230,6 @@ class TestKeptCopyInvariants:
         for machine_id in machine_ids:
             cluster._free_ids.remove(machine_id)
             cluster.machine(machine_id).current_copy = copy
-        cluster._map_running += len(machine_ids)
         return copy
 
     def test_every_machine_of_a_kept_copy_is_accepted(self):
@@ -247,7 +244,6 @@ class TestKeptCopyInvariants:
         copy = self.place_group(cluster, [4, 1, 3], position=1)
         cluster._free_ids.remove(0)
         cluster.machine(0).current_copy = copy
-        cluster._map_running += 1
         with pytest.raises(AssertionError, match="copy/machine id mismatch"):
             cluster.check_invariants()
 
@@ -256,7 +252,6 @@ class TestKeptCopyInvariants:
         self.place_group(cluster, [4, 1, 3], position=1)
         cluster.machine(3).current_copy = None
         cluster._free_ids.append(3)
-        cluster._map_running -= 1
         with pytest.raises(AssertionError, match="freed alone"):
             cluster.check_invariants()
 
@@ -265,6 +260,5 @@ class TestKeptCopyInvariants:
         self.place_group(cluster, [4, 1, 3], position=1)
         cluster.machine(1).current_copy = None
         cluster._free_ids.append(1)
-        cluster._map_running -= 1
         with pytest.raises(AssertionError, match="left its own machine"):
             cluster.check_invariants()

@@ -66,9 +66,9 @@ class TestTotalAndRemainingWorkload:
         spec = make_spec(maps=2, reduces=1, mean=10.0)
         job = Job.from_spec(spec)
         before = job.remaining_effective_workload(0.0)
-        copy = TaskCopy(copy_id=0, task=job.map_tasks[0], machine_id=0,
+        copy = TaskCopy(copy_id=0, task=job.stage_tasks[0][0], machine_id=0,
                         launch_time=0.0, workload=10.0)
-        job.map_tasks[0].add_copy(copy)
+        job.stage_tasks[0][0].add_copy(copy)
         after = job.remaining_effective_workload(0.0)
         assert after == pytest.approx(before - 10.0)
 
@@ -134,9 +134,9 @@ def two_phase_total(spec: JobSpec, r: float) -> float:
 
 def two_phase_remaining(job: Job, r: float) -> float:
     spec = job.spec
-    return job.num_unscheduled_map_tasks * (
+    return job.num_unscheduled_stage_tasks(0) * (
         spec.map_duration.mean + r * spec.map_duration.std
-    ) + job.num_unscheduled_reduce_tasks * (
+    ) + job.num_unscheduled_stage_tasks(1) * (
         spec.reduce_duration.mean + r * spec.reduce_duration.std
     )
 
@@ -253,9 +253,9 @@ class TestPriorities:
     def test_online_priority_rises_as_job_progresses(self):
         job = Job.from_spec(make_spec(maps=3, reduces=1))
         before = online_priority(job, 0.0)
-        copy = TaskCopy(copy_id=0, task=job.map_tasks[0], machine_id=0,
+        copy = TaskCopy(copy_id=0, task=job.stage_tasks[0][0], machine_id=0,
                         launch_time=0.0, workload=10.0)
-        job.map_tasks[0].add_copy(copy)
+        job.stage_tasks[0][0].add_copy(copy)
         assert online_priority(job, 0.0) > before
 
     def test_sort_specs_by_priority(self):

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster.stragglers import DynamicStragglers
 from repro.experiments import ExperimentConfig
+from repro.policies import make_scheduler
 from repro.policies.gating import launchable_tasks
 from repro.policies.redundancy import PaperCloning
 from repro.scenarios import MachineFailures, ScenarioSpec, TopologySpec
@@ -27,7 +28,8 @@ from repro.simulation.scheduler_api import (
 from repro.workload.distributions import Deterministic, DurationDistribution, Exponential
 from repro.workload.generators import uniform_trace
 from repro.workload.google_trace import GoogleTraceConfig, GoogleTraceGenerator
-from repro.workload.job import JobSpec, Phase
+from repro.workload.job import JobSpec
+from repro.workload.stream import stream_dag_chain_jobs, stream_dag_diamond_jobs
 from repro.workload.trace import Trace
 
 
@@ -58,7 +60,7 @@ class CloningScheduler(Scheduler):
         requests: List[LaunchRequest] = []
         for job in view.alive_jobs:
             for task in launchable_tasks(job, allow_early_reduce=True):
-                copies = 2 if task.phase is Phase.MAP else 1
+                copies = 2 if task.stage == 0 else 1
                 copies = min(copies, free)
                 if copies <= 0:
                     return requests
@@ -173,9 +175,9 @@ class TestPrecedenceConstraint:
         # Map phase ends at 10; reduce tasks then need 5 more seconds.
         assert result.records[0].flowtime == pytest.approx(15.0)
         job = engine._jobs[0]
-        for task in job.reduce_tasks:
+        for task in job.stage_tasks[1]:
             for copy in task.copies:
-                assert copy.start_time >= job.map_phase_completion_time
+                assert copy.start_time >= job.stage_completion_time(0)
 
     def test_parked_reduce_copy_occupies_machine_without_progress(self):
         # A scheduler that launches every unscheduled task immediately parks
@@ -187,8 +189,8 @@ class TestPrecedenceConstraint:
                 free = view.num_free_machines
                 requests: List[LaunchRequest] = []
                 for job in view.alive_jobs:
-                    for phase in (Phase.MAP, Phase.REDUCE):
-                        for task in job.unscheduled_tasks(phase):
+                    for stage in range(job.num_stages):
+                        for task in job.unscheduled_stage_tasks(stage):
                             if free <= 0:
                                 return requests
                             requests.append(LaunchRequest(task=task, num_copies=1))
@@ -199,7 +201,7 @@ class TestPrecedenceConstraint:
         engine = SimulationEngine(trace, ParkingScheduler(), num_machines=4)
         result = engine.run()
         job = engine._jobs[0]
-        reduce_copy = job.reduce_tasks[0].copies[0]
+        reduce_copy = job.stage_tasks[1][0].copies[0]
         assert reduce_copy.launch_time == pytest.approx(0.0)
         assert reduce_copy.start_time == pytest.approx(10.0)
         assert result.records[0].flowtime == pytest.approx(15.0)
@@ -372,6 +374,56 @@ def test_clone_heavy_fingerprints_are_pinned(google_config, composition, branch)
     if branch == "checkpoint":
         assert result.checkpoint_resumes > 0
     assert result.fingerprint() == CLONE_FINGERPRINTS[composition, branch]
+
+
+#: SCA on stage DAGs deeper than two stages: 60 three-round chain jobs and
+#: 60 diamond jobs (split, three branches, merge) on 16 machines.  SCA
+#: divides a clone's marginal gain by the unfinished tasks of stage 0, or of
+#: every later stage together (``SCACloning._pending_count``).  On these
+#: traces a per-stage divisor changes all four fingerprints, so a change to
+#: the divisor has to re-record them on purpose.
+SCA_DAG_FINGERPRINTS = {
+    ("SCA", "chain"): (
+        "e0e49dfa0654447eaa1eb19e9e13746044068d0fa222cd9d7a1391ecaea7c238"
+    ),
+    ("SCA", "diamond"): (
+        "fd4895412a0f59ee21d5e7be846d7c7a36bf031dbaf1cedd8ae9d59c8c198fcf"
+    ),
+    ("srpt+share+sca", "chain"): (
+        "0a2d7afdfb09a9ba39d1f6376ebea743b47ad388a249b86d71aac4959dc54596"
+    ),
+    ("srpt+share+sca", "diamond"): (
+        "b674196d7e6517cab16b56cbf02ad9d0d761fbfb7b7c26fc56c34a1aabbfea83"
+    ),
+}
+
+
+def _sca_dag_trace(kind: str) -> Trace:
+    if kind == "chain":
+        specs = stream_dag_chain_jobs(
+            60, num_rounds=3, arrival_rate=0.3, mean_tasks_per_round=3.0,
+            mean_duration=6.0, cv=0.6, seed=2,
+        )
+    else:
+        specs = stream_dag_diamond_jobs(
+            60, fan_out=3, arrival_rate=0.3, mean_tasks_per_branch=2.0,
+            mean_duration=6.0, cv=0.6, seed=2,
+        )
+    return Trace(tuple(specs), name=kind)
+
+
+@pytest.mark.parametrize("name, kind", sorted(SCA_DAG_FINGERPRINTS))
+def test_sca_fingerprints_on_deep_dags_are_pinned(name, kind):
+    keywords = {} if name == "SCA" else dict(epsilon=0.6, r=3.0)
+    result = SimulationEngine(
+        _sca_dag_trace(kind),
+        make_scheduler(name, **keywords),
+        16,
+        seed=3,
+        check_invariants=True,
+    ).run()
+    assert result.redundant_copies_launched > 0
+    assert result.fingerprint() == SCA_DAG_FINGERPRINTS[name, kind]
 
 
 class TestFinishEntryTraffic:

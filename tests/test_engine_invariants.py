@@ -8,14 +8,20 @@ copy history:
 * the view's running copies (read off the machines) are exactly the
   active copies of the alive jobs' tasks, and at most one copy occupies
   any machine at any decision point;
-* reduce copies make no progress before their job's map phase completes;
+* a copy is blocked (parked, no progress) exactly while its stage is not
+  ready, judged from the task lists: some predecessor stage still has an
+  incomplete task;
+* no copy of a stage starts before every predecessor stage has completed;
 * a task's completion time equals that of its earliest-finishing copy;
-* killed clones release their machines (the cluster drains to fully free).
+* killed clones release their machines (the cluster drains: every machine
+  ends free, or down after a failure).
 
-The stage-DAG extension (PR 6) adds two more layers on multi-round jobs:
-the incremental per-job counters must match a full ``_recount`` rescan at
-every decision point, and a mid-DAG failure kill must be re-dispatched
-exactly once under single-copy redundancy policies.
+The stage-DAG extension (PR 6) adds more layers on multi-round jobs: the
+incremental per-job counters must match a full ``_recount`` rescan at
+every decision point, a mid-DAG failure kill must be re-dispatched
+exactly once under single-copy redundancy policies, and the post-mortem
+checks run on chain and diamond traces too, including compositions that
+park copies of unready stages, with and without machine failures.
 
 The rack topology (PR 8) adds one more: under an active topology the
 per-rack occupancy counters must match a from-scratch recount of the
@@ -35,11 +41,27 @@ from repro.scenarios import MachineFailures, ScenarioSpec, TopologySpec
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.scheduler_api import ComposedScheduler, Scheduler
 from repro.workload.generators import poisson_trace
-from repro.workload.job import Phase
 from repro.workload.stream import stream_dag_chain_jobs, stream_dag_diamond_jobs
 from repro.workload.trace import Trace
 
 NUM_MACHINES = 6
+
+
+def _stage_complete_by_scan(job, stage) -> bool:
+    """Whether ``stage`` has completed, from the task lists alone.
+
+    An empty stage completes the instant it becomes ready.
+    """
+    return _stage_ready_by_scan(job, stage) and all(
+        task.is_completed for task in job.stage_tasks[stage]
+    )
+
+
+def _stage_ready_by_scan(job, stage) -> bool:
+    """Whether every predecessor of ``stage`` has completed, from the task lists."""
+    return all(
+        _stage_complete_by_scan(job, dep) for dep in job.stage_specs[stage].deps
+    )
 
 
 class InvariantCheckingScheduler(Scheduler):
@@ -50,6 +72,7 @@ class InvariantCheckingScheduler(Scheduler):
         self.name = f"checked-{base.name}"
         self.tick_interval = base.tick_interval
         self.decision_points = 0
+        self.parked_observations = 0
 
     def bind(self, view) -> None:
         super().bind(view)
@@ -97,20 +120,111 @@ class InvariantCheckingScheduler(Scheduler):
         )
 
         for copy in occupied:
-            # Blocked copies are exactly the reduce copies whose map phase
-            # is unfinished, and blocked copies have made zero progress.
-            job = copy.task.job
-            if copy.task.phase is Phase.REDUCE and not job.map_phase_complete:
+            # Blocked copies are exactly the copies whose stage is not
+            # ready, and blocked copies have made zero progress.
+            task = copy.task
+            if _stage_ready_by_scan(task.job, task.stage):
+                assert not copy.is_blocked
+            else:
                 assert copy.is_blocked
                 assert copy.progress(view.time) == 0.0
-            else:
-                assert not copy.is_blocked
+                self.parked_observations += 1
 
         requests = self._base.schedule(view)
         # Keep dynamic tick hints (e.g. delay-scheduling deadlines) visible
         # through the wrapper: the engine reads the outermost scheduler.
         self.tick_interval = self._base.tick_interval
         return requests
+
+
+def check_post_mortem(engine, result, machines) -> None:
+    """Checks over a finished run's full copy history.
+
+    A run without machine failures is held to the strict form: every
+    machine ends free and every killed copy is a clone the task's
+    completion killed.  Only a run with failures may end with machines
+    down and hold copies a failure killed before the task completed.
+    """
+    failures = result.machine_failures > 0 or result.copies_killed_by_failure > 0
+    # Killed clones freed their machines: the cluster fully drains (a
+    # machine that failed is down rather than free).
+    if failures:
+        assert engine.cluster.num_free + engine.cluster.num_down == machines
+    else:
+        assert engine.cluster.num_down == 0
+        assert engine.cluster.num_free == machines
+    assert engine.cluster.num_busy == 0
+    engine.cluster.check_invariants()
+
+    total_copies = 0
+    useful = 0.0
+    wasted = 0.0
+    for job in engine._jobs:
+        assert job.is_complete
+        for stage, tasks in enumerate(job.stage_tasks):
+            if tasks:
+                # A stage completes with its last task.
+                assert job.stage_completion_time(stage) == max(
+                    task.completion_time for task in tasks
+                )
+            gates = [
+                job.stage_completion_time(dep) for dep in job.stage_specs[stage].deps
+            ]
+            for task in tasks:
+                assert task.is_completed
+                total_copies += sum(copy.num_copies for copy in task.copies)
+
+                finished = [copy for copy in task.copies if copy.is_finished]
+                killed = [copy for copy in task.copies if copy.is_killed]
+                # Exactly one copy wins; every other copy was killed.
+                assert len(finished) == 1
+                assert len(finished) + len(killed) == len(task.copies)
+
+                # Task completion time is the earliest-finishing copy's
+                # finish time: the winner finished then, and no clone the
+                # completion killed could have finished earlier.  (A kept
+                # copy is the earliest of its own request by construction;
+                # tests/test_finish_entry_equivalence.py pins that against
+                # copies built one by one.)  Only in a run with failures can
+                # a copy have been killed earlier, outside that race.
+                winner = finished[0]
+                assert task.completion_time == winner.finish_time
+                for clone in killed:
+                    if failures:
+                        assert clone.killed_at <= task.completion_time
+                    else:
+                        assert clone.killed_at == task.completion_time
+                    if (
+                        clone.start_time is not None
+                        and clone.killed_at == task.completion_time
+                    ):
+                        assert (
+                            clone.start_time + clone.workload
+                            >= task.completion_time - 1e-9
+                        )
+
+                # No copy of a stage starts before every predecessor stage
+                # has completed.
+                for copy in task.copies:
+                    if copy.start_time is not None:
+                        for gate in gates:
+                            assert gate is not None
+                            assert copy.start_time >= gate - 1e-9
+
+                # The copies a kept copy stands for ran exactly as long as it did.
+                useful += sum(copy.elapsed(result.makespan) for copy in finished)
+                wasted += sum(
+                    (copy.num_copies - 1) * copy.elapsed(result.makespan)
+                    for copy in finished
+                )
+                wasted += sum(
+                    copy.num_copies * copy.elapsed(result.makespan) for copy in killed
+                )
+
+    # The engine's work accounting matches the copy history.
+    assert total_copies == result.total_copies
+    assert useful == pytest.approx(result.useful_work)
+    assert wasted == pytest.approx(result.wasted_work)
 
 
 def _policies():
@@ -145,65 +259,7 @@ def test_engine_invariants_on_random_traces(build, trace_seed):
     assert scheduler.decision_points > 0
     assert result.num_jobs == trace.num_jobs
 
-    # Killed clones freed their machines: the cluster fully drains.
-    assert engine.cluster.num_free == NUM_MACHINES
-    assert engine.cluster.num_busy == 0
-    engine.cluster.check_invariants()
-
-    total_copies = 0
-    useful = 0.0
-    wasted = 0.0
-    for job in engine._jobs:
-        assert job.is_complete
-        for task in job.all_tasks():
-            assert task.is_completed
-            total_copies += sum(copy.num_copies for copy in task.copies)
-
-            finished = [copy for copy in task.copies if copy.is_finished]
-            killed = [copy for copy in task.copies if copy.is_killed]
-            # Exactly one copy wins; every other copy was killed.
-            assert len(finished) == 1
-            assert len(finished) + len(killed) == len(task.copies)
-
-            # Task completion time is the earliest-finishing copy's finish
-            # time: the winner finished then, and no killed copy could have
-            # finished earlier.  (A kept copy is the earliest of its own
-            # request by construction; tests/test_finish_entry_equivalence.py
-            # pins that against copies built one by one.)
-            winner = finished[0]
-            assert task.completion_time == winner.finish_time
-            for clone in killed:
-                assert clone.killed_at <= task.completion_time
-                if clone.start_time is not None:
-                    assert (
-                        clone.start_time + clone.workload
-                        >= task.completion_time - 1e-9
-                    )
-
-            if task.phase is Phase.REDUCE:
-                # No reduce copy starts processing before the map phase is done.
-                assert job.map_phase_completion_time is not None
-                for copy in task.copies:
-                    if copy.start_time is not None:
-                        assert (
-                            copy.start_time
-                            >= job.map_phase_completion_time - 1e-9
-                        )
-
-            # The copies a kept copy stands for ran exactly as long as it did.
-            useful += sum(copy.elapsed(result.makespan) for copy in finished)
-            wasted += sum(
-                (copy.num_copies - 1) * copy.elapsed(result.makespan)
-                for copy in finished
-            )
-            wasted += sum(
-                copy.num_copies * copy.elapsed(result.makespan) for copy in killed
-            )
-
-    # The engine's work accounting matches the copy history.
-    assert total_copies == result.total_copies
-    assert useful == pytest.approx(result.useful_work)
-    assert wasted == pytest.approx(result.wasted_work)
+    check_post_mortem(engine, result, NUM_MACHINES)
 
 
 @pytest.mark.parametrize("trace_seed", [3, 9])
@@ -314,9 +370,66 @@ def test_incremental_counters_match_rescan_on_multi_round_jobs(
     result = engine.run()
     assert scheduler.decision_points > 0
     assert result.num_jobs == trace.num_jobs
-    assert engine.cluster.num_free == NUM_MACHINES
+    check_post_mortem(engine, result, NUM_MACHINES)
     # The trace really exercised multi-round DAGs, not degenerate 2-stagers.
     assert any(job.num_stages > 2 for job in engine._jobs)
+
+
+def _parking_schedulers():
+    """Compositions that park copies of unready stages on machines."""
+    return [
+        pytest.param(
+            lambda: ComposedScheduler(
+                "srpt", "share", "clone", epsilon=0.6, r=3.0, allow_early_reduce=True
+            ),
+            id="srpt+share+clone-early",
+        ),
+        pytest.param(lambda: make_scheduler("Offline"), id="offline"),
+        pytest.param(
+            lambda: make_scheduler(
+                "SRPTMS+C", schedule_reduce_before_map_completion=True
+            ),
+            id="srptms_c-early",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("failures", [False, True], ids=["static", "failures"])
+@pytest.mark.parametrize("build", _parking_schedulers())
+@pytest.mark.parametrize("kind", ["chain", "diamond"])
+def test_parked_copies_wait_for_their_stage_on_multi_round_jobs(
+    kind, build, failures
+):
+    """Copies parked on stages past the second wait for every predecessor."""
+    trace = _dag_trace(kind, 5)
+    scheduler = CounterRescanScheduler(build())
+    scenario = (
+        ScenarioSpec(failures=MachineFailures(rate=0.01, mean_repair=5.0))
+        if failures
+        else None
+    )
+    engine = SimulationEngine(
+        trace,
+        scheduler,
+        NUM_MACHINES,
+        seed=5,
+        scenario=scenario,
+        check_invariants=True,
+    )
+    result = engine.run()
+    assert result.num_jobs == trace.num_jobs
+    assert scheduler.parked_observations > 0, "expected parked copies"
+    # Copies of stages past the second were parked too.
+    assert any(
+        copy.start_time is None or copy.start_time > copy.launch_time
+        for job in engine._jobs
+        for task in job.all_tasks()
+        if task.stage >= 2
+        for copy in task.copies
+    )
+    if failures:
+        assert result.copies_killed_by_failure > 0, "expected failures to kill copies"
+    check_post_mortem(engine, result, NUM_MACHINES)
 
 
 @pytest.mark.parametrize("redundancy", ["none", "checkpoint"])

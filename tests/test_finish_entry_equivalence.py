@@ -145,10 +145,6 @@ class ReferenceEngine(SimulationEngine):
         task._num_active = num_active + n
         job._active_copies += n
         job._copies_launched += n
-        if stage == 0:
-            cluster._map_running += n
-        else:
-            cluster._reduce_running += n
         result.total_copies += n
         if not ready:
             self._parked += n

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.bounds import serial_phase_lower_bound
+from repro.core.bounds import critical_path
 from repro.policies import make_scheduler
 from repro.simulation.engine import SimulationEngine
 from repro.workload.generators import bimodal_trace
@@ -86,7 +86,7 @@ def test_deterministic_workload_flowtimes_respect_lower_bounds(
     result = engine.run()
     specs = {spec.job_id: spec for spec in deterministic_online_trace}
     for record in result.records:
-        lower = serial_phase_lower_bound(specs[record.job_id])
+        lower = critical_path(specs[record.job_id])
         assert record.flowtime >= lower - 1e-9
 
 

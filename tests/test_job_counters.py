@@ -1,7 +1,7 @@
 """Consistency tests for the O(1) incremental job/task counters.
 
 The hot-path overhaul replaced every scan-based scheduler query
-(``num_unscheduled_*``, ``num_running_copies``, ``is_scheduled``,
+(``num_unscheduled_stage_tasks``, ``num_running_copies``, ``is_scheduled``,
 ``num_remaining_tasks``) with counters maintained at copy/task state
 transitions.  These tests assert, at every scheduler decision point of
 full runs -- including clone kills, blocked reduce copies and
@@ -16,24 +16,23 @@ from repro.scenarios import MachineFailures, ScenarioSpec
 from repro.simulation import run_simulation
 from repro.simulation.scheduler_api import ComposedScheduler
 from repro.workload.generators import poisson_trace
-from repro.workload.job import Job, Phase
+from repro.workload.job import Job
 
 
 def scanned_counters(job: Job) -> dict:
     """Recompute every incremental counter by scanning the task lists."""
     return {
-        "unscheduled_map": sum(
-            1 for t in job.map_tasks
-            if not t.is_completed and not any(c.is_active for c in t.copies)
-        ),
-        "unscheduled_reduce": sum(
-            1 for t in job.reduce_tasks
-            if not t.is_completed and not any(c.is_active for c in t.copies)
-        ),
-        "incomplete_map": sum(1 for t in job.map_tasks if not t.is_completed),
-        "incomplete_reduce": sum(
-            1 for t in job.reduce_tasks if not t.is_completed
-        ),
+        "unscheduled": [
+            sum(
+                1 for t in tasks
+                if not t.is_completed and not any(c.is_active for c in t.copies)
+            )
+            for tasks in job.stage_tasks
+        ],
+        "incomplete": [
+            sum(1 for t in tasks if not t.is_completed) for tasks in job.stage_tasks
+        ],
+        "remaining": sum(1 for t in job.all_tasks() if not t.is_completed),
         # A kept copy of a static multi-copy request stands for its
         # request's other copies too.
         "active_copies": sum(
@@ -48,11 +47,11 @@ def scanned_counters(job: Job) -> dict:
 
 def counter_values(job: Job) -> dict:
     """The incrementally maintained counters, via the public API."""
+    stages = range(job.num_stages)
     return {
-        "unscheduled_map": job.num_unscheduled_map_tasks,
-        "unscheduled_reduce": job.num_unscheduled_reduce_tasks,
-        "incomplete_map": job.num_incomplete_tasks(Phase.MAP),
-        "incomplete_reduce": job.num_incomplete_tasks(Phase.REDUCE),
+        "unscheduled": [job.num_unscheduled_stage_tasks(s) for s in stages],
+        "incomplete": [job.num_incomplete_stage_tasks(s) for s in stages],
+        "remaining": job.num_remaining_tasks,
         "active_copies": job.num_running_copies,
         "copies_launched": job.total_copies_launched(),
     }

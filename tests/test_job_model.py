@@ -9,7 +9,7 @@ import pytest
 
 from repro.workload.distributions import Deterministic, LogNormal
 from repro.workload.google_trace import GoogleTraceConfig, GoogleTraceGenerator
-from repro.workload.job import Job, JobSpec, Phase, StageSpec, Task, TaskCopy, TaskStatus
+from repro.workload.job import Job, JobSpec, StageSpec, Task, TaskCopy, TaskStatus
 from repro.workload.stream import stream_uniform_jobs
 
 
@@ -28,12 +28,12 @@ def make_spec(**overrides) -> JobSpec:
 
 
 class TestJobSpec:
-    def test_phase_accessors(self):
-        spec = make_spec()
-        assert spec.num_tasks(Phase.MAP) == 2
-        assert spec.num_tasks(Phase.REDUCE) == 1
-        assert spec.duration(Phase.MAP).mean == 10.0
-        assert spec.duration(Phase.REDUCE).mean == 5.0
+    def test_legacy_fields_build_the_two_stage_dag(self):
+        map_stage, reduce_stage = make_spec().stage_specs
+        assert (map_stage.num_tasks, reduce_stage.num_tasks) == (2, 1)
+        assert map_stage.duration.mean == 10.0
+        assert reduce_stage.duration.mean == 5.0
+        assert (map_stage.deps, reduce_stage.deps) == ((), (0,))
 
     def test_total_tasks_and_expected_work(self):
         spec = make_spec()
@@ -114,22 +114,25 @@ class TestJobSpec:
 class TestJobConstruction:
     def test_from_spec_builds_tasks(self):
         job = Job.from_spec(make_spec())
-        assert len(job.map_tasks) == 2
-        assert len(job.reduce_tasks) == 1
-        assert all(task.phase is Phase.MAP for task in job.map_tasks)
-        assert all(task.phase is Phase.REDUCE for task in job.reduce_tasks)
-        assert not job.map_phase_complete
+        assert [len(tasks) for tasks in job.stage_tasks] == [2, 1]
+        assert all(
+            task.stage == stage
+            for stage, tasks in enumerate(job.stage_tasks)
+            for task in tasks
+        )
+        assert job.stage_completion_time(0) is None
+        assert not job.stage_is_ready(1)
         assert not job.is_complete
 
     def test_map_only_job(self):
         job = Job.from_spec(make_spec(num_reduce_tasks=0))
-        assert job.reduce_tasks == []
-        assert not job.map_phase_complete
+        assert job.stage_tasks[1] == []
+        assert job.stage_completion_time(0) is None
 
     def test_reduce_only_job_has_trivially_complete_map_phase(self):
         job = Job.from_spec(make_spec(num_map_tasks=0, arrival_time=4.0))
-        assert job.map_phase_complete
-        assert job.map_phase_completion_time == 4.0
+        assert job.stage_completion_time(0) == 4.0
+        assert job.stage_is_ready(1)
 
     def test_task_ids_are_unique(self):
         job = Job.from_spec(make_spec(num_map_tasks=5, num_reduce_tasks=3))
@@ -165,7 +168,7 @@ class TestLegacyStageTuples:
 class TestTaskCopy:
     def test_lifecycle(self):
         job = Job.from_spec(make_spec())
-        copy = launch_copy(job.map_tasks[0])
+        copy = launch_copy(job.stage_tasks[0][0])
         assert copy.is_active and copy.is_blocked
         copy.start(0.0)
         assert not copy.is_blocked
@@ -176,7 +179,7 @@ class TestTaskCopy:
 
     def test_progress_and_remaining_work(self):
         job = Job.from_spec(make_spec())
-        copy = launch_copy(job.map_tasks[0], workload=10.0)
+        copy = launch_copy(job.stage_tasks[0][0], workload=10.0)
         copy.start(0.0)
         assert copy.progress(4.0) == pytest.approx(0.4)
         assert copy.remaining_work(4.0) == pytest.approx(6.0)
@@ -184,14 +187,14 @@ class TestTaskCopy:
 
     def test_blocked_copy_has_no_progress(self):
         job = Job.from_spec(make_spec())
-        copy = launch_copy(job.reduce_tasks[0])
+        copy = launch_copy(job.stage_tasks[1][0])
         assert copy.elapsed(50.0) == 0.0
         assert copy.progress(50.0) == 0.0
         assert copy.expected_finish_time is None
 
     def test_kill_stops_elapsed_accumulation(self):
         job = Job.from_spec(make_spec())
-        copy = launch_copy(job.map_tasks[0], workload=10.0)
+        copy = launch_copy(job.stage_tasks[0][0], workload=10.0)
         copy.start(0.0)
         copy.kill(4.0)
         assert copy.is_killed
@@ -199,26 +202,26 @@ class TestTaskCopy:
 
     def test_cannot_start_twice(self):
         job = Job.from_spec(make_spec())
-        copy = launch_copy(job.map_tasks[0])
+        copy = launch_copy(job.stage_tasks[0][0])
         copy.start(0.0)
         with pytest.raises(ValueError):
             copy.start(1.0)
 
     def test_cannot_finish_before_start(self):
         job = Job.from_spec(make_spec())
-        copy = launch_copy(job.map_tasks[0])
+        copy = launch_copy(job.stage_tasks[0][0])
         with pytest.raises(ValueError):
             copy.finish(5.0)
 
     def test_cannot_start_before_launch(self):
         job = Job.from_spec(make_spec())
-        copy = launch_copy(job.map_tasks[0], time=10.0)
+        copy = launch_copy(job.stage_tasks[0][0], time=10.0)
         with pytest.raises(ValueError):
             copy.start(5.0)
 
     def test_cannot_kill_finished_copy(self):
         job = Job.from_spec(make_spec())
-        copy = launch_copy(job.map_tasks[0])
+        copy = launch_copy(job.stage_tasks[0][0])
         copy.start(0.0)
         copy.finish(10.0)
         with pytest.raises(ValueError):
@@ -227,17 +230,17 @@ class TestTaskCopy:
     def test_validation(self):
         job = Job.from_spec(make_spec())
         with pytest.raises(ValueError):
-            TaskCopy(copy_id=0, task=job.map_tasks[0], machine_id=0,
+            TaskCopy(copy_id=0, task=job.stage_tasks[0][0], machine_id=0,
                      launch_time=0.0, workload=0.0)
         with pytest.raises(ValueError):
-            TaskCopy(copy_id=0, task=job.map_tasks[0], machine_id=0,
+            TaskCopy(copy_id=0, task=job.stage_tasks[0][0], machine_id=0,
                      launch_time=-1.0, workload=1.0)
 
 
 class TestTask:
     def test_status_transitions(self):
         job = Job.from_spec(make_spec())
-        task = job.map_tasks[0]
+        task = job.stage_tasks[0][0]
         assert task.status is TaskStatus.PENDING
         copy = launch_copy(task)
         copy.start(0.0)
@@ -249,7 +252,7 @@ class TestTask:
 
     def test_complete_kills_sibling_clones(self):
         job = Job.from_spec(make_spec())
-        task = job.map_tasks[0]
+        task = job.stage_tasks[0][0]
         winner = launch_copy(task, copy_id=0, machine=0)
         loser = launch_copy(task, copy_id=1, machine=1, workload=20.0)
         winner.start(0.0)
@@ -261,7 +264,7 @@ class TestTask:
 
     def test_cannot_complete_twice(self):
         job = Job.from_spec(make_spec())
-        task = job.map_tasks[0]
+        task = job.stage_tasks[0][0]
         launch_copy(task).start(0.0)
         task.complete(10.0)
         with pytest.raises(ValueError):
@@ -269,7 +272,7 @@ class TestTask:
 
     def test_cannot_add_copy_to_completed_task(self):
         job = Job.from_spec(make_spec())
-        task = job.map_tasks[0]
+        task = job.stage_tasks[0][0]
         launch_copy(task).start(0.0)
         task.complete(10.0)
         with pytest.raises(ValueError):
@@ -277,16 +280,16 @@ class TestTask:
 
     def test_first_launch_time(self):
         job = Job.from_spec(make_spec())
-        task = job.map_tasks[0]
+        task = job.stage_tasks[0][0]
         assert task.first_launch_time() is None
         launch_copy(task, copy_id=0, time=5.0)
         launch_copy(task, copy_id=1, time=3.0)
         assert task.first_launch_time() == 3.0
 
-    def test_duration_distribution_comes_from_phase(self):
+    def test_duration_distribution_comes_from_stage(self):
         job = Job.from_spec(make_spec())
-        assert job.map_tasks[0].duration_distribution.mean == 10.0
-        assert job.reduce_tasks[0].duration_distribution.mean == 5.0
+        assert job.stage_tasks[0][0].duration_distribution.mean == 10.0
+        assert job.stage_tasks[1][0].duration_distribution.mean == 5.0
 
 
 class TestJobPrecedence:
@@ -300,18 +303,19 @@ class TestJobPrecedence:
 
     def test_map_phase_completes_after_all_map_tasks(self):
         job = Job.from_spec(make_spec())
-        assert not self._complete_task(job, job.map_tasks[0], 10.0)
-        assert not job.map_phase_complete
-        assert not self._complete_task(job, job.map_tasks[1], 12.0)
-        assert job.map_phase_complete
-        assert job.map_phase_completion_time == 12.0
+        assert not self._complete_task(job, job.stage_tasks[0][0], 10.0)
+        assert job.stage_completion_time(0) is None
+        assert not job.stage_is_ready(1)
+        assert not self._complete_task(job, job.stage_tasks[0][1], 12.0)
+        assert job.stage_completion_time(0) == 12.0
+        assert job.stage_is_ready(1)
         assert not job.is_complete
 
     def test_job_completes_after_all_reduce_tasks(self):
         job = Job.from_spec(make_spec())
-        self._complete_task(job, job.map_tasks[0], 10.0)
-        self._complete_task(job, job.map_tasks[1], 12.0)
-        finished = self._complete_task(job, job.reduce_tasks[0], 20.0)
+        self._complete_task(job, job.stage_tasks[0][0], 10.0)
+        self._complete_task(job, job.stage_tasks[0][1], 12.0)
+        finished = self._complete_task(job, job.stage_tasks[1][0], 20.0)
         assert finished
         assert job.is_complete
         assert job.completion_time == 20.0
@@ -320,8 +324,8 @@ class TestJobPrecedence:
 
     def test_map_only_job_completes_with_last_map_task(self):
         job = Job.from_spec(make_spec(num_reduce_tasks=0, num_map_tasks=2))
-        self._complete_task(job, job.map_tasks[0], 5.0)
-        finished = self._complete_task(job, job.map_tasks[1], 9.0)
+        self._complete_task(job, job.stage_tasks[0][0], 5.0)
+        finished = self._complete_task(job, job.stage_tasks[0][1], 9.0)
         assert finished
         assert job.completion_time == 9.0
 
@@ -329,13 +333,13 @@ class TestJobPrecedence:
         job_a = Job.from_spec(make_spec(job_id=1))
         job_b = Job.from_spec(make_spec(job_id=2))
         with pytest.raises(ValueError):
-            job_a.notify_task_completion(job_b.map_tasks[0], 1.0)
+            job_a.notify_task_completion(job_b.stage_tasks[0][0], 1.0)
 
     def test_notify_rejects_after_completion(self):
         job = Job.from_spec(make_spec(num_map_tasks=1, num_reduce_tasks=0))
-        self._complete_task(job, job.map_tasks[0], 5.0)
+        self._complete_task(job, job.stage_tasks[0][0], 5.0)
         with pytest.raises(ValueError):
-            job.notify_task_completion(job.map_tasks[0], 6.0)
+            job.notify_task_completion(job.stage_tasks[0][0], 6.0)
 
     def test_flowtime_none_until_complete(self):
         job = Job.from_spec(make_spec())
@@ -346,16 +350,16 @@ class TestJobPrecedence:
 class TestJobCounters:
     def test_unscheduled_counts_follow_launches(self):
         job = Job.from_spec(make_spec(num_map_tasks=3, num_reduce_tasks=2))
-        assert job.num_unscheduled_map_tasks == 3
-        assert job.num_unscheduled_reduce_tasks == 2
-        launch_copy(job.map_tasks[0])
-        assert job.num_unscheduled_map_tasks == 2
+        assert job.num_unscheduled_stage_tasks(0) == 3
+        assert job.num_unscheduled_stage_tasks(1) == 2
+        launch_copy(job.stage_tasks[0][0])
+        assert job.num_unscheduled_stage_tasks(0) == 2
         assert job.num_running_copies == 1
 
     def test_running_copies_counts_clones(self):
         job = Job.from_spec(make_spec())
-        launch_copy(job.map_tasks[0], copy_id=0, machine=0)
-        launch_copy(job.map_tasks[0], copy_id=1, machine=1)
+        launch_copy(job.stage_tasks[0][0], copy_id=0, machine=0)
+        launch_copy(job.stage_tasks[0][0], copy_id=1, machine=1)
         assert job.num_running_copies == 2
         assert job.total_copies_launched() == 2
 
@@ -369,7 +373,7 @@ class TestJobCounters:
         job = Job.from_spec(spec)
         full = job.remaining_effective_workload(r=2.0)
         assert full == pytest.approx(3 * (10 + 4) + 2 * (5 + 2))
-        launch_copy(job.map_tasks[0])
+        launch_copy(job.stage_tasks[0][0])
         after = job.remaining_effective_workload(r=2.0)
         assert after == pytest.approx(2 * (10 + 4) + 2 * (5 + 2))
 

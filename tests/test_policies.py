@@ -47,7 +47,7 @@ from repro.simulation import (
 from repro.simulation.scheduler_api import ComposedScheduler
 from repro.study import study_from_toml
 from repro.workload.generators import bulk_arrival_trace
-from repro.workload.job import Job, JobSpec, Phase
+from repro.workload.job import Job, JobSpec
 from repro.workload.distributions import Deterministic, LogNormal
 from repro.workload.trace import Trace
 
@@ -245,19 +245,19 @@ class TestGating:
     def test_maps_gate_reduces(self):
         job = self.make_job()
         assert schedulable_jobs([job]) == [job]
-        assert [t.phase for t in launchable_tasks(job)] == [Phase.MAP] * 2
+        assert [t.stage for t in launchable_tasks(job)] == [0] * 2
 
     def test_no_maps_means_reduces_launchable(self):
         job = self.make_job(maps=0, reduces=2)
         # No map tasks: the map phase is trivially complete.
         assert schedulable_jobs([job]) == [job]
-        assert [t.phase for t in launchable_tasks(job)] == [Phase.REDUCE] * 2
+        assert [t.stage for t in launchable_tasks(job)] == [1] * 2
 
     def test_early_reduce_flag(self):
         from repro.workload.job import TaskCopy
 
         job = self.make_job()
-        for index, task in enumerate(job.map_tasks):
+        for index, task in enumerate(job.stage_tasks[0]):
             task.add_copy(
                 TaskCopy(index, task, machine_id=index, launch_time=0.0,
                          workload=10.0)
@@ -268,8 +268,8 @@ class TestGating:
         # ...but the early-reduce ablation may park reduce copies now.
         assert schedulable_jobs([job], allow_early_reduce=True) == [job]
         assert [
-            t.phase for t in launchable_tasks(job, allow_early_reduce=True)
-        ] == [Phase.REDUCE] * 2
+            t.stage for t in launchable_tasks(job, allow_early_reduce=True)
+        ] == [1] * 2
 
     def test_schedulable_jobs_filters(self):
         ready = self.make_job()

@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import fractional_shares, ranked_shares
-from repro.core.bounds import theorem1_probability, lemma1_probability
+from repro.core.bounds import (
+    critical_path,
+    lemma1_probability,
+    offline_flowtime_bounds,
+    theorem1_probability,
+    weighted_flowtime_lower_bound,
+)
 from repro.core.effective_workload import accumulated_higher_priority_workload
 from repro.core.speedup import LogSpeedup, ParetoSpeedup, PowerSpeedup
 from repro.policies.redundancy import CheckpointRedundancy
 from repro.scenarios import MachineFailures, ScenarioSpec, TopologySpec
-from repro.policies import make_scheduler
+from repro.policies import NAMED_SCHEDULERS, make_scheduler
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.scheduler_api import ComposedScheduler
 from repro.workload.distributions import BoundedPareto, Deterministic, LogNormal
@@ -357,6 +365,123 @@ class TestDagProperties:
         for job in engine._jobs:
             for task in job.all_tasks():
                 assert len(task.copies) == 1
+
+
+# --------------------------------------------------------------------------- bounds
+
+#: Fixed examples, so tier-1 replays the same instances on every run.
+BOUND_SETTINGS = settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _parent_serial_bound(spec):
+    """The two-phase serial bound the stage form replaced (reference)."""
+    bound = 0.0
+    if spec.num_map_tasks > 0:
+        bound += spec.map_duration.mean
+    if spec.num_reduce_tasks > 0:
+        bound += spec.reduce_duration.mean
+    return bound
+
+
+def _parent_theorem1_bound(spec, accumulated, machines, r):
+    """The two-phase Theorem 1 bound plus map correction it replaced (reference)."""
+    final = spec.reduce_duration if spec.num_reduce_tasks > 0 else spec.map_duration
+    bound = final.mean + r * final.std + accumulated / machines
+    if spec.num_map_tasks > 0 and spec.num_reduce_tasks > 0:
+        bound += spec.map_duration.mean + r * spec.map_duration.std
+    return bound
+
+
+@st.composite
+def two_stage_spec_lists(draw):
+    """Map→reduce specs, legacy-built or stage-built, with their own durations."""
+    specs = []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        maps = draw(st.integers(min_value=0, max_value=6))
+        reduces = draw(st.integers(min_value=0 if maps else 1, max_value=4))
+        durations = []
+        for _ in range(2):
+            mean = draw(st.floats(min_value=1.0, max_value=50.0))
+            durations.append(LogNormal(mean, draw(st.floats(0.0, 1.0)) * mean))
+        weight = draw(st.floats(min_value=0.5, max_value=10.0))
+        if draw(st.booleans()):
+            specs.append(JobSpec(
+                job_id=i, arrival_time=0.0, weight=weight, num_map_tasks=maps,
+                num_reduce_tasks=reduces, map_duration=durations[0],
+                reduce_duration=durations[1],
+            ))
+        else:
+            specs.append(JobSpec.from_stages(
+                job_id=i, arrival_time=0.0, weight=weight, stages=[
+                    StageSpec("map", maps, durations[0]),
+                    StageSpec("reduce", reduces, durations[1], deps=(0,)),
+                ],
+            ))
+    return specs
+
+
+class TestBoundsProperties:
+    """The stage-form bounds against runs of every named scheduler.
+
+    Deterministic stage DAGs on unit-speed machines with no scenario: no
+    schedule can beat a job's critical path, nor, on a bulk arrival, the
+    weighted lower bound.
+    """
+
+    @pytest.mark.parametrize("name", sorted(NAMED_SCHEDULERS))
+    @given(specs=dag_spec_lists(deterministic=True),
+           machines=st.integers(min_value=1, max_value=12),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @BOUND_SETTINGS
+    def test_no_job_beats_its_critical_path(self, name, specs, machines, seed):
+        result = SimulationEngine(Trace(specs), make_scheduler(name),
+                                  num_machines=machines, seed=seed).run()
+        paths = {spec.job_id: critical_path(spec) for spec in specs}
+        for record in result.records:
+            assert record.flowtime >= paths[record.job_id] - 1e-9
+
+    @pytest.mark.parametrize("name", sorted(NAMED_SCHEDULERS))
+    @given(specs=dag_spec_lists(deterministic=True),
+           machines=st.integers(min_value=1, max_value=12),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @BOUND_SETTINGS
+    def test_bulk_weighted_flowtime_meets_the_lower_bound(self, name, specs,
+                                                          machines, seed):
+        trace = Trace(specs).as_bulk_arrival()
+        result = SimulationEngine(trace, make_scheduler(name),
+                                  num_machines=machines, seed=seed).run()
+        bound = weighted_flowtime_lower_bound(list(trace), machines)
+        assert result.total_weighted_flowtime >= bound * (1.0 - 1e-12)
+
+    @given(specs=dag_spec_lists(deterministic=True),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @BOUND_SETTINGS
+    def test_a_lone_job_with_a_machine_per_task_finishes_at_its_critical_path(
+        self, specs, seed
+    ):
+        spec = replace(specs[0], arrival_time=0.0)
+        result = SimulationEngine(Trace([spec]), make_scheduler("FIFO"),
+                                  num_machines=spec.total_tasks, seed=seed).run()
+        assert result.records[0].flowtime == critical_path(spec)
+
+    @given(specs=two_stage_spec_lists(),
+           machines=st.integers(min_value=1, max_value=50),
+           r=st.floats(min_value=0.0, max_value=5.0))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_two_stage_bounds_equal_the_two_phase_formulas(self, specs, machines, r):
+        accumulated = accumulated_higher_priority_workload(specs, r)
+        bounds = offline_flowtime_bounds(specs, machines, r)
+        for spec in specs:
+            assert critical_path(spec) == _parent_serial_bound(spec)
+            assert bounds[spec.job_id] == pytest.approx(
+                _parent_theorem1_bound(spec, accumulated[spec.job_id], machines, r),
+                rel=1e-12,
+            )
 
 
 # --------------------------------------------------------------------------- topology

@@ -221,7 +221,7 @@ class TestMachineFailures:
         # one-shot: machine 0 (hosting the copy) dies at t=5 and stays down.
         engine._push(Event.machine_failure(5.0, next(engine._sequence), 0))
         result = engine.run()
-        task = engine._jobs[0].map_tasks[0]
+        task = engine._jobs[0].stage_tasks[0][0]
         assert result.machine_failures == 1
         assert result.copies_killed_by_failure == 1
         # Exactly one replacement: 2 copies total, the killed one plus the
@@ -292,7 +292,6 @@ class TestMachineFailures:
         path must raise like the static path does, not spin on machine
         events forever."""
         from repro.simulation.scheduler_api import LaunchRequest, Scheduler
-        from repro.workload.job import Phase
 
         class ReduceFirstScheduler(Scheduler):
             name = "reduce-first-test"
@@ -301,7 +300,7 @@ class TestMachineFailures:
                 requests = []
                 free = view.num_free_machines
                 for job in view.alive_jobs:
-                    for task in job.unscheduled_tasks(Phase.REDUCE):
+                    for task in job.unscheduled_stage_tasks(1):
                         if free <= 0:
                             return requests
                         requests.append(LaunchRequest(task=task, num_copies=1))

@@ -132,7 +132,11 @@ class ReferenceLATE(LATESpeculation):
 
 
 class ReferenceMantri(MantriSpeculation):
-    """Mantri's earlier per-copy decision, samples keyed by ``(job, phase)``."""
+    """Mantri's earlier per-copy decision, samples keyed by ``(job, stage > 0)``.
+
+    The key is the two-phase partition (stage 0, then every later stage
+    together) that this reference was frozen with.
+    """
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -143,7 +147,7 @@ class ReferenceMantri(MantriSpeculation):
         if winner is None or winner.start_time is None:
             return
         bucket = self.phase_samples.setdefault(
-            (task.job.job_id, task.phase),
+            (task.job.job_id, task.stage > 0),
             deque(maxlen=SpeculationEstimator.max_samples),
         )
         bucket.append(winner.finish_time - winner.start_time)
@@ -159,7 +163,7 @@ class ReferenceMantri(MantriSpeculation):
             t_rem = _remaining_time(view, copy, self.estimator)
             if t_rem is None:
                 continue
-            durations = self.phase_samples.get((task.job.job_id, task.phase))
+            durations = self.phase_samples.get((task.job.job_id, task.stage > 0))
             if durations is None or len(durations) < self.estimator.min_samples:
                 continue
             hits = sum(1 for duration in durations if 2.0 * duration < t_rem)

@@ -83,7 +83,7 @@ class TestCloningBehaviour:
         result = engine.run()
         assert result.total_copies == 12
         job = engine._jobs[0]
-        early_copies = [copy for task in job.map_tasks for copy in task.copies
+        early_copies = [copy for task in job.stage_tasks[0] for copy in task.copies
                         if copy.launch_time < 20.0]
         assert len(early_copies) == 8  # one copy per task in the first two waves
 
@@ -111,9 +111,9 @@ class TestSharingBehaviour:
                                   num_machines=8)
         engine.run()
         job = engine._jobs[0]
-        for task in job.reduce_tasks:
+        for task in job.stage_tasks[1]:
             for copy in task.copies:
-                assert copy.launch_time >= job.map_phase_completion_time
+                assert copy.launch_time >= job.stage_completion_time(0)
 
     def test_epsilon_small_prioritises_smallest_job(self):
         # With a tiny epsilon only the highest-priority (smallest) job runs.
@@ -186,7 +186,7 @@ class TestSharingBehaviour:
             engine = SimulationEngine(trace, scheduler, num_machines=3)
             engine.run()
             job = engine._jobs[0]
-            return min(copy.launch_time for copy in job.reduce_tasks[0].copies)
+            return min(copy.launch_time for copy in job.stage_tasks[1][0].copies)
 
         assert reduce_launch_time(park=True) < 30.0
         assert reduce_launch_time(park=False) >= 30.0
