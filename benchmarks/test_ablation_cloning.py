@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.analysis.comparison import ComparisonTable
 from repro.experiments import ExperimentConfig
 from repro.scenarios import BimodalSpeeds, ScenarioSpec
-from repro.simulation import ReplicatedResult, SchedulerSpec, run_replications
+from repro.simulation import ExperimentRunner, RunSpec, SchedulerSpec
 from repro.study.presets import STUDY_PRESETS
 
 from .conftest import save_report
@@ -28,22 +28,25 @@ def test_ablation_cloning_under_stragglers():
     """SRPTMS+C with cloning should beat SRPTMS (no cloning) when a quarter
     of the machines are 4x slow -- the regime cloning is designed for."""
 
-    def run() -> ComparisonTable:
-        trace = ABLATION_CONFIG.make_trace()
-        results = {}
-        for name, cloning in (("SRPTMS+C", True), ("SRPTMS (no cloning)", False)):
-            results[name] = run_replications(
-                trace,
-                SchedulerSpec(
-                    "SRPTMS+C", {"epsilon": 0.6, "r": 3.0, "cloning_enabled": cloning}
-                ),
-                ABLATION_CONFIG.machines,
-                seeds=ABLATION_CONFIG.seeds,
-                scenario=SLOW_QUARTER,
-            )
-        return ComparisonTable.from_results(results)
-
-    table = run()
+    trace = ABLATION_CONFIG.make_trace()
+    runs = {}
+    for name, cloning in (("SRPTMS+C", True), ("SRPTMS (no cloning)", False)):
+        scheduler = SchedulerSpec(
+            "SRPTMS+C", {"epsilon": 0.6, "r": 3.0, "cloning_enabled": cloning}
+        )
+        runs[name] = ExperimentRunner().run(
+            [
+                RunSpec(
+                    trace=trace,
+                    scheduler=scheduler,
+                    num_machines=ABLATION_CONFIG.machines,
+                    seed=seed,
+                    scenario=SLOW_QUARTER,
+                )
+                for seed in ABLATION_CONFIG.seeds
+            ]
+        )
+    table = ComparisonTable.from_results(runs)
     save_report("ablation_cloning", table.render(baseline="SRPTMS (no cloning)"))
     with_clones = table.row("SRPTMS+C").mean_flowtime
     without = table.row("SRPTMS (no cloning)").mean_flowtime
@@ -56,10 +59,7 @@ def test_ablation_extra_baselines():
     study = preset.build(ABLATION_CONFIG, include_extra=True)
     results = preset.run(study, ABLATION_CONFIG)
     table = ComparisonTable.from_results(
-        {
-            name: ReplicatedResult(name, cell.results)
-            for (name,), cell in results.group_by("scheduler").items()
-        }
+        {name: cell.results for (name,), cell in results.group_by("scheduler").items()}
     )
     save_report("ablation_extra_baselines", table.render(baseline="Mantri"))
     # SRPT-family policies should not lose to FIFO on the unweighted average.

@@ -47,7 +47,6 @@ from repro.scenarios import ScenarioSpec
 from repro.simulation import (
     SimulationEngine,
     SimulationResult,
-    run_replications,
     run_simulation,
 )
 from repro.study import ResultSet, Study, load_study
@@ -62,7 +61,6 @@ __all__ = [
     "SimulationResult",
     "ScenarioSpec",
     "run_simulation",
-    "run_replications",
     "Trace",
     "GoogleTraceGenerator",
     "GoogleTraceConfig",

@@ -10,12 +10,11 @@ on the two grids.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from repro.simulation.metrics import SimulationResult
-from repro.simulation.experiment_runner import ReplicatedResult
 
 __all__ = [
     "SMALL_JOB_GRID",
@@ -31,21 +30,24 @@ SMALL_JOB_GRID: List[float] = [float(x) for x in range(0, 301, 25)]
 #: Figure 5's x-axis: 0 to 4000 seconds in 500-second steps.
 BIG_JOB_GRID: List[float] = [float(x) for x in range(0, 4001, 500)]
 
-ResultLike = Union[SimulationResult, ReplicatedResult]
 
+def cdf_curve(runs: Sequence[SimulationResult], points: Sequence[float]) -> np.ndarray:
+    """Cumulative fraction of jobs with flowtime <= each of ``points``.
 
-def cdf_curve(result: ResultLike, points: Sequence[float]) -> np.ndarray:
-    """Cumulative fraction of jobs with flowtime <= each of ``points``."""
+    ``runs`` are one cell's runs (its seeds, as
+    :attr:`~repro.study.resultset.ResultSet.results` lists them); the
+    curve is the mean of their per-run curves.
+    """
     if not points:
         raise ValueError("points must not be empty")
-    return np.asarray(result.flowtime_cdf(points), dtype=float)
+    return np.mean(np.stack([run.flowtime_cdf(points) for run in runs]), axis=0)
 
 
 def cdf_comparison(
-    results: Dict[str, ResultLike], points: Sequence[float]
+    cells: Dict[str, Sequence[SimulationResult]], points: Sequence[float]
 ) -> Dict[str, np.ndarray]:
     """CDF curves of several schedulers on the same grid, keyed by name."""
-    return {name: cdf_curve(result, points) for name, result in results.items()}
+    return {name: cdf_curve(runs, points) for name, runs in cells.items()}
 
 
 def render_cdf_table(

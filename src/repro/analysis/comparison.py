@@ -10,14 +10,13 @@ baseline and renders a plain-text table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.simulation.metrics import SimulationResult
-from repro.simulation.experiment_runner import ReplicatedResult
 
 __all__ = ["ComparisonTable", "percentage_improvement"]
-
-ResultLike = Union[SimulationResult, ReplicatedResult]
 
 
 def percentage_improvement(value: float, baseline: float) -> float:
@@ -51,18 +50,28 @@ class ComparisonTable:
     rows: List[ComparisonRow] = field(default_factory=list)
 
     @classmethod
-    def from_results(cls, results: Dict[str, ResultLike]) -> "ComparisonTable":
-        """Build a table from ``{scheduler name: result}``."""
-        table = cls()
-        for name, result in results.items():
-            table.rows.append(
+    def from_results(
+        cls, cells: Dict[str, Sequence[SimulationResult]]
+    ) -> "ComparisonTable":
+        """Build a table from ``{scheduler name: that scheduler's runs}``.
+
+        Each row holds the mean over the runs (the cell's seeds) of both
+        flowtime averages.
+        """
+
+        def mean(runs: Sequence[SimulationResult], metric: str) -> float:
+            return float(np.array([getattr(run, metric) for run in runs], dtype=float).mean())
+
+        return cls(
+            [
                 ComparisonRow(
                     scheduler=name,
-                    mean_flowtime=result.mean_flowtime,
-                    weighted_mean_flowtime=result.weighted_mean_flowtime,
+                    mean_flowtime=mean(runs, "mean_flowtime"),
+                    weighted_mean_flowtime=mean(runs, "weighted_mean_flowtime"),
                 )
-            )
-        return table
+                for name, runs in cells.items()
+            ]
+        )
 
     def row(self, scheduler: str) -> ComparisonRow:
         """One scheduler's row of the comparison table."""

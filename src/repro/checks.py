@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from numbers import Integral, Real
 
-__all__ = ["MAX_REAL", "check_count", "check_real", "check_range"]
+__all__ = ["MAX_REAL", "check_count", "check_real", "check_range", "parse_knob"]
 
 #: The largest magnitude a real knob may take.  A run multiplies and sums
 #: its knobs (a weight times a flowtime, a task count times a duration):
@@ -91,3 +91,18 @@ def check_range(
         rule = f"be >= {low} and" if low_in else f"exceed {low} and be"
         raise ValueError(f"{name} must {rule} finite (at most {MAX_REAL:g}), got {value!r}")
     return number
+
+
+def parse_knob(text: str) -> object:
+    """A knob written as text: an ``int`` or ``float`` if it reads as one, else the text.
+
+    Text that reads as no number is returned as it is, so the knob's own
+    check rejects it by name (``check_real("rate", "abc")`` names
+    ``rate``), exactly as it rejects a non-number in a spec file.
+    """
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text

@@ -9,14 +9,12 @@ Examples::
     repro-mapreduce offline-bound
     repro-mapreduce all --scale 0.01
     repro-mapreduce figure6 --scenario uniform-hetero
-    repro-mapreduce figure6 --failure-rate 0.001 --repair-time 50
+    repro-mapreduce figure6 --scenario failure_rate=1e-3,mean_repair=50
+    repro-mapreduce figure6 --scenario racks=4,remote_slowdown=2
     repro-mapreduce scenario-sweep --scale 0.01 --workers 0
     repro-mapreduce figure6 --cache-dir ~/.cache/repro-mapreduce
     repro-mapreduce sweep --spec study.toml --csv results.csv
-    repro-mapreduce policy --ordering srpt --allocation share --redundancy late
     repro-mapreduce policy-grid --scale 0.01 --workers 0
-    repro-mapreduce figure6 --racks 4 --remote-slowdown 2
-    repro-mapreduce policy --allocation delay --racks 4 --locality-wait 5
     repro-mapreduce locality --scale 0.01
     repro-mapreduce serve --cache-dir ~/.cache/repro-mapreduce
     repro-mapreduce submit --spec study.toml --csv results.csv
@@ -28,10 +26,12 @@ Examples::
 Each experiment subcommand prints the plain-text report of the
 corresponding experiment; ``--scale`` shrinks the trace and the cluster
 together so the offered load stays at the paper's level.  ``--scenario``
-(and the fine-grained ``--speed-spread``/``--failure-rate``/
-``--slowdown-*`` flags) run any *figure* experiment under a non-ideal
-cluster environment; the non-simulating experiments reject scenario flags
-instead of silently ignoring them.  See :mod:`repro.scenarios`.
+runs any *figure* experiment under a non-ideal cluster environment: a
+preset name (:data:`repro.scenarios.SCENARIO_PRESETS`) or a knob list
+such as ``failure_rate=1e-4,mean_repair=300``, whose keys are those of a
+spec-file scenario table and which resolves exactly as that table does
+(:meth:`repro.study.core.ScenarioRef.coerce`).  The non-simulating
+experiments reject ``--scenario`` instead of silently ignoring it.
 ``--cache-dir`` enables the results cache
 (:mod:`repro.simulation.results_store`): re-invocations and interrupted
 sweeps reuse already-computed cells byte-for-byte instead of
@@ -41,15 +41,11 @@ The ``sweep`` subcommand needs no driver code at all: ``--spec`` names a
 TOML/JSON study file (:mod:`repro.study.specfile`) declaring the axes
 product to run; the tidy report prints to stdout and ``--csv``/``--json``
 export the per-run records.  Only ``--workers`` and the cache flags apply
-to ``sweep`` -- everything else lives in the spec file.
-
-The ``policy`` subcommand runs one policy-kernel composition
-(:mod:`repro.policies`): ``--ordering``/``--allocation``/``--redundancy``
-pick the triple, which is simulated next to the paper's SRPTMS+C under the
-usual scale/seed/scenario flags.  ``policy-grid`` sweeps a dozen novel
-compositions against SRPTMS+C across scenario presets and reports which
-compositions win where (it defines its own scenario axis, so scenario
-flags do not apply).
+to ``sweep`` -- everything else lives in the spec file, including any
+policy-kernel composition (:mod:`repro.policies`) to compare, such as a
+scheduler axis ``["srpt+share+late", "SRPTMS+C"]``.  ``policy-grid``
+sweeps a dozen compositions against SRPTMS+C across scenario presets
+(it defines its own scenario axis, so ``--scenario`` does not apply).
 
 Worker counts (one mapping, everywhere): ``--workers 1`` runs serially
 (the default), ``--workers N`` uses ``N`` worker processes, and
@@ -70,32 +66,13 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.checks import check_count, check_range
-from repro.cluster.stragglers import DynamicStragglers
+from repro.checks import check_count, check_real, parse_knob
 from repro.experiments import ExperimentConfig
 from repro.experiments.report import render_resultset
-from repro.scenarios import (
-    DEFAULT_LOCALITY_WAIT,
-    DEFAULT_MEAN_REPAIR,
-    DEFAULT_REMOTE_SLOWDOWN,
-    DEFAULT_SLOWDOWN_DURATION,
-    DEFAULT_SLOWDOWN_FACTOR,
-    SCENARIO_PRESETS,
-    MachineFailures,
-    ScenarioSpec,
-    TopologySpec,
-    UniformSpeeds,
-    scenario_preset,
-)
-from repro.policies import (
-    ALLOCATION_POLICIES as _ALLOCATION_NAMES,
-    NAMED_SCHEDULERS,
-    ORDERING_POLICIES as _ORDERING_NAMES,
-    REDUNDANCY_POLICIES as _REDUNDANCY_NAMES,
-    composition_label,
-    scheduler_entry,
-)
+from repro.policies import NAMED_SCHEDULERS, scheduler_entry
+from repro.scenarios import SCENARIO_PRESETS
 from repro.simulation.experiment_runner import normalize_workers
+from repro.study.core import ScenarioRef
 from repro.study.presets import STUDY_PRESETS, run_reports
 
 __all__ = ["main", "build_parser"]
@@ -103,6 +80,7 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for testing)."""
+    defaults = ExperimentConfig()
     parser = argparse.ArgumentParser(
         prog="repro-mapreduce",
         description=(
@@ -113,39 +91,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=[*STUDY_PRESETS, "policy", "sweep", "all"],
+        choices=[*STUDY_PRESETS, "sweep", "all"],
         help=(
             "which table/figure to regenerate, 'sweep' for a spec-file "
-            "study, 'policy' for one policy-kernel composition, "
-            "'policy-grid' for the composition sweep, 'dag-redundancy' "
-            "for the redundancy sweep on stage-DAG workloads, or "
-            "'locality' for the placement sweep on a rack topology"
+            "study, 'policy-grid' for the composition sweep, "
+            "'dag-redundancy' for the redundancy sweep on stage-DAG "
+            "workloads, or 'locality' for the placement sweep on a rack "
+            "topology"
         ),
     )
     parser.add_argument(
         "--scale",
         type=float,
-        default=0.02,
-        help="fraction of the full trace/cluster to simulate (default 0.02)",
+        default=None,
+        help=(
+            "fraction of the full trace/cluster to simulate "
+            f"(default {defaults.scale:g})"
+        ),
     )
     parser.add_argument(
         "--seeds",
         type=int,
         nargs="+",
-        default=[0, 1],
-        help="replication seeds (default: 0 1)",
+        default=None,
+        help=f"replication seeds (default: {' '.join(map(str, defaults.seeds))})",
     )
     parser.add_argument(
         "--epsilon",
         type=float,
-        default=0.6,
-        help="SRPTMS+C machine-sharing fraction (default 0.6)",
+        default=None,
+        help=f"SRPTMS+C machine-sharing fraction (default {defaults.epsilon:g})",
     )
     parser.add_argument(
         "--r",
         type=float,
-        default=3.0,
-        help="standard-deviation weight in the effective workload (default 3)",
+        default=None,
+        help=(
+            "standard-deviation weight in the effective workload "
+            f"(default {defaults.r:g})"
+        ),
     )
     parser.add_argument(
         "--machines",
@@ -162,6 +146,17 @@ def build_parser() -> argparse.ArgumentParser:
             "(default), N uses N processes, 0 uses every usable CPU (the "
             "library spelling is workers=None); results are bit-identical "
             "for any value"
+        ),
+    )
+    parser.add_argument(
+        "--scenario",
+        default=None,
+        metavar="SCENARIO",
+        help=(
+            "cluster environment (repro.scenarios): a preset name "
+            f"({', '.join(SCENARIO_PRESETS)}) or a knob list such as "
+            "failure_rate=1e-4,mean_repair=300, keyed like a spec-file "
+            "scenario table (default: the paper's homogeneous cluster)"
         ),
     )
     sweep = parser.add_argument_group(
@@ -211,250 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the results cache even if --cache-dir is given",
     )
-    policy = parser.add_argument_group(
-        "policy kernel",
-        "the composition the 'policy' subcommand runs (repro.policies): "
-        "ordering x allocation x redundancy; the chosen triple is "
-        "simulated next to SRPTMS+C under the usual scale/seed/scenario "
-        "flags",
-    )
-    policy.add_argument(
-        "--ordering",
-        choices=sorted(_ORDERING_NAMES),
-        default=None,
-        help="job-ordering policy (default: srpt)",
-    )
-    policy.add_argument(
-        "--allocation",
-        choices=sorted(_ALLOCATION_NAMES),
-        default=None,
-        help="machine-allocation policy (default: greedy)",
-    )
-    policy.add_argument(
-        "--redundancy",
-        choices=sorted(_REDUNDANCY_NAMES),
-        default=None,
-        help="redundancy policy (default: none)",
-    )
-    policy.add_argument(
-        "--locality-wait",
-        type=float,
-        default=None,
-        metavar="W",
-        help=(
-            "delay-scheduling wait in simulated seconds for the 'delay' "
-            f"allocation (default {_DEFAULT_LOCALITY_WAIT:g})"
-        ),
-    )
-    scenario = parser.add_argument_group(
-        "scenario",
-        "cluster environment the experiment runs under (repro.scenarios); "
-        "fine-grained flags override the chosen preset",
-    )
-    scenario.add_argument(
-        "--scenario",
-        choices=sorted(SCENARIO_PRESETS),
-        default=None,
-        help="named scenario preset (default: the paper's homogeneous cluster)",
-    )
-    scenario.add_argument(
-        "--speed-spread",
-        type=float,
-        default=None,
-        metavar="S",
-        help=(
-            "machine speeds ~ Uniform[1-S, 1+S], mean-normalised; "
-            "0 restores homogeneous speeds"
-        ),
-    )
-    scenario.add_argument(
-        "--failure-rate",
-        type=float,
-        default=None,
-        help="per-machine failure rate (events/s); 0 disables failures",
-    )
-    scenario.add_argument(
-        "--repair-time",
-        type=float,
-        default=None,
-        help=f"mean machine repair time in seconds (default {_DEFAULT_REPAIR:g})",
-    )
-    scenario.add_argument(
-        "--slowdown-rate",
-        type=float,
-        default=None,
-        help="per-machine dynamic-straggler onset rate (events/s); 0 disables",
-    )
-    scenario.add_argument(
-        "--slowdown-duration",
-        type=float,
-        default=None,
-        help=(
-            "mean length of a dynamic slow period in seconds "
-            f"(default {_DEFAULT_SLOW_DURATION:g})"
-        ),
-    )
-    scenario.add_argument(
-        "--slowdown-factor",
-        type=float,
-        default=None,
-        help=(
-            "effective-speed divisor during a slow period "
-            f"(default {_DEFAULT_SLOW_FACTOR:g})"
-        ),
-    )
-    scenario.add_argument(
-        "--racks",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "spread the machines over N racks (task inputs get preferred "
-            "racks; 1 restores the flat cluster)"
-        ),
-    )
-    scenario.add_argument(
-        "--remote-slowdown",
-        type=float,
-        default=None,
-        metavar="F",
-        help=(
-            "effective-rate divisor for copies running off their preferred "
-            f"rack (default {_DEFAULT_REMOTE_SLOWDOWN:g}; needs --racks > 1)"
-        ),
-    )
     return parser
 
 
-#: Fallbacks when a rate flag creates a process without its detail flags
-#: (the same constants parameterise the presets in :mod:`repro.scenarios`).
-_DEFAULT_REPAIR = DEFAULT_MEAN_REPAIR
-_DEFAULT_SLOW_DURATION = DEFAULT_SLOWDOWN_DURATION
-_DEFAULT_SLOW_FACTOR = DEFAULT_SLOWDOWN_FACTOR
-_DEFAULT_REMOTE_SLOWDOWN = DEFAULT_REMOTE_SLOWDOWN
-_DEFAULT_LOCALITY_WAIT = DEFAULT_LOCALITY_WAIT
-
 #: Experiments that simulate under ``ExperimentConfig.scenario``.  The others
-#: reject scenario flags instead of silently ignoring them: table2 is pure
+#: reject ``--scenario`` instead of silently ignoring it: table2 is pure
 #: trace statistics, offline-bound validates the homogeneous-cluster bounds,
 #: and scenario-sweep / policy-grid define their own scenario axes.
 _SCENARIO_EXPERIMENTS = frozenset(
-    {"figure1", "figure2", "figure3", "figure4", "figure5", "figure6", "policy"}
+    {"figure1", "figure2", "figure3", "figure4", "figure5", "figure6"}
 )
-
-
-def _scenario_from_args(args: argparse.Namespace) -> Optional[ScenarioSpec]:
-    """Compose the ScenarioSpec the CLI flags describe (None = homogeneous).
-
-    Rate flags (``--failure-rate``, ``--slowdown-rate``) create or disable a
-    process; detail flags (``--repair-time``, ``--slowdown-duration``,
-    ``--slowdown-factor``) override that process wherever it came from --
-    the command line or the ``--scenario`` preset -- and error out when no
-    process exists to override.
-    """
-    try:
-        return _compose_scenario(args)
-    except ValueError as exc:
-        # Spec validation (negative rates, factor <= 1, repair <= 0, ...)
-        # must surface as a clean CLI error, not a traceback.
-        raise SystemExit(f"invalid scenario flags: {exc}") from None
-
-
-def _compose_scenario(args: argparse.Namespace) -> Optional[ScenarioSpec]:
-    from dataclasses import replace
-
-    base = scenario_preset(args.scenario) if args.scenario else ScenarioSpec()
-    speeds = base.speeds
-    normalize = base.normalize_mean_speed
-    if args.speed_spread is not None:
-        check_range("--speed-spread", args.speed_spread, 0, 1, closed="left")
-        if args.speed_spread == 0.0:
-            speeds, normalize = None, False
-        else:
-            speeds = UniformSpeeds(
-                1.0 - args.speed_spread, 1.0 + args.speed_spread
-            )
-            normalize = True
-
-    stragglers = base.stragglers
-    if args.slowdown_rate is not None:
-        if args.slowdown_rate == 0.0:
-            stragglers = None
-        else:
-            stragglers = DynamicStragglers(
-                onset_rate=args.slowdown_rate,
-                mean_duration=_DEFAULT_SLOW_DURATION,
-                factor=_DEFAULT_SLOW_FACTOR,
-            )
-    if args.slowdown_duration is not None or args.slowdown_factor is not None:
-        if stragglers is None:
-            raise SystemExit(
-                "--slowdown-duration/--slowdown-factor need a straggler "
-                "process to modify; pass --slowdown-rate or a preset with "
-                "dynamic stragglers"
-            )
-        stragglers = replace(
-            stragglers,
-            mean_duration=(
-                args.slowdown_duration
-                if args.slowdown_duration is not None
-                else stragglers.mean_duration
-            ),
-            factor=(
-                args.slowdown_factor
-                if args.slowdown_factor is not None
-                else stragglers.factor
-            ),
-        )
-
-    topology = base.topology
-    if args.remote_slowdown is not None and args.racks is None:
-        raise SystemExit(
-            "--remote-slowdown needs a rack topology to price; pass "
-            "--racks N with N > 1"
-        )
-    if args.racks is not None:
-        check_count("--racks", args.racks, 1)
-        if args.racks == 1:
-            topology = None
-        else:
-            topology = TopologySpec(
-                racks=args.racks,
-                remote_slowdown=(
-                    args.remote_slowdown
-                    if args.remote_slowdown is not None
-                    else _DEFAULT_REMOTE_SLOWDOWN
-                ),
-            )
-
-    failures = base.failures
-    if args.failure_rate is not None:
-        if args.failure_rate == 0.0:
-            failures = None
-        else:
-            failures = MachineFailures(
-                rate=args.failure_rate, mean_repair=_DEFAULT_REPAIR
-            )
-    if args.repair_time is not None:
-        if failures is None:
-            # scenario-sweep runs its own failure axis; --repair-time
-            # parameterises that axis instead (handled in main).
-            if args.experiment != "scenario-sweep":
-                raise SystemExit(
-                    "--repair-time needs a failure process to modify; pass "
-                    "--failure-rate or a preset with failures"
-                )
-        else:
-            failures = replace(failures, mean_repair=args.repair_time)
-
-    spec = ScenarioSpec(
-        speeds=speeds,
-        normalize_mean_speed=normalize,
-        stragglers=stragglers,
-        failures=failures,
-        topology=topology,
-    )
-    return None if spec.is_default else spec
 
 
 def _workers_from_args(args: argparse.Namespace) -> Optional[int]:
@@ -467,27 +228,37 @@ def _workers_from_args(args: argparse.Namespace) -> Optional[int]:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    scenario = _scenario_from_args(args)
+    scenario = None
+    if args.scenario is not None:
+        try:
+            scenario = ScenarioRef.coerce(args.scenario).spec
+        except (KeyError, ValueError) as exc:
+            raise SystemExit(f"invalid --scenario: {exc.args[0]}") from None
+        if scenario is not None and scenario.is_default:
+            scenario = None  # the homogeneous preset: label 'none', same cache key
     if scenario is not None and args.experiment not in _SCENARIO_EXPERIMENTS:
         raise SystemExit(
-            f"scenario flags do not apply to {args.experiment!r}: table2 is "
+            f"--scenario does not apply to {args.experiment!r}: table2 is "
             "pure trace statistics, offline-bound validates the "
             "homogeneous-cluster bounds, scenario-sweep, policy-grid, "
-            "dag-redundancy and locality define their own scenario axes "
-            "(only --repair-time applies to scenario-sweep), 'sweep' takes its "
-            "scenarios from the spec file, and 'all' mixes both kinds -- "
-            "run the figure commands individually instead"
+            "dag-redundancy and locality define their own scenario axes, "
+            "and 'all' mixes both kinds -- run the figure commands "
+            "individually instead"
         )
+    # Only the flags given reach the config; the rest keep its defaults.
+    given = {
+        "scale": args.scale,
+        "seeds": None if args.seeds is None else tuple(args.seeds),
+        "epsilon": args.epsilon,
+        "r": args.r,
+        "num_machines": args.machines,
+    }
     try:
         return ExperimentConfig(
-            scale=args.scale,
-            seeds=tuple(args.seeds),
-            epsilon=args.epsilon,
-            r=args.r,
-            num_machines=args.machines,
             workers=_workers_from_args(args),
             scenario=scenario,
             cache_dir=None if args.no_cache else args.cache_dir,
+            **{name: value for name, value in given.items() if value is not None},
         )
     except ValueError as exc:
         raise SystemExit(f"invalid arguments: {exc}") from None
@@ -509,21 +280,21 @@ _PAPER_ARTEFACTS = (
 _FIGURE_ONLY_FLAGS = ("scale", "seeds", "epsilon", "r", "machines")
 
 
-def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _run_sweep(args: argparse.Namespace) -> int:
     """Execute a spec-file study: load, run, print, export."""
     from repro.study import load_study
 
     if args.spec is None:
         raise SystemExit("'sweep' needs --spec FILE (a .toml or .json study spec)")
     for flag in _FIGURE_ONLY_FLAGS:
-        if getattr(args, flag) != parser.get_default(flag):
+        if getattr(args, flag) is not None:
             raise SystemExit(
                 f"--{flag} does not apply to 'sweep': the spec file defines "
                 "the study; only --workers and the cache flags apply"
             )
-    if _scenario_from_args(args) is not None:
+    if args.scenario is not None:
         raise SystemExit(
-            "scenario flags do not apply to 'sweep': declare scenarios in "
+            "--scenario does not apply to 'sweep': declare scenarios in "
             "the spec file's scenarios axis"
         )
     try:
@@ -548,34 +319,6 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     )
     print(render_resultset(results, title=title))
     return 0
-
-
-def _run_policy(args: argparse.Namespace, config: ExperimentConfig) -> str:
-    """Run one policy-kernel composition next to SRPTMS+C and render it."""
-    from repro.study import Study
-
-    name = composition_label(
-        args.ordering or "srpt",
-        args.allocation or "greedy",
-        args.redundancy or "none",
-    )
-    composition: object = name
-    if args.locality_wait is not None:
-        # Scheduler tables forward extra kwargs into ComposedScheduler
-        # (repro.study.core), exactly like a spec-file scheduler table.
-        composition = {"name": name, "locality_wait": args.locality_wait}
-    study = Study(
-        name="policy",
-        schedulers=(composition, "SRPTMS+C"),
-        **config.study_kwargs(),
-    )
-    results = study.run(runner=config.make_runner())
-    title = (
-        f"Policy composition {name} vs SRPTMS+C "
-        f"(epsilon={config.epsilon:g}, r={config.r:g}), mean over "
-        f"{len(config.seeds)} seed(s)"
-    )
-    return render_resultset(results, title=title)
 
 
 def _main_cache(argv: Sequence[str]) -> int:
@@ -717,39 +460,44 @@ def _main_profile(argv: Sequence[str]) -> int:
         raise SystemExit(f"invalid --scheduler: {exc}") from None
 
     kind, _, parameter = args.workload.partition(":")
-    if kind == "stream":
-        num_jobs = int(parameter) if parameter else 100_000
-        trace = StreamSpec(
-            factory=stream_uniform_jobs,
-            num_jobs=num_jobs,
-            kwargs={
-                "tasks_per_job": 1,
-                "reduce_tasks_per_job": 0,
-                "mean_duration": 10.0,
-                "inter_arrival": 1.0,
-            },
-            name=f"profile-stream-{num_jobs}",
-        ).build()
-        machines = 16
-        workload_label = f"stream of {num_jobs} single-task jobs"
-    elif kind == "smoke":
-        scale = float(parameter) if parameter else 0.02
-        config = ExperimentConfig(scale=scale, seeds=(args.seed,))
-        trace = config.make_trace()
-        machines = config.machines
-        workload_label = (
-            f"scale-{scale} synthetic Google trace ({trace.num_jobs} jobs)"
-        )
-    else:
+    if kind not in ("stream", "smoke"):
         raise SystemExit(
             f"unknown --workload {args.workload!r}: expected "
             "'stream[:N]' or 'smoke[:SCALE]'"
         )
-    if args.machines is not None:
-        machines = args.machines
-    # The scheduler reads the same parameters a study point would pass it.
-    point = {"epsilon": args.epsilon, "r": args.r, "seed": args.seed}
-    scheduler = entry.build(**{name: point[name] for name in entry.reads})
+    # Every knob is checked before the run, and a bad one is named.
+    try:
+        check_count("seed", args.seed)
+        if kind == "stream":
+            num_jobs = parse_knob(parameter) if parameter else 100_000
+            trace = StreamSpec(
+                factory=stream_uniform_jobs,
+                num_jobs=num_jobs,
+                kwargs={
+                    "tasks_per_job": 1,
+                    "reduce_tasks_per_job": 0,
+                    "mean_duration": 10.0,
+                    "inter_arrival": 1.0,
+                },
+                name=f"profile-stream-{num_jobs}",
+            ).build()
+            machines = 16
+            workload_label = f"stream of {num_jobs} single-task jobs"
+        else:
+            scale = check_real("scale", parse_knob(parameter)) if parameter else 0.02
+            config = ExperimentConfig(scale=scale, seeds=(args.seed,))
+            trace = config.make_trace()
+            machines = config.machines
+            workload_label = (
+                f"scale-{scale} synthetic Google trace ({trace.num_jobs} jobs)"
+            )
+        if args.machines is not None:
+            machines = check_count("machines", args.machines, 1)
+        # The scheduler reads the same parameters a study point would pass it.
+        point = {"epsilon": args.epsilon, "r": args.r, "seed": args.seed}
+        scheduler = entry.build(**{name: point[name] for name in entry.reads})
+    except ValueError as exc:
+        raise SystemExit(f"invalid arguments: {exc}") from None
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -792,42 +540,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if argv[0] == "profile":
             return _main_profile(argv[1:])
         return _main_cache(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     for flag, value in (("--spec", args.spec), ("--csv", args.csv), ("--json", args.json_out)):
         if value is not None and args.experiment != "sweep":
             raise SystemExit(f"{flag} only applies to the 'sweep' subcommand")
-    for flag, value in (
-        ("--ordering", args.ordering),
-        ("--allocation", args.allocation),
-        ("--redundancy", args.redundancy),
-        ("--locality-wait", args.locality_wait),
-    ):
-        if value is not None and args.experiment != "policy":
-            raise SystemExit(
-                f"{flag} only applies to the 'policy' subcommand (the "
-                "policy-grid sweep and spec files declare compositions "
-                "through the scheduler axis)"
-            )
-    if args.locality_wait is not None and args.allocation != "delay":
-        raise SystemExit(
-            "--locality-wait parameterises the 'delay' allocation; pass "
-            "--allocation delay"
-        )
     if args.experiment == "sweep":
-        return _run_sweep(args, parser)
+        return _run_sweep(args)
     config = _config_from_args(args)
-    if args.experiment == "policy":
-        print(_run_policy(args, config))
-        return 0
-
     if args.experiment == "all":
         print("\n\n".join(run_reports(_PAPER_ARTEFACTS, config).values()))
         return 0
-    overrides = {}
-    if args.experiment == "scenario-sweep" and args.repair_time is not None:
-        overrides["mean_repair"] = args.repair_time
-    print(STUDY_PRESETS[args.experiment].report(config, **overrides))
+    print(STUDY_PRESETS[args.experiment].report(config))
     return 0
 
 

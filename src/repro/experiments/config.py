@@ -65,7 +65,9 @@ class ExperimentConfig:
         Cluster environment every run of the experiment executes under
         (heterogeneous speeds, dynamic stragglers, failures); ``None`` is
         the paper's homogeneous static cluster.  The CLI sets this from
-        ``--scenario`` and its override flags.
+        ``--scenario``: a preset name or a knob list, resolved by
+        :meth:`repro.study.core.ScenarioRef.coerce` (a spec equal to the
+        homogeneous default becomes ``None``).
     cache_dir:
         Directory of the results cache
         (:class:`~repro.simulation.results_store.ResultsStore`).  When set,
@@ -155,7 +157,7 @@ class ExperimentConfig:
     def study_kwargs(self) -> dict:
         """The scalar knobs a google-trace :class:`~repro.study.core.Study`
         inherits from this config (the one config-to-study mapping, used by
-        every study preset and the CLI ``policy`` subcommand)."""
+        every study preset)."""
         return dict(
             scenarios=(self.scenario,),
             seeds=self.seeds,

@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.checks import check_range, check_real
 from repro.core.allocation import ranked_shares
-from repro.scenarios import DEFAULT_LOCALITY_WAIT
 from repro.policies.gating import launchable_tasks, schedulable_jobs
 from repro.policies.ordering import OrderingPolicy
 from repro.policies.redundancy import RedundancyPolicy
@@ -59,8 +58,7 @@ __all__ = [
 
 #: Default delay-scheduling wait (simulated seconds): how long a task holds
 #: out for a slot on its preferred rack before accepting a remote one.
-#: One constant, shared with the CLI flag via ``repro.scenarios``.
-LOCALITY_WAIT = DEFAULT_LOCALITY_WAIT
+LOCALITY_WAIT = 3.0
 
 
 class AllocationPolicy:

@@ -55,7 +55,6 @@ __all__ = [
     "DEFAULT_SLOWDOWN_DURATION",
     "DEFAULT_SLOWDOWN_FACTOR",
     "DEFAULT_REMOTE_SLOWDOWN",
-    "DEFAULT_LOCALITY_WAIT",
     "SpeedDistribution",
     "UniformSpeeds",
     "BimodalSpeeds",
@@ -75,15 +74,12 @@ _SPEED_STREAM = 0x535044  # "SPD"
 _PROCESS_STREAM = 0x50524F43  # "PROC"
 _PLACEMENT_STREAM = 0x504C43  # "PLC"
 
-#: Defaults shared by the presets, the CLI fallbacks and the scenario
-#: sweep's failure axis -- one constant each, no drift.
+#: Defaults shared by the presets, the scenario-table knobs a table leaves
+#: out and the scenario sweep's failure axis -- one constant each, no drift.
 DEFAULT_MEAN_REPAIR = 300.0
 DEFAULT_SLOWDOWN_DURATION = 200.0
 DEFAULT_SLOWDOWN_FACTOR = 4.0
 DEFAULT_REMOTE_SLOWDOWN = 2.0
-#: Default delay-scheduling wait, re-exported so the CLI and the Study
-#: layer share one constant with the ``delay`` allocation policy.
-DEFAULT_LOCALITY_WAIT = 3.0
 
 
 def speed_rng(seed: int) -> np.random.Generator:

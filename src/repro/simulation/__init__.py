@@ -16,15 +16,12 @@ from repro.simulation.engine import SimulationEngine, SimulationError
 from repro.simulation.events import Event, EventType
 from repro.simulation.experiment_runner import (
     ExperimentRunner,
-    ReplicatedResult,
     RunSpec,
     SchedulerSpec,
     TraceSpec,
     default_workers,
     normalize_workers,
-    run_replications,
     run_simulation,
-    sweep_specs,
 )
 from repro.simulation.metrics import JobRecord, SimulationResult
 from repro.simulation.results_store import (
@@ -44,16 +41,13 @@ __all__ = [
     "LaunchRequest",
     "Scheduler",
     "SchedulerView",
-    "ReplicatedResult",
     "run_simulation",
-    "run_replications",
     "ExperimentRunner",
     "RunSpec",
     "SchedulerSpec",
     "TraceSpec",
     "default_workers",
     "normalize_workers",
-    "sweep_specs",
     "ResultsStore",
     "UncacheableSpecError",
     "run_spec_fingerprint",

@@ -1,11 +1,11 @@
-"""The execution path: single runs, replications, and parallel sweeps.
+"""The execution path: single runs and parallel batches of runs.
 
 This module is the *one* place simulations are executed from.
 :func:`run_simulation` performs a single engine run;
-:class:`ReplicatedResult` aggregates several runs of one configuration;
-:class:`ExperimentRunner` executes whole batches of runs.  (The historical
-``repro.simulation.runner`` shim module was removed; import these names
-from here or from the :mod:`repro.simulation` package.)
+:class:`ExperimentRunner` executes whole batches of runs.  Replications,
+sweeps and their aggregation are a :class:`~repro.study.core.Study` and
+its :class:`~repro.study.resultset.ResultSet`, which compile to and run on
+this module.
 
 The paper's evaluation protocol (Section VI) repeats every simulation ten
 times per configuration and sweeps epsilon, r and the cluster size --
@@ -88,8 +88,6 @@ from typing import (
 
 import multiprocessing
 
-import numpy as np
-
 from repro.checks import check_count, check_real
 from repro.scenarios import ScenarioSpec
 from repro.simulation.engine import SimulationEngine
@@ -110,13 +108,10 @@ __all__ = [
     "RunSpec",
     "ResultCallback",
     "ExperimentRunner",
-    "ReplicatedResult",
     "default_workers",
     "normalize_workers",
     "execute_run_spec",
     "run_simulation",
-    "run_replications",
-    "sweep_specs",
 ]
 
 
@@ -174,75 +169,6 @@ def run_simulation(
     result = engine.run()
     result.runtime_seconds = _time.perf_counter() - started
     return result
-
-
-@dataclass
-class ReplicatedResult:
-    """Aggregate of several runs of the same configuration with different seeds."""
-
-    scheduler_name: str
-    results: List[SimulationResult] = field(default_factory=list)
-
-    @property
-    def num_replications(self) -> int:
-        """Number of runs aggregated."""
-        return len(self.results)
-
-    def _metric(self, name: str) -> np.ndarray:
-        return np.array([getattr(result, name) for result in self.results], dtype=float)
-
-    @property
-    def mean_flowtime(self) -> float:
-        """Average over replications of the unweighted mean flowtime."""
-        return float(self._metric("mean_flowtime").mean())
-
-    @property
-    def weighted_mean_flowtime(self) -> float:
-        """Average over replications of the weighted mean flowtime."""
-        return float(self._metric("weighted_mean_flowtime").mean())
-
-    @property
-    def mean_flowtime_std(self) -> float:
-        """Standard deviation across replications of the unweighted mean."""
-        return float(self._metric("mean_flowtime").std(ddof=0))
-
-    @property
-    def weighted_mean_flowtime_std(self) -> float:
-        """Standard deviation across replications of the weighted mean."""
-        return float(self._metric("weighted_mean_flowtime").std(ddof=0))
-
-    @property
-    def mean_makespan(self) -> float:
-        """Average makespan across replications."""
-        return float(self._metric("makespan").mean())
-
-    @property
-    def mean_cloning_ratio(self) -> float:
-        """Average copies-per-task ratio across replications."""
-        return float(self._metric("cloning_ratio").mean())
-
-    def fraction_completed_within(self, limit: float) -> float:
-        """Replication-averaged fraction of jobs finishing within ``limit``."""
-        values = [result.fraction_completed_within(limit) for result in self.results]
-        return float(np.mean(values))
-
-    def flowtime_cdf(self, points: Sequence[float]) -> np.ndarray:
-        """Replication-averaged empirical CDF evaluated at ``points``."""
-        curves = [result.flowtime_cdf(points) for result in self.results]
-        return np.mean(np.stack(curves, axis=0), axis=0)
-
-    def summary(self) -> dict:
-        """Flat dictionary of the headline replication metrics."""
-        return {
-            "scheduler": self.scheduler_name,
-            "replications": self.num_replications,
-            "mean_flowtime": self.mean_flowtime,
-            "mean_flowtime_std": self.mean_flowtime_std,
-            "weighted_mean_flowtime": self.weighted_mean_flowtime,
-            "weighted_mean_flowtime_std": self.weighted_mean_flowtime_std,
-            "mean_makespan": self.mean_makespan,
-            "mean_cloning_ratio": self.mean_cloning_ratio,
-        }
 
 
 @dataclass(frozen=True)
@@ -372,8 +298,9 @@ class RunSpec:
         :class:`~repro.scenarios.ScenarioSpec` is a frozen dataclass, so it
         pickles across the pool like every other spec field.
     tag:
-        Opaque grouping label (e.g. the sweep-point value) used by
-        :meth:`ExperimentRunner.run_grouped`.
+        The run's coordinates in its study (one ``(axis, label)`` pair
+        per axis, set by :meth:`repro.study.core.StudyPoint.to_run_spec`);
+        excluded from the cache key and never read by the run.
     """
 
     trace: TraceSource
@@ -727,113 +654,3 @@ class ExperimentRunner:
         )
         self.last_dispatch_stats["cache_hits"] = stats["cache_hits"]
         return results  # type: ignore[return-value]
-
-    def run_grouped(
-        self, specs: Sequence[RunSpec]
-    ) -> "OrderedDict[Optional[Hashable], List[SimulationResult]]":
-        """Execute every spec and group results by ``spec.tag``.
-
-        Groups appear in first-occurrence order of their tag; within a
-        group, results keep spec order.  This is the natural shape for a
-        sweep: one spec per (sweep point, seed), tagged with the sweep
-        point.
-        """
-        specs = list(specs)
-        results = self.run(specs)
-        grouped: "OrderedDict[Optional[Hashable], List[SimulationResult]]" = OrderedDict()
-        for spec, result in zip(specs, results):
-            grouped.setdefault(spec.tag, []).append(result)
-        return grouped
-
-    def run_replications(
-        self,
-        trace: TraceSource,
-        scheduler_factory: Callable[[], Scheduler],
-        num_machines: int,
-        *,
-        seeds: Sequence[int] = (0, 1, 2),
-        machine_speed: float = 1.0,
-        scenario: Optional[ScenarioSpec] = None,
-        max_time: Optional[float] = None,
-    ) -> ReplicatedResult:
-        """One run per seed of a single configuration (the paper's protocol)."""
-        if not seeds:
-            raise ValueError("at least one seed is required")
-        base = RunSpec(
-            trace=trace,
-            scheduler=scheduler_factory,
-            num_machines=num_machines,
-            machine_speed=machine_speed,
-            scenario=scenario,
-            max_time=max_time,
-        )
-        results = self.run([base.with_seed(seed) for seed in seeds])
-        return ReplicatedResult(
-            scheduler_name=results[0].scheduler_name, results=results
-        )
-
-
-def sweep_specs(
-    trace: TraceSource,
-    points: Sequence[Tuple[Hashable, Callable[[], Scheduler], int]],
-    seeds: Sequence[int],
-    *,
-    machine_speed: float = 1.0,
-    scenario: Optional[ScenarioSpec] = None,
-    max_time: Optional[float] = None,
-) -> List[RunSpec]:
-    """Cartesian product of sweep points and seeds as a flat spec list.
-
-    ``points`` is a sequence of ``(tag, scheduler_factory, num_machines)``
-    triples; each is replicated once per seed, tagged for
-    :meth:`ExperimentRunner.run_grouped`.
-    """
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    specs: List[RunSpec] = []
-    for tag, factory, num_machines in points:
-        for seed in seeds:
-            specs.append(
-                RunSpec(
-                    trace=trace,
-                    scheduler=factory,
-                    num_machines=num_machines,
-                    seed=seed,
-                    machine_speed=machine_speed,
-                    scenario=scenario,
-                    max_time=max_time,
-                    tag=tag,
-                )
-            )
-    return specs
-
-
-def run_replications(
-    trace: Trace,
-    scheduler_factory: Callable[[], Scheduler],
-    num_machines: int,
-    *,
-    seeds: Sequence[int] = (0, 1, 2),
-    machine_speed: float = 1.0,
-    scenario: Optional[ScenarioSpec] = None,
-    max_time: Optional[float] = None,
-    workers: Optional[int] = 1,
-) -> ReplicatedResult:
-    """Run the same (trace, scheduler, cluster) configuration once per seed.
-
-    A fresh scheduler instance is built per replication because schedulers
-    carry state (priority queues, per-job bookkeeping) that must not leak
-    between runs.  With ``workers > 1`` (or ``0``/``None`` for all CPUs)
-    the replications fan out over a process pool (``scheduler_factory`` must
-    then be picklable -- use :class:`SchedulerSpec` rather than a lambda);
-    results are bit-identical to ``workers=1`` for the same seeds.
-    """
-    return ExperimentRunner(workers=workers).run_replications(
-        trace,
-        scheduler_factory,
-        num_machines,
-        seeds=seeds,
-        machine_speed=machine_speed,
-        scenario=scenario,
-        max_time=max_time,
-    )

@@ -20,8 +20,9 @@ Four structural axes are first-class constructor arguments:
   overrides, e.g. ``("SRPTMS+C", {"name": "SRPT", "r": 2})``;
 * ``scenarios`` -- cluster environments: ``None``/``"none"`` (the paper's
   homogeneous cluster), a preset name from
-  :data:`repro.scenarios.SCENARIO_PRESETS`, a table of CLI-style knobs
-  (``{"speed_spread": 0.5}``), or a raw
+  :data:`repro.scenarios.SCENARIO_PRESETS`, a table of knobs
+  (``{"speed_spread": 0.5}``) or the same knobs as a knob list
+  (``"speed_spread=0.5"``), or a raw
   :class:`~repro.scenarios.ScenarioSpec`;
 * ``workloads`` -- ``"google"`` (the synthetic paper trace at the study's
   scale), a ``{"kind": "stream", "factory": ...}`` recipe over
@@ -63,7 +64,7 @@ from typing import (
     Union,
 )
 
-from repro.checks import check_count, check_range, check_real
+from repro.checks import check_count, check_range, check_real, parse_knob
 from repro.experiments.config import generate_google_trace
 from repro.policies import NAMED_SCHEDULERS, scheduler_entry
 from repro.scenarios import (
@@ -184,7 +185,8 @@ SchedulerLike = Union[str, Mapping[str, Any], SchedulerRef]
 
 # ------------------------------------------------------------- scenario axis
 
-#: Knobs a scenario table may set, mirroring the CLI scenario flags.
+#: Knobs a scenario table may set; a knob list (the CLI's ``--scenario``)
+#: spells the same table as ``key=value`` pairs.
 _SCENARIO_TABLE_KEYS = frozenset(
     {
         "speed_spread",
@@ -200,8 +202,26 @@ _SCENARIO_TABLE_KEYS = frozenset(
 )
 
 
+def _knob_list(text: str) -> Dict[str, Any]:
+    """The scenario table a knob list such as ``failure_rate=1e-4,mean_repair=300`` spells."""
+    table: Dict[str, Any] = {}
+    for item in text.split(","):
+        key, equals, value = (part.strip() for part in item.partition("="))
+        if not key or not equals or key in table:
+            raise ValueError(
+                f"scenario knob list {text!r}: expected distinct key=value "
+                f"pairs separated by commas, got {item!r}"
+            )
+        table[key] = parse_knob(value)
+    return table
+
+
 def _scenario_from_table(data: Mapping[str, float]) -> Optional[ScenarioSpec]:
-    """Compose a ScenarioSpec from CLI-style knobs (None = homogeneous)."""
+    """Compose a ScenarioSpec from a scenario table's knobs (None = homogeneous).
+
+    The one scenario-composition rule: spec-file tables, Study axis
+    entries and the CLI's ``--scenario`` knob lists all resolve here.
+    """
     from repro.cluster.stragglers import DynamicStragglers
 
     unknown = set(data) - _SCENARIO_TABLE_KEYS
@@ -295,7 +315,9 @@ class ScenarioRef:
             return value
         if value is None or value == "none":
             return cls(label="none", spec=None, decl=None)
-        if isinstance(value, str):
+        if isinstance(value, str) and "=" in value:
+            value = _knob_list(value)
+        elif isinstance(value, str):
             return cls(label=value, spec=scenario_preset(value), decl=value)
         if isinstance(value, Mapping):
             data = dict(value)
@@ -324,7 +346,9 @@ class ScenarioRef:
 
         The single source for the derivation -- the spec-file encoder
         compares against this to decide whether an explicit ``label`` key
-        must be emitted.
+        must be emitted.  A knob table's label is its knob list
+        (``failure_rate=0.0001,mean_repair=300``), which :meth:`coerce`
+        and the CLI's ``--scenario`` accept back.
         """
         if self.decl is None:
             return "none"

@@ -28,12 +28,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.cdf import BIG_JOB_GRID, SMALL_JOB_GRID, cdf_comparison, render_cdf_table
-from repro.analysis.comparison import ComparisonRow, ComparisonTable
+from repro.analysis.comparison import ComparisonTable
 from repro.analysis.theory import OfflineBoundReport, offline_bound_check
 from repro.experiments.config import ExperimentConfig, generate_google_trace
 from repro.experiments.report import render_columns, render_key_values, render_sweep_table
 from repro.scenarios import DEFAULT_MEAN_REPAIR
-from repro.simulation.experiment_runner import ReplicatedResult
+from repro.simulation.metrics import SimulationResult
 from repro.study.core import Study, StudyPoint
 from repro.study.resultset import ResultSet
 from repro.workload.google_trace import TABLE_II_TARGETS, GoogleTraceConfig
@@ -296,14 +296,13 @@ def _comparison_study(
     return Study(name="scheduler-comparison", schedulers=names, **kwargs)
 
 
+def _runs_by_scheduler(results: ResultSet) -> Dict[str, List[SimulationResult]]:
+    """Each scheduler's runs (its seeds), in axis order."""
+    return {name: cell.results for (name,), cell in results.group_by("scheduler").items()}
+
+
 def _cdf_render(results: ResultSet, grid: List[float], limit: float, title: str) -> str:
-    curves = cdf_comparison(
-        {
-            name: ReplicatedResult(name, cell.results)
-            for (name,), cell in results.group_by("scheduler").items()
-        },
-        grid,
-    )
+    curves = cdf_comparison(_runs_by_scheduler(results), grid)
     at_limit = "  ".join(
         f"{name}: {curve[grid.index(limit)]:.1%}" for name, curve in curves.items()
     )
@@ -346,16 +345,7 @@ def _figure6_render(results: ResultSet, study: Study) -> str:
 
     The paper's headline: SRPTMS+C cuts both by ~25% relative to Mantri.
     """
-    table = ComparisonTable(
-        [
-            ComparisonRow(
-                name,
-                cell.mean("mean_flowtime"),
-                cell.mean("weighted_mean_flowtime"),
-            )
-            for (name,), cell in results.group_by("scheduler").items()
-        ]
-    )
+    table = ComparisonTable.from_results(_runs_by_scheduler(results))
     unweighted = table.improvement_over("SRPTMS+C", "Mantri")
     weighted = table.improvement_over("SRPTMS+C", "Mantri", weighted=True)
     return "\n".join(

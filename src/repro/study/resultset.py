@@ -11,9 +11,10 @@ like a small tidy data frame:
 * :meth:`ResultSet.group_by` partitions into sub-sets per coordinate combo;
 * :meth:`ResultSet.aggregate` collapses the seed axis (or any other) into
   ``mean``/``std``/``min``/``max``/``median``/``p95``/``p99``/``ci95``
-  statistics -- the same numpy reductions
-  :class:`~repro.simulation.experiment_runner.ReplicatedResult` uses, so
-  aggregated numbers match the per-figure drivers digit for digit;
+  statistics -- numpy reductions over a float array of the per-run
+  values.  Its ``mean`` is the reduction
+  :class:`~repro.analysis.comparison.ComparisonTable` applies to one
+  cell's :attr:`ResultSet.results`, so the two agree digit for digit;
 * :meth:`ResultSet.to_records` / :meth:`ResultSet.to_csv` /
   :meth:`ResultSet.to_json` export tidy rows for external tooling.
 

@@ -39,20 +39,27 @@ class TestCdf:
 
     def test_curve_is_monotone_and_bounded(self):
         result = make_result("a", [10.0, 60.0, 120.0, 500.0])
-        curve = cdf_curve(result, SMALL_JOB_GRID)
+        curve = cdf_curve([result], SMALL_JOB_GRID)
         assert np.all(np.diff(curve) >= 0)
         assert curve[0] == 0.0
         assert curve[-1] == pytest.approx(0.75)
 
     def test_curve_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            cdf_curve(make_result("a", [1.0]), [])
+            cdf_curve([make_result("a", [1.0])], [])
 
     def test_comparison_keys(self):
-        results = {"a": make_result("a", [10.0]), "b": make_result("b", [20.0])}
+        results = {"a": [make_result("a", [10.0])], "b": [make_result("b", [20.0])]}
         curves = cdf_comparison(results, [15.0])
         assert curves["a"][0] == 1.0
         assert curves["b"][0] == 0.0
+
+    def test_curve_averages_the_runs_of_a_cell(self):
+        runs = [make_result("a", [10.0, 60.0]), make_result("a", [30.0, 500.0])]
+        points = [20.0, 100.0, 1000.0]
+        curve = cdf_curve(runs, points)
+        assert list(curve) == [0.25, 0.75, 1.0]
+        assert np.all(np.diff(curve) >= 0)
 
     def test_render_contains_all_columns(self):
         curves = {"a": [0.1, 0.2], "b": [0.3, 0.4]}
@@ -66,8 +73,8 @@ class TestComparisonTable:
     def test_from_results_and_improvement(self):
         table = ComparisonTable.from_results(
             {
-                "SRPTMS+C": make_result("SRPTMS+C", [75.0, 75.0]),
-                "Mantri": make_result("Mantri", [100.0, 100.0]),
+                "SRPTMS+C": [make_result("SRPTMS+C", [75.0, 75.0])],
+                "Mantri": [make_result("Mantri", [100.0, 100.0])],
             }
         )
         assert table.improvement_over("SRPTMS+C", "Mantri") == pytest.approx(25.0)
@@ -75,14 +82,22 @@ class TestComparisonTable:
             pytest.approx(25.0)
         )
 
+    def test_rows_average_the_runs_of_a_cell(self):
+        runs = [make_result("a", [10.0, 30.0]), make_result("a", [50.0, 70.0, 90.0])]
+        row = ComparisonTable.from_results({"a": runs}).row("a")
+        per_run = [run.mean_flowtime for run in runs]
+        assert row.mean_flowtime == np.mean(per_run) == 45.0
+        weighted = [run.weighted_mean_flowtime for run in runs]
+        assert row.weighted_mean_flowtime == pytest.approx(np.mean(weighted))
+
     def test_unknown_row_raises(self):
-        table = ComparisonTable.from_results({"a": make_result("a", [1.0])})
+        table = ComparisonTable.from_results({"a": [make_result("a", [1.0])]})
         with pytest.raises(KeyError):
             table.row("missing")
 
     def test_render_mentions_schedulers(self):
         table = ComparisonTable.from_results(
-            {"a": make_result("a", [1.0]), "b": make_result("b", [2.0])}
+            {"a": [make_result("a", [1.0])], "b": [make_result("b", [2.0])]}
         )
         text = table.render(baseline="b")
         assert "a" in text and "b" in text

@@ -21,9 +21,8 @@ from repro.simulation.experiment_runner import (
     SchedulerSpec,
     TraceSpec,
     default_workers,
-    sweep_specs,
 )
-from repro.simulation import run_replications, run_simulation
+from repro.simulation import run_simulation
 from repro.workload.generators import poisson_trace
 
 #: One spec per scheduling policy shipped with the repository.
@@ -87,21 +86,6 @@ class TestParallelSerialEquivalence:
             r.fingerprint() for r in rebuilt
         ]
 
-    def test_run_replications_workers_param(self, small_online_trace):
-        scheduler = SchedulerSpec("SCA")
-        serial = run_replications(
-            small_online_trace, scheduler, 8, seeds=SEEDS, workers=1
-        )
-        parallel = run_replications(
-            small_online_trace, scheduler, 8, seeds=SEEDS, workers=4
-        )
-        assert serial.scheduler_name == parallel.scheduler_name
-        assert [r.fingerprint() for r in serial.results] == [
-            r.fingerprint() for r in parallel.results
-        ]
-        assert serial.mean_flowtime == parallel.mean_flowtime
-        assert serial.weighted_mean_flowtime == parallel.weighted_mean_flowtime
-
     def test_matches_legacy_direct_simulation(self, small_online_trace):
         """RunSpec.execute reproduces run_simulation exactly."""
         spec = RunSpec(
@@ -123,27 +107,6 @@ class TestRunnerMechanics:
 
     def test_empty_spec_list(self):
         assert ExperimentRunner(workers=2).run([]) == []
-
-    def test_run_grouped_by_tag(self, small_online_trace):
-        points = [
-            (0.4, SchedulerSpec("SRPTMS+C", {"epsilon": 0.4, "r": 0.0}), 8),
-            (0.8, SchedulerSpec("SRPTMS+C", {"epsilon": 0.8, "r": 0.0}), 8),
-        ]
-        specs = sweep_specs(small_online_trace, points, seeds=(0, 1))
-        grouped = ExperimentRunner(workers=1).run_grouped(specs)
-        assert list(grouped) == [0.4, 0.8]
-        assert [r.seed for r in grouped[0.4]] == [0, 1]
-        assert [r.seed for r in grouped[0.8]] == [0, 1]
-
-    def test_sweep_specs_requires_seeds(self, small_online_trace):
-        with pytest.raises(ValueError):
-            sweep_specs(small_online_trace, [], seeds=())
-
-    def test_run_replications_requires_seeds(self, small_online_trace):
-        with pytest.raises(ValueError):
-            ExperimentRunner().run_replications(
-                small_online_trace, SchedulerSpec("FIFO"), 8, seeds=()
-            )
 
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,11 @@
-"""Unit tests for metrics (SimulationResult / JobRecord) and the run helpers."""
+"""Unit tests for metrics (SimulationResult / JobRecord) and the run helper."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.simulation.metrics import JobRecord, SimulationResult
-from repro.simulation import run_replications, run_simulation
+from repro.simulation import run_simulation
 from repro.policies import make_scheduler
 
 
@@ -108,46 +107,6 @@ class TestRunner:
         assert result.num_jobs == deterministic_online_trace.num_jobs
         assert result.runtime_seconds > 0
         assert result.seed == 3
-
-    def test_run_replications_aggregates(self, small_online_trace):
-        replicated = run_replications(
-            small_online_trace,
-            lambda: make_scheduler("SRPTMS+C", epsilon=0.6, r=1.0),
-            num_machines=20,
-            seeds=(0, 1, 2),
-        )
-        assert replicated.num_replications == 3
-        per_run = [r.mean_flowtime for r in replicated.results]
-        assert replicated.mean_flowtime == pytest.approx(np.mean(per_run))
-        assert replicated.mean_flowtime_std == pytest.approx(np.std(per_run))
-        assert replicated.scheduler_name == "SRPTMS+C"
-        assert 0.0 <= replicated.fraction_completed_within(1e9) <= 1.0
-
-    def test_replicated_cdf_averages_curves(self, small_online_trace):
-        replicated = run_replications(
-            small_online_trace,
-            lambda: make_scheduler("FIFO"),
-            num_machines=20,
-            seeds=(0, 1),
-        )
-        points = [10.0, 100.0, 1000.0]
-        curve = replicated.flowtime_cdf(points)
-        assert len(curve) == 3
-        assert np.all(np.diff(curve) >= 0)
-
-    def test_replications_require_seeds(self, small_online_trace):
-        with pytest.raises(ValueError):
-            run_replications(
-                small_online_trace, lambda: make_scheduler("FIFO"), 10, seeds=()
-            )
-
-    def test_summary_keys(self, small_online_trace):
-        replicated = run_replications(
-            small_online_trace, lambda: make_scheduler("FIFO"), 20, seeds=(0,)
-        )
-        summary = replicated.summary()
-        assert {"scheduler", "replications", "mean_flowtime",
-                "weighted_mean_flowtime"} <= set(summary)
 
 
 class TestRunnerShimRemoved:

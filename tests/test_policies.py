@@ -466,32 +466,3 @@ class TestComposedGrid:
             seeds=(0,),
         )
         assert study_from_json(study_to_json(study)) == study
-
-    def test_cli_policy_subcommand(self, capsys):
-        from repro.cli import main
-
-        rc = main(
-            [
-                "policy",
-                "--ordering",
-                "srpt",
-                "--allocation",
-                "share",
-                "--redundancy",
-                "none",
-                "--scale",
-                "0.005",
-                "--seeds",
-                "0",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "srpt+share+none" in out
-        assert "SRPTMS+C" in out
-
-    def test_cli_rejects_policy_flags_elsewhere(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="--ordering"):
-            main(["figure1", "--ordering", "srpt"])

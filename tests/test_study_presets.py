@@ -193,46 +193,60 @@ class TestPresetVsLegacyRecomputation:
             assert value in row, (row, value)
 
     def test_figure6_preset_equals_legacy_computation(self, config):
-        from repro.analysis.comparison import ComparisonTable
-        from repro.simulation.experiment_runner import (
-            ReplicatedResult,
-            SchedulerSpec,
-            sweep_specs,
-        )
+        import numpy as np
 
-        # One tagged spec batch through the runner, grouped into
-        # ReplicatedResults per policy.
-        factories = {
+        from repro.simulation.experiment_runner import RunSpec, SchedulerSpec
+
+        # Plain run specs through the runner, with the means over three
+        # seeds, the improvements and the table rows computed here.
+        config = config.with_overrides(seeds=(0, 1, 2))
+        schedulers = {
             "SRPTMS+C": SchedulerSpec(
                 "SRPTMS+C", {"epsilon": config.epsilon, "r": config.r}
             ),
             "SCA": SchedulerSpec("SCA"),
             "Mantri": SchedulerSpec("Mantri"),
         }
-        specs = sweep_specs(
-            config.trace_source(),
-            [(name, factory, config.machines) for name, factory in factories.items()],
-            config.seeds,
-            scenario=config.scenario,
+        specs = [
+            RunSpec(
+                trace=config.trace_source(),
+                scheduler=scheduler,
+                num_machines=config.machines,
+                seed=seed,
+                scenario=config.scenario,
+            )
+            for scheduler in schedulers.values()
+            for seed in config.seeds
+        ]
+        results = iter(config.make_runner().run(specs))
+        means = {}
+        for name in schedulers:
+            runs = [next(results) for _ in config.seeds]
+            means[name] = tuple(
+                float(np.array([getattr(run, metric) for run in runs], dtype=float).mean())
+                for metric in ("mean_flowtime", "weighted_mean_flowtime")
+            )
+
+        def improvement(name):
+            return tuple(
+                100.0 * (base - value) / base
+                for value, base in zip(means[name], means["Mantri"])
+            )
+
+        expected = [
+            "Figure 6 -- average job flowtime per scheduler",
+            f"{'scheduler':<14} {'mean flowtime':>15} {'weighted mean':>15}   vs baseline",
+        ]
+        for name, (unweighted, weighted) in means.items():
+            row = f"{name:<14} {unweighted:>15.1f} {weighted:>15.1f}"
+            if name != "Mantri":
+                row += "   {:+5.1f}% / {:+5.1f}%".format(*improvement(name))
+            expected.append(row)
+        expected.append(
+            "SRPTMS+C vs Mantri: {:+.1f}% (unweighted), {:+.1f}% (weighted)"
+            "   [paper: ~25% reduction]".format(*improvement("SRPTMS+C"))
         )
-        grouped = config.make_runner().run_grouped(specs)
-        legacy = ComparisonTable.from_results(
-            {
-                name: ReplicatedResult(
-                    scheduler_name=runs[0].scheduler_name, results=runs
-                )
-                for name, runs in grouped.items()
-            }
-        )
-        header, *body, footer = STUDY_PRESETS["figure6"].report(config).splitlines()
-        assert header == "Figure 6 -- average job flowtime per scheduler"
-        assert "\n".join(body) == legacy.render(baseline="Mantri")
-        unweighted = legacy.improvement_over("SRPTMS+C", "Mantri")
-        weighted = legacy.improvement_over("SRPTMS+C", "Mantri", weighted=True)
-        assert footer.startswith(
-            f"SRPTMS+C vs Mantri: {unweighted:+.1f}% (unweighted), "
-            f"{weighted:+.1f}% (weighted)"
-        )
+        assert STUDY_PRESETS["figure6"].report(config).splitlines() == expected
 
 
 class TestSweepCliReproducesPreset:

@@ -208,9 +208,14 @@ class TestSweepCli:
         with pytest.raises(SystemExit, match="--spec"):
             main(["figure6", "--spec", spec_path])
 
-    def test_figure_flags_rejected_for_sweep(self, spec_path):
-        with pytest.raises(SystemExit, match="--scale"):
-            main(["sweep", "--spec", spec_path, "--scale", "0.01"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--scale", "0.01"], ["--seeds", "0", "1"], ["--epsilon", "0.6"]],
+        ids=["scale", "seeds-at-default", "epsilon-at-default"],
+    )
+    def test_figure_flags_rejected_for_sweep(self, spec_path, flags):
+        with pytest.raises(SystemExit, match=f"{flags[0]} does not apply to 'sweep'"):
+            main(["sweep", "--spec", spec_path, *flags])
 
     def test_scenario_flags_rejected_for_sweep(self, spec_path):
         with pytest.raises(SystemExit, match="scenario"):
